@@ -1,0 +1,99 @@
+"""Pinned behaviour fingerprint of a small protocol.
+
+The protocol is the d=100 acceptance protocol cut down: UCI instance with
+d=50, T=100 iterations, 2 repetitions of each of the 8 per-kind best
+variants, metrics and traces on. The sha256 of ``runs.csv``,
+``aggregate.csv``, every ``metrics_<variant>.csv``, and of one trace's
+``vcbpso metrics`` stdout and two CSVs are pinned below. A change to any
+digest is a behaviour change, also when every other test still passes.
+
+The pins were generated with numpy 2.4.6 (Python 3.11.7). Regenerate them
+only for an intended behaviour change, with::
+
+    PYTHONPATH=src python tests/test_fingerprint.py
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+
+import pytest
+
+from test_acceptance import BASE_SEED, BEST_D100, INSTANCE_SEED, best_variants
+from vcbpso.cli import main
+from vcbpso.harness import ExperimentSpec, InstanceSource, run_experiment
+
+TRACE = "trace_VT2_w1-0.4_rep0"
+
+PINS = {
+    "runs.csv": "10c4b2694f1a5647a2b692b4e947d36e97f687722d8969ba3ce7c99169ec7577",
+    "aggregate.csv": "4ef8708a9c282193eca968ff41eb85c35d1ed702846b636e63abbbe5d904a7e2",
+    "metrics_VCv1_w1.csv": "0004c3064a52c5d281312ce199e6df2442be7c278f6f6eab455a38de82865241",
+    "metrics_VCv2_w1.csv": "e37254b4dd0b61cd42986ac028b3ccfb40c64e963bf151184748db8703627495",
+    "metrics_VCv3_w1.2-0.99.csv": "e5d82e63732e8afa037be0a53cbe905e8a98d8618fc9ad0274d682fb1acfe4c6",
+    "metrics_VCv4_w1.2-0.99.csv": "dbfc52646bada5f8e1fb4b15b6a45b6f6cc8b30c3d273bc52f50f010786c8717",
+    "metrics_VT1_w0.6.csv": "0f01371225ce52c18550c8b206d16fc6e3b0cf79eddf856d259f5b52b07b9e1e",
+    "metrics_VT2_w1-0.4.csv": "4476b7686aa5ec2dc1ad851d9727f092546eb7ec185d25b18ba322336788ab40",
+    "metrics_VT3_w1-0.4.csv": "334dd62d9f69c4236c0089a12688cbf78dadfd6890206c97f41b236d6d7e4d7d",
+    "metrics_VT4_w1-0.4.csv": "04f3366b6f2da4da93db0499a32ad3dad80a3be73ef238977ca56e47d551bdae",
+    "cli stdout": "af1401386b8b318e8fb86da60b06a7f53a832cd3d816cd91609ed42b9e16e3cb",
+    f"{TRACE}_particle_metrics.csv": "fb6532be4d8c43ae24facef572cd105a9e4ca39918bf753f875c753996c17918",
+    f"{TRACE}_aggregate_metrics.csv": "d6a0b26369bb692625c5ee24272f535ff823835722f29d218c3267786f7fbdf9",
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def fingerprint(out_dir: str) -> dict[str, str]:
+    """Run the protocol into ``out_dir``; digest of every pinned output."""
+    spec = ExperimentSpec(
+        instance=InstanceSource(instance_type="UCI", n=50, r=1000, s=0.5,
+                                seed=INSTANCE_SEED),
+        variants=best_variants(BEST_D100),
+        swarm_size=20,
+        c1=2.0,
+        c2=2.0,
+        iterations=100,
+        repetitions=2,
+        base_seed=BASE_SEED,
+        output_dir=out_dir,
+        save_traces=True,
+        compute_metrics=True,
+    )
+    run_experiment(spec)
+    stdout = _cli_stdout(["metrics", "--trace",
+                          os.path.join(out_dir, TRACE + ".txt.gz")])
+    digests = {"cli stdout": _sha256(stdout.encode())}
+    for name in os.listdir(out_dir):
+        if name.endswith(".csv") and not name.startswith("curve_"):
+            with open(os.path.join(out_dir, name), "rb") as fh:
+                digests[name] = _sha256(fh.read())
+    return digests
+
+
+def _cli_stdout(argv) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    assert code == 0, argv
+    return buf.getvalue()
+
+
+@pytest.fixture(scope="module")
+def digests(tmp_path_factory):
+    return fingerprint(str(tmp_path_factory.mktemp("fingerprint")))
+
+
+def test_pinned_outputs(digests):
+    assert digests == PINS
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for key, value in sorted(fingerprint(tmp).items()):
+            print(f'    "{key}": "{value}",')
