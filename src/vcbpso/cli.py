@@ -48,13 +48,16 @@ def _cmd_metrics(args) -> int:
     trace = RunTrace.load(args.trace)
     lo = args.from_iteration if args.from_iteration is not None else 1
     hi = args.to_iteration if args.to_iteration is not None else trace.iterations
+    metrics.check_range(trace.iterations, lo, hi)
     base = args.trace
     for suffix in (".gz", ".txt"):
         if base.endswith(suffix):
             base = base[: -len(suffix)]
-    metrics.write_particle_metrics_csv(trace, base + "_particle_metrics.csv")
-    metrics.write_aggregate_metrics_csv(trace, base + "_aggregate_metrics.csv")
-    print(metrics.pujv(trace, lo, hi))
+    d = metrics.dist_matrix(trace)
+    e = metrics.dist_eff_matrix(trace)
+    metrics.write_particle_metrics_csv(d, e, base + "_particle_metrics.csv")
+    metrics.write_aggregate_metrics_csv(d, e, base + "_aggregate_metrics.csv")
+    print(metrics.pujv_of(d, e, lo, hi))
     return 0
 
 

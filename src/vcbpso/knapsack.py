@@ -102,13 +102,16 @@ def dp_optimal(instance: KnapsackInstance,
     if n == 0 or c == 0:
         return 0, np.zeros(n, dtype=np.uint8)
     row_bytes = (c + 1 + 7) // 8
-    need = n * row_bytes
+    # the packed choice matrix and one packed row, plus per capacity the
+    # int64 value and candidate rows and the bool choice row
+    need = (n + 1) * row_bytes + 17 * (c + 1)
     if need > memory_limit:
         raise ResourceError(
-            f"DP choice matrix needs {need} bytes "
+            f"DP needs {need} bytes "
             f"(n={n}, capacity={c}), limit is {memory_limit}"
         )
     dp = np.zeros(c + 1, dtype=np.int64)
+    cand = np.empty(c + 1, dtype=np.int64)
     take = np.zeros((n, row_bytes), dtype=np.uint8)
     chose = np.zeros(c + 1, dtype=bool)
     for i in range(n):
@@ -116,11 +119,10 @@ def dp_optimal(instance: KnapsackInstance,
         p = int(instance.profits[i])
         if w > c:
             continue
-        cand = dp[:-w] + p
-        chose[:] = False
-        better = cand > dp[w:]
-        chose[w:] = better
-        dp[w:][better] = cand[better]
+        np.add(dp[:-w], p, out=cand[w:])
+        chose[:w] = False
+        np.greater(cand[w:], dp[w:], out=chose[w:])
+        np.maximum(dp[w:], cand[w:], out=dp[w:])
         take[i] = np.packbits(chose, bitorder="little")
     selection = np.zeros(n, dtype=np.uint8)
     cc = c

@@ -11,6 +11,7 @@ from vcbpso.transfer import (
     CORRECTION_FLOOR,
     TransferKind,
     correct_oracle,
+    sigm,
     sigm_complement,
 )
 
@@ -34,15 +35,17 @@ def velocity_grid() -> np.ndarray:
 
 
 def true_correction(kind: TransferKind, v: float) -> float | None:
-    """``correct_oracle(kind, v)``, or None where no double holds the answer.
+    """``correct_oracle(kind, v)``, or None where the answer lies below the
+    oracle's bracket.
 
-    The oracle may fail to bracket only where ``1 - sigm(v)`` itself
-    underflows to 0; a failure anywhere else re-raises :class:`OracleError`.
+    The oracle brackets magnitudes from CORRECTION_FLOOR up, so it may fail
+    only where ``1 - sigm(v)`` is below ``sigm(CORRECTION_FLOOR)``; a
+    failure anywhere else re-raises :class:`OracleError`.
     """
     try:
         return correct_oracle(kind, v)
     except OracleError:
-        if sigm_complement(kind, v) == 0.0:
+        if sigm_complement(kind, v) < sigm(kind, CORRECTION_FLOOR):
             return None
         raise
 

@@ -16,7 +16,8 @@ where the true correction is below the smallest positive double),
 the round trip lands on the boundary velocity ``correct(+-CORRECTION_FLOOR)``
 with the sign and the flip probability kept. Criterion 3 names those
 points in its PASS line. The oracle may fail only where ``1 - sigm(v)``
-itself underflows; anywhere else its failure fails the criterion.
+is below ``sigm(CORRECTION_FLOOR)``, the low end of its bracket; anywhere
+else its failure fails the criterion.
 """
 
 import math

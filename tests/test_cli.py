@@ -148,6 +148,16 @@ class TestMetrics:
                              "--from", "11", "--to", "20")
         assert int(head) + int(tail) == int(full)
 
+    def test_bad_range_fails_before_writing(self, capsys, config_file):
+        path, out = config_file
+        run_cli(capsys, "run", "--config", path)
+        trace = str(out / "trace_VCv2_w1_rep0.txt.gz")
+        code, stdout, stderr = run_cli(capsys, "metrics", "--trace", trace,
+                                       "--from", "5", "--to", "5000")
+        assert code == 2 and stdout == "" and "[5, 5000]" in stderr
+        for suffix in ("_particle_metrics.csv", "_aggregate_metrics.csv"):
+            assert not (out / f"trace_VCv2_w1_rep0{suffix}").exists()
+
 
 class TestReport:
     def test_consolidates_runs(self, capsys, config_file):

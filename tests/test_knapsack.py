@@ -1,5 +1,7 @@
 """Instance generation, exact solvers, repair and file IO."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -136,6 +138,19 @@ class TestSolvers:
         inst = KnapsackInstance(np.array([10**9]), np.array([1]), 10**9)
         with pytest.raises(ResourceError):
             dp_optimal(inst, memory_limit=1000)
+
+    def test_dp_memory_guard_counts_the_value_rows(self):
+        # the packed choice matrix (125 kB) fits the limit; the int64 value
+        # and candidate rows (16 MB) do not, and nothing is allocated
+        inst = KnapsackInstance(np.array([1]), np.array([1]), 10**6)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceError):
+                dp_optimal(inst, memory_limit=10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**5
 
     def test_dp_matches_brute_on_random_instances(self):
         rng = np.random.Generator(np.random.PCG64(2024))

@@ -2,6 +2,7 @@
 volume, convergence statistics."""
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,14 +34,29 @@ def random_trace(rng, records, m, d):
     return build_trace(list(pos))
 
 
-def dist_eff_bruteforce(trace, particle, k):
-    """Quadratic scan over the unpacked history; independent oracle."""
-    here = trace.position_bits(k, particle)
-    return min(
-        int(np.abs(here.astype(int)
-                   - trace.position_bits(r, particle).astype(int)).sum())
-        for r in range(k)
-    )
+def revisiting_trace(rng, records, m, d):
+    """Random positions where about a third of the moves return to an
+    earlier position. The first move of particle 0 is a revisit, and the
+    first move of particle 1 flips every bit."""
+    pos = rng.integers(0, 2, size=(records, m, d)).astype(np.uint8)
+    for k in range(1, records):
+        for i in range(m):
+            if (k, i) == (1, 1):
+                pos[k, i] = 1 - pos[0, i]
+            elif (k, i) == (1, 0) or rng.random() < 0.3:
+                pos[k, i] = pos[rng.integers(k), i]
+    return build_trace(list(pos))
+
+
+def dist_eff_bruteforce(trace):
+    """(iterations, swarm_size) effective gains by a scan over the unpacked
+    history of every record; independent oracle."""
+    bits = np.array([trace.position_bits(k) for k in range(trace.n_records)],
+                    dtype=np.int64)
+    out = np.empty((trace.iterations, trace.swarm_size), dtype=np.int64)
+    for k in range(1, trace.n_records):
+        out[k - 1] = np.abs(bits[:k] - bits[k]).sum(axis=-1).min(axis=0)
+    return out
 
 
 class TestHamming:
@@ -118,12 +134,29 @@ class TestDistEff:
                 assert e[k - 1, i] == dist_eff_iteration(t, i, k)
 
     def test_matches_bruteforce_oracle(self):
-        rng = np.random.Generator(np.random.PCG64(5))
-        t = random_trace(rng, 40, 2, 64)
-        e = dist_eff_matrix(t)
-        for k in range(1, 40):
-            for i in range(2):
-                assert e[k - 1, i] == dist_eff_bruteforce(t, i, k)
+        # record counts around the kernel's block edges, bit widths around
+        # the 64-bit word edges, and one that needs a 16-bit accumulator
+        block = metrics._BLOCK
+        for records in (1, 2, block, block + 1, 2 * block + 3):
+            for d in (1, 63, 64, 65, 130, 300):
+                rng = np.random.Generator(np.random.PCG64(5 + records + d))
+                t = revisiting_trace(rng, records, 2, d)
+                e = dist_eff_matrix(t)
+                assert e.dtype == np.int64
+                assert np.array_equal(e, dist_eff_bruteforce(t)), (records, d)
+                if records > 1:
+                    assert e[0].tolist() == [0, d]
+
+    def test_memory_is_bounded_by_the_block(self):
+        rng = np.random.Generator(np.random.PCG64(7))
+        t = random_trace(rng, 2001, 1, 100)
+        tracemalloc.start()
+        try:
+            dist_eff_matrix(t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestPujv:
@@ -191,7 +224,8 @@ class TestCsvWriters:
     def test_particle_csv_schema(self, tmp_path):
         t = single_particle_trace("0000", "1100", "0011")
         path = tmp_path / "particle.csv"
-        metrics.write_particle_metrics_csv(t, path)
+        metrics.write_particle_metrics_csv(dist_matrix(t), dist_eff_matrix(t),
+                                           path)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["iteration", "particle", "dist", "dist_eff"]
@@ -201,7 +235,8 @@ class TestCsvWriters:
     def test_aggregate_csv_schema(self, tmp_path):
         t = single_particle_trace("0000", "1100", "0011")
         path = tmp_path / "agg.csv"
-        metrics.write_aggregate_metrics_csv(t, path)
+        metrics.write_aggregate_metrics_csv(dist_matrix(t), dist_eff_matrix(t),
+                                            path)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["iteration", "mean_dist", "mean_dist_eff",

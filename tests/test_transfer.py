@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import ALL_KINDS, clamp_bound
+import conftest
+from conftest import ALL_KINDS, clamp_bound, true_correction
 from vcbpso.errors import OracleError
 from vcbpso.transfer import (
     CORRECTION_CLAMP,
@@ -192,3 +193,24 @@ class TestCorrectOracle:
         # which the oracle reports rather than silently mis-solving
         with pytest.raises(OracleError):
             correct_oracle(kind, 1e6)
+
+
+class TestClampBound:
+    """The helper that splits the grid for criteria 2 and 3."""
+
+    @pytest.mark.parametrize("kind, v", [(TransferKind.VT3, 360.0),
+                                         (TransferKind.VT4, 700.0)])
+    def test_floor_where_the_oracle_cannot_bracket(self, kind, v):
+        # 1 - sigm(v) is still nonzero here, but below the oracle's bracket
+        assert 0.0 < sigm_complement(kind, v) < sigm(kind, CORRECTION_FLOOR)
+        for signed in (v, -v):
+            assert clamp_bound(kind, signed) == CORRECTION_FLOOR
+
+    def test_other_oracle_failures_reraise(self, monkeypatch):
+        def unbracketable(kind, v):
+            raise OracleError("cannot bracket")
+
+        monkeypatch.setattr(conftest, "correct_oracle", unbracketable)
+        for kind in ALL_KINDS:
+            with pytest.raises(OracleError):
+                true_correction(kind, 1.0)
