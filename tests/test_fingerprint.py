@@ -3,7 +3,8 @@
 The protocol is the d=100 acceptance protocol cut down: UCI instance with
 d=50, T=100 iterations, 2 repetitions of each of the 8 per-kind best
 variants, metrics and traces on. The sha256 of ``runs.csv``,
-``aggregate.csv``, every ``metrics_<variant>.csv``, and of one trace's
+``aggregate.csv``, every ``curve_<variant>.csv`` and
+``metrics_<variant>.csv``, and of one trace's decompressed text and its
 ``vcbpso metrics`` stdout and two CSVs are pinned below. A change to any
 digest is a behaviour change, also when every other test still passes.
 
@@ -14,6 +15,7 @@ only for an intended behaviour change, with::
 """
 
 import contextlib
+import gzip
 import hashlib
 import io
 import os
@@ -27,6 +29,14 @@ from vcbpso.harness import ExperimentSpec, InstanceSource, run_experiment
 TRACE = "trace_VT2_w1-0.4_rep0"
 
 PINS = {
+    "curve_VCv1_w1.csv": "f498e43a232e7d311282a9968828adf9a607505cfa55cac4574a5c555e1c4344",
+    "curve_VCv2_w1.csv": "45c96415512e9aa4599f87cbd15580e0bc80b5313e7f15d355d22c7895657b8a",
+    "curve_VCv3_w1.2-0.99.csv": "b04f90131d8e212d50c101017847e4b7e3364f1ac6c2f740c3c03ef075782ee1",
+    "curve_VCv4_w1.2-0.99.csv": "768386031af98b8d040a9ad13e6a72b221dec950e4449691751a3bcfdb0829bd",
+    "curve_VT1_w0.6.csv": "160ac60066020b183f7e6052b0859f2284d47dcd5f8239de0852e9d345985c65",
+    "curve_VT2_w1-0.4.csv": "54fbd5f6ac7244863cf13f3a1cf39d1cd4cc2997b94ddfd4cddff0bc36113123",
+    "curve_VT3_w1-0.4.csv": "15f226703104a3d613251dbc5ecd1404b072ff8df8bb156bde3b041e8b5ac789",
+    "curve_VT4_w1-0.4.csv": "5e0e49fef3d6a6aaeafc66d313d3947b01aec47f6ece6eabd3f30d81f6143482",
     "runs.csv": "10c4b2694f1a5647a2b692b4e947d36e97f687722d8969ba3ce7c99169ec7577",
     "aggregate.csv": "4ef8708a9c282193eca968ff41eb85c35d1ed702846b636e63abbbe5d904a7e2",
     "metrics_VCv1_w1.csv": "0004c3064a52c5d281312ce199e6df2442be7c278f6f6eab455a38de82865241",
@@ -37,6 +47,7 @@ PINS = {
     "metrics_VT2_w1-0.4.csv": "4476b7686aa5ec2dc1ad851d9727f092546eb7ec185d25b18ba322336788ab40",
     "metrics_VT3_w1-0.4.csv": "334dd62d9f69c4236c0089a12688cbf78dadfd6890206c97f41b236d6d7e4d7d",
     "metrics_VT4_w1-0.4.csv": "04f3366b6f2da4da93db0499a32ad3dad80a3be73ef238977ca56e47d551bdae",
+    "trace text": "ed50d5ffc156cdbf2352058796589055b88236760435b51d9c01e6b05b08d6d1",
     "cli stdout": "af1401386b8b318e8fb86da60b06a7f53a832cd3d816cd91609ed42b9e16e3cb",
     f"{TRACE}_particle_metrics.csv": "fb6532be4d8c43ae24facef572cd105a9e4ca39918bf753f875c753996c17918",
     f"{TRACE}_aggregate_metrics.csv": "d6a0b26369bb692625c5ee24272f535ff823835722f29d218c3267786f7fbdf9",
@@ -64,11 +75,14 @@ def fingerprint(out_dir: str) -> dict[str, str]:
         compute_metrics=True,
     )
     run_experiment(spec)
-    stdout = _cli_stdout(["metrics", "--trace",
-                          os.path.join(out_dir, TRACE + ".txt.gz")])
-    digests = {"cli stdout": _sha256(stdout.encode())}
+    trace_path = os.path.join(out_dir, TRACE + ".txt.gz")
+    stdout = _cli_stdout(["metrics", "--trace", trace_path])
+    with gzip.open(trace_path, "rb") as fh:
+        trace_text = fh.read()
+    digests = {"cli stdout": _sha256(stdout.encode()),
+               "trace text": _sha256(trace_text)}
     for name in os.listdir(out_dir):
-        if name.endswith(".csv") and not name.startswith("curve_"):
+        if name.endswith(".csv"):
             with open(os.path.join(out_dir, name), "rb") as fh:
                 digests[name] = _sha256(fh.read())
     return digests
