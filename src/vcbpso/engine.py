@@ -51,6 +51,12 @@ class WSchedule:
             pass
         raise ConfigError(f"bad w schedule: {text!r}")
 
+    def check_run_length(self, max_iterations: int) -> None:
+        """A ramp runs from ``start`` at iteration 0 to ``end`` at the last
+        one, so a run that reads w at all needs 2 iterations for it."""
+        if self.start != self.end and max_iterations == 1:
+            raise ConfigError("a w ramp needs at least 2 iterations")
+
     def __str__(self) -> str:
         if self.start == self.end:
             return f"{self.start:g}"
@@ -60,8 +66,7 @@ class WSchedule:
 def w_at(schedule: WSchedule, iteration: int, max_iterations: int) -> float:
     if schedule.start == schedule.end:
         return schedule.start
-    if max_iterations < 2:
-        raise ConfigError("a w ramp needs at least 2 iterations")
+    schedule.check_run_length(max_iterations)
     if not 0 <= iteration < max_iterations:
         raise ValueError(f"iteration {iteration} outside run of {max_iterations}")
     frac = iteration / (max_iterations - 1)
@@ -94,6 +99,7 @@ class RunConfig:
             raise ConfigError("swarm_size and dimensions must be >= 1")
         if self.max_iterations < 0:
             raise ConfigError("max_iterations must be >= 0")
+        self.w.check_run_length(self.max_iterations)
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must fit in 64 unsigned bits")
 
@@ -134,24 +140,6 @@ class SwarmState:
     iteration: int = 0
 
 
-def update_velocity(v, x, pbest_bit, gbest_bit, w, c1, c2, r1, r2):
-    """Single-entry velocity update; the swarm loop applies the same
-    arithmetic vectorized."""
-    return (w * v + c1 * r1 * (float(pbest_bit) - float(x))
-            + c2 * r2 * (float(gbest_bit) - float(x)))
-
-
-def clamp_velocity(v, vmax):
-    if vmax is None:
-        return v
-    return min(max(v, -vmax), vmax)
-
-
-def decide_jump(kind: TransferKind, v: float, r: float) -> bool:
-    """True means the bit flips (x <- 1 - x)."""
-    return r < sigm(kind, v)
-
-
 def init_swarm(config: RunConfig, objective: Objective,
                rng: np.random.Generator) -> SwarmState:
     """Fair-coin positions, zero velocities, bests from the first evaluation."""
@@ -178,23 +166,30 @@ def step_swarm(state: SwarmState, config: RunConfig, objective: Objective,
     m, d = state.positions.shape
     w = w_at(config.w, state.iteration, config.max_iterations)
     x = state.positions
-    xf = x.astype(np.float64)
-    r1 = rng.random((m, d))
-    r2 = rng.random((m, d))
-    v = (w * state.velocities
-         + config.c1 * r1 * (state.pbest_positions - xf)
-         + config.c2 * r2 * (state.gbest_position[np.newaxis, :] - xf))
+    v = state.velocities
+    # v = ((w*v) + (c1*r1)*(pbest - x)) + (c2*r2)*(gbest - x), in place
+    # with one float and one int8 scratch block; the draw order is r1, r2,
+    # jump. The bit differences -1/0/1 are exact in int8.
+    draw = np.empty((m, d))
+    pull = np.empty((m, d), dtype=np.int8)
+    v *= w
+    for c, best in ((config.c1, state.pbest_positions),
+                    (config.c2, state.gbest_position)):
+        rng.random(out=draw)
+        draw *= c
+        np.subtract(best, x, out=pull, dtype=np.int8)
+        draw *= pull
+        v += draw
     if config.vmax is not None:
         np.clip(v, -config.vmax, config.vmax, out=v)
     else:
         # overflow safeguard; sigm saturates far below this magnitude
         np.clip(v, -CORRECTION_CLAMP, CORRECTION_CLAMP, out=v)
-    r = rng.random((m, d))
-    flips = r < sigm(config.kind, v)
+    rng.random(out=draw)
+    flips = draw < sigm(config.kind, v)
     x ^= flips
     if config.correction_enabled and flips.any():
         v[flips] = correct(config.kind, v[flips])
-    state.velocities = v
 
     fitness, stored = objective.evaluate_swarm(x)
     improved = fitness > state.pbest_fitness

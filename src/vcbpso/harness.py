@@ -89,6 +89,11 @@ class ExperimentSpec:
             raise ConfigError("at least one variant is required")
         if self.repetitions < 1:
             raise ConfigError("repetitions must be >= 1")
+        for variant in self.variants:
+            try:
+                variant.w.check_run_length(self.iterations)
+            except ConfigError as exc:
+                raise ConfigError(f"variant {variant.label}: {exc}") from None
 
 
 @dataclass

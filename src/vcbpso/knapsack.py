@@ -148,27 +148,30 @@ def brute_force_optimal(instance: KnapsackInstance) -> int:
 
 
 def repair(instance: KnapsackInstance, selection) -> np.ndarray:
-    """Feasible copy of ``selection``.
+    """Feasible copy of ``selection``, one (n,) selection or a (k, n) batch.
 
-    Drops selected items in increasing profit/weight order (ties: lower
-    index first) until the total weight fits the capacity. Identity on
-    feasible input.
+    In each row, drops selected items in increasing profit/weight order
+    (ties: lower index first) until the total weight fits the capacity.
+    Identity on feasible rows.
     """
     sel = np.asarray(selection).astype(bool)
-    if sel.shape != (instance.n,):
+    if sel.ndim not in (1, 2) or sel.shape[-1] != instance.n:
         raise ValueError(
-            f"selection length {sel.size} != item count {instance.n}"
+            f"selection shape {sel.shape} does not end in item count {instance.n}"
         )
-    total = int(instance.weights[sel].sum())
-    if total <= instance.capacity:
-        return sel.astype(np.uint8)
-    order = instance._drop_order
-    drops = order[sel[order]]
-    cum = np.cumsum(instance.weights[drops])
-    k = int(np.searchsorted(cum, total - instance.capacity, side="left")) + 1
-    out = sel.copy()
-    out[drops[:k]] = False
-    return out.astype(np.uint8)
+    rows = sel if sel.ndim == 2 else sel[np.newaxis]  # a view: writes go to sel
+    excess = rows @ instance.weights - instance.capacity
+    over = np.nonzero(excess > 0)[0]
+    if over.size:
+        order = instance._drop_order
+        taken = rows[over[:, np.newaxis], order]
+        w = np.where(taken, instance.weights[order], 0)
+        cum = np.cumsum(w, axis=1)
+        # the items before and at the first index whose cumsum reaches the
+        # excess are those whose cumsum before them is still short of it
+        keep = taken & (cum - w >= excess[over, np.newaxis])
+        rows[over[:, np.newaxis], order] = keep
+    return sel.astype(np.uint8)
 
 
 def evaluate(instance: KnapsackInstance, selection) -> int:
@@ -192,10 +195,10 @@ class KnapsackObjective:
     def evaluate_swarm(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         inst = self.instance
         pos = np.asarray(positions, dtype=np.uint8)
-        totals = pos @ inst.weights
         stored = pos.copy()
-        for i in np.nonzero(totals > inst.capacity)[0]:
-            stored[i] = repair(inst, pos[i])
+        over = pos @ inst.weights > inst.capacity
+        if over.any():
+            stored[over] = repair(inst, pos[over])
         fitness = stored @ inst.profits
         return fitness.astype(np.int64), stored
 

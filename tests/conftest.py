@@ -1,5 +1,5 @@
-"""Shared fixtures: the velocity grid used by the correction checks and a
-small reference knapsack instance."""
+"""Shared fixtures and oracles: the velocity grid used by the correction
+checks, a small reference knapsack instance and the scalar repair."""
 
 import numpy as np
 import pytest
@@ -64,6 +64,27 @@ def clamp_bound(kind: TransferKind, v: float) -> float | None:
     if abs(want) > CORRECTION_CLAMP:
         return CORRECTION_CLAMP
     return None
+
+
+def repair_oracle(instance: KnapsackInstance, selection) -> np.ndarray:
+    """One selection made feasible the slow way: drop the selected items in
+    the instance's drop order up to the first whose weight cumsum reaches
+    the excess (``searchsorted(..., "left") + 1`` of them)."""
+    sel = np.asarray(selection).astype(bool)
+    if sel.shape != (instance.n,):
+        raise ValueError(
+            f"selection length {sel.size} != item count {instance.n}"
+        )
+    total = int(instance.weights[sel].sum())
+    if total <= instance.capacity:
+        return sel.astype(np.uint8)
+    order = instance._drop_order
+    drops = order[sel[order]]
+    cum = np.cumsum(instance.weights[drops])
+    k = int(np.searchsorted(cum, total - instance.capacity, side="left")) + 1
+    out = sel.copy()
+    out[drops[:k]] = False
+    return out.astype(np.uint8)
 
 
 @pytest.fixture(scope="session")

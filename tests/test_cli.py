@@ -119,6 +119,28 @@ output.dir = out
         assert code == 2 and "variants" in stderr
 
 
+    def test_ramp_with_one_iteration_fails_before_any_run(self, capsys,
+                                                          tmp_path):
+        out = tmp_path / "results"
+        out.mkdir()
+        cfg = tmp_path / "ramp.cfg"
+        cfg.write_text(f"""
+instance.type = uci
+instance.n = 10
+instance.r = 100
+instance.s = 0.5
+instance.seed = 1
+run.iterations = 1
+run.repetitions = 3
+run.base_seed = 1
+variants = vt1, off, 0.6, 5; vt2, off, 1.0-0.4, 5
+output.dir = {out}
+""")
+        code, _, stderr = run_cli(capsys, "run", "--config", str(cfg))
+        assert code == 2 and "w ramp needs at least 2 iterations" in stderr
+        assert list(out.iterdir()) == []
+
+
 class TestMetrics:
     def test_emits_csvs_and_pujv(self, capsys, config_file, tmp_path):
         path, out = config_file

@@ -4,21 +4,38 @@ determinism and best-tracking invariants."""
 import numpy as np
 import pytest
 
+from conftest import repair_oracle
 from vcbpso.engine import (
     FunctionObjective,
     RunConfig,
     SwarmState,
     WSchedule,
-    clamp_velocity,
-    decide_jump,
     init_swarm,
     run,
     step_swarm,
-    update_velocity,
     w_at,
 )
 from vcbpso.errors import ConfigError
-from vcbpso.transfer import TransferKind, correct, sigm
+from vcbpso.knapsack import KnapsackObjective, generate
+from vcbpso.transfer import CORRECTION_CLAMP, TransferKind, correct, sigm
+
+
+def update_velocity(v, x, pbest_bit, gbest_bit, w, c1, c2, r1, r2):
+    """Single-entry velocity update; the swarm loop applies the same
+    arithmetic vectorized."""
+    return (w * v + c1 * r1 * (float(pbest_bit) - float(x))
+            + c2 * r2 * (float(gbest_bit) - float(x)))
+
+
+def clamp_velocity(v, vmax):
+    if vmax is None:
+        return v
+    return min(max(v, -vmax), vmax)
+
+
+def decide_jump(kind: TransferKind, v: float, r: float) -> bool:
+    """True means the bit flips (x <- 1 - x)."""
+    return r < sigm(kind, v)
 
 
 def count_ones(d):
@@ -53,10 +70,14 @@ class QueueRng:
     def __init__(self, blocks):
         self._blocks = list(blocks)
 
-    def random(self, shape):
+    def random(self, shape=None, out=None):
         block = np.asarray(self._blocks.pop(0), dtype=np.float64)
-        assert block.shape == tuple(shape)
-        return block
+        if out is None:
+            assert block.shape == tuple(shape)
+            return block
+        assert shape is None and block.shape == out.shape
+        out[...] = block
+        return out
 
 
 class TestWSchedule:
@@ -232,34 +253,62 @@ class TestStepSwarm:
         state, _ = step_swarm(state, cfg, obj, rng)
         assert state.velocities[0, 0] == 5.0
 
-    def test_shadow_replay_matches_engine(self):
-        """Independent reimplementation of one step from the documented
-        draw order reproduces the engine's state exactly."""
-        cfg = make_config(correction_enabled=True, swarm_size=5,
-                          dimensions=40, kind=TransferKind.VT1, seed=77)
-        obj = count_ones(40)
+    @pytest.mark.parametrize("corrected", [True, False],
+                             ids=["corrected", "uncorrected"])
+    @pytest.mark.parametrize("kind", list(TransferKind), ids=lambda k: k.value)
+    def test_shadow_replay_matches_engine(self, kind, corrected):
+        """Independent reimplementation of three steps from the documented
+        draw order, with the scalar repair, reproduces the engine's state
+        exactly."""
+        inst = generate("UCI", 40, 100, 0.3, 5)
+        obj = KnapsackObjective(inst)
+        vmax = None if corrected else 5.0
+        cfg = make_config(kind=kind, correction_enabled=corrected, vmax=vmax,
+                          c1=3.0, c2=3.0, swarm_size=5, dimensions=40,
+                          seed=77, w=WSchedule(1.2, 0.4), max_iterations=3)
         rng = np.random.Generator(np.random.PCG64(cfg.seed))
         state = init_swarm(cfg, obj, rng)
-        x0 = state.positions.copy()
-        pb = state.pbest_positions.copy().astype(np.float64)
-        gb = state.gbest_position.copy().astype(np.float64)
-        v0 = state.velocities.copy()
 
         shadow = np.random.Generator(np.random.PCG64(cfg.seed))
-        shadow.random((5, 40))  # init position block
-        r1 = shadow.random((5, 40))
-        r2 = shadow.random((5, 40))
-        xf = x0.astype(np.float64)
-        v = 1.0 * v0 + 2.0 * r1 * (pb - xf) + 2.0 * r2 * (gb[None, :] - xf)
-        r = shadow.random((5, 40))
-        flips = r < sigm(cfg.kind, v)
-        x_expect = x0 ^ flips
-        v_expect = v.copy()
-        v_expect[flips] = correct(cfg.kind, v[flips])
+        x = (shadow.random((5, 40)) < 0.5).astype(np.uint8)
+        v = np.zeros((5, 40))
+        pb = np.array([repair_oracle(inst, row) for row in x])
+        pf = (pb @ inst.profits).astype(np.float64)
+        gb, gf = pb[pf.argmax()].copy(), pf.max()
+        repairs = 0
+        for k in range(cfg.max_iterations):
+            w = w_at(cfg.w, k, cfg.max_iterations)
+            r1 = shadow.random((5, 40))
+            r2 = shadow.random((5, 40))
+            xf = x.astype(np.float64)
+            v = (w * v + cfg.c1 * r1 * (pb - xf)
+                 + cfg.c2 * r2 * (gb[None, :] - xf))
+            bound = CORRECTION_CLAMP if vmax is None else vmax
+            v = np.clip(v, -bound, bound)
+            r = shadow.random((5, 40))
+            flips = r < sigm(kind, v)
+            x = x ^ flips
+            if corrected:
+                v[flips] = correct(kind, v[flips])
+            fixed = np.array([repair_oracle(inst, row) for row in x])
+            repairs += int((fixed != x).any(axis=1).sum())
+            fit = (fixed @ inst.profits).astype(np.float64)
+            better = fit > pf
+            pb[better], pf[better] = fixed[better], fit[better]
+            if pf.max() > gf:
+                gb, gf = pb[pf.argmax()].copy(), pf.max()
 
-        state, _ = step_swarm(state, cfg, obj, rng)
-        assert np.array_equal(state.positions, x_expect)
-        assert np.array_equal(state.velocities, v_expect)
+            state, flip_counts = step_swarm(state, cfg, obj, rng)
+            assert np.array_equal(state.positions, x)
+            assert np.array_equal(state.velocities, v)
+            assert np.array_equal(flip_counts, flips.sum(axis=1))
+            assert np.array_equal(state.pbest_positions, pb)
+            assert np.array_equal(state.pbest_fitness, pf)
+            assert np.array_equal(state.gbest_position, gb)
+            assert state.gbest_fitness == gf
+        assert repairs > 0
+        if not corrected:
+            assert np.abs(state.velocities).max() == vmax  # the clip ran
 
 
 class TestRun:

@@ -91,6 +91,17 @@ class TestParseConfig:
         with pytest.raises(ParseError, match="repetitions"):
             parse_config(text)
 
+    def test_ramp_with_one_iteration_rejected(self, tmp_path):
+        text = good_config(tmp_path).replace("run.iterations = 25",
+                                             "run.iterations = 1")
+        with pytest.raises(ParseError, match=r"VT2_w1-0\.4: .*2 iterations"):
+            parse_config(text)
+
+    def test_ramp_with_zero_iterations_accepted(self, tmp_path):
+        text = good_config(tmp_path).replace("run.iterations = 25",
+                                             "run.iterations = 0")
+        assert parse_config(text).iterations == 0
+
     def test_bad_value_names_key_and_line(self, tmp_path):
         text = good_config(tmp_path).replace("instance.n = 30",
                                              "instance.n = many")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import repair_oracle
 from vcbpso import knapsack
 from vcbpso.errors import ConfigError, ParseError, ResourceError
 from vcbpso.knapsack import (
@@ -27,6 +28,28 @@ def random_small_instance(rng):
     r = int(rng.integers(1, 21)) * 10
     s = float(rng.uniform(0.2, 0.8))
     return generate(kind, n, r, s, int(rng.integers(0, 2**32)))
+
+
+@st.composite
+def instance_and_rows(draw):
+    """A small instance and a (k, n) batch; values from 1..6 make ties in
+    profit density common."""
+    n = draw(st.integers(1, 12))
+    values = st.lists(st.integers(1, 6), min_size=n, max_size=n)
+    weights, profits = draw(values), draw(values)
+    capacity = draw(st.integers(0, sum(weights)))
+    k = draw(st.integers(0, 6))
+    bits = draw(st.lists(st.integers(0, 1), min_size=k * n, max_size=k * n))
+    inst = KnapsackInstance(np.array(weights), np.array(profits), capacity)
+    return inst, np.array(bits, dtype=np.uint8).reshape(k, n)
+
+
+def assert_matches_oracle(inst, rows):
+    fixed = repair(inst, rows)
+    assert fixed.dtype == np.uint8 and fixed.shape == rows.shape
+    expected = np.array([repair_oracle(inst, r) for r in rows],
+                        dtype=np.uint8).reshape(rows.shape)
+    assert np.array_equal(fixed, expected)
 
 
 class TestInstance:
@@ -190,6 +213,48 @@ class TestRepairAndEvaluate:
     def test_length_mismatch(self, three_items):
         with pytest.raises(ValueError):
             evaluate(three_items, [1, 0])
+
+    def test_batch_shape_mismatch(self, three_items):
+        for bad in (np.ones((2, 2)), np.ones((1, 2, 3)), np.int64(1)):
+            with pytest.raises(ValueError):
+                repair(three_items, bad)
+
+    @given(instance_and_rows())
+    @settings(max_examples=200, deadline=None)
+    def test_batch_matches_scalar_oracle(self, case):
+        inst, rows = case
+        assert_matches_oracle(inst, rows)
+        for row in rows:  # 1-D input
+            assert np.array_equal(repair(inst, row), repair_oracle(inst, row))
+
+    def test_empty_and_single_row_batches(self, three_items):
+        assert_matches_oracle(three_items, np.zeros((0, 3), dtype=np.uint8))
+        assert_matches_oracle(three_items, np.ones((1, 3), dtype=np.uint8))
+        assert repair(three_items, np.ones((1, 3))).shape == (1, 3)
+
+    def test_all_rows_infeasible(self):
+        rng = np.random.Generator(np.random.PCG64(3))
+        inst = generate("UCI", 40, 100, 0.1, 11)
+        rows = rng.integers(0, 2, size=(50, inst.n)).astype(np.uint8)
+        rows = rows[rows @ inst.weights > inst.capacity]
+        assert len(rows) == 50
+        assert_matches_oracle(inst, rows)
+
+    def test_density_ties_drop_lower_index_first(self):
+        # every item has profit/weight 1, so the drop order is by index
+        inst = KnapsackInstance(np.array([2, 4, 1, 3]), np.array([2, 4, 1, 3]), 5)
+        rows = np.array([[1, 1, 1, 1], [0, 1, 1, 1], [1, 0, 1, 1]])
+        fixed = repair(inst, rows)
+        assert np.array_equal(fixed, [[0, 0, 1, 1], [0, 0, 1, 1], [0, 0, 1, 1]])
+        assert_matches_oracle(inst, rows)
+
+    def test_excess_met_exactly_by_one_item(self):
+        # densities 0.5, 2, 3: the first drop (item 0, weight 4) covers an
+        # excess of exactly 4 and nothing else is dropped
+        inst = KnapsackInstance(np.array([4, 3, 2]), np.array([2, 6, 6]), 5)
+        rows = np.array([[1, 1, 1], [1, 1, 0]])
+        assert np.array_equal(repair(inst, rows), [[0, 1, 1], [0, 1, 0]])
+        assert_matches_oracle(inst, rows)
 
     def test_never_exceeds_optimum(self):
         rng = np.random.Generator(np.random.PCG64(7))
