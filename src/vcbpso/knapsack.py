@@ -156,12 +156,12 @@ def repair(instance: KnapsackInstance, selection) -> np.ndarray:
     """
     sel = np.asarray(selection).astype(bool)
     if sel.ndim not in (1, 2) or sel.shape[-1] != instance.n:
-        raise ValueError(
-            f"selection shape {sel.shape} does not end in item count {instance.n}"
-        )
-    rows = sel if sel.ndim == 2 else sel[np.newaxis]  # a view: writes go to sel
+        raise ValueError(f"selection shape {sel.shape} does not end in "
+                         f"item count {instance.n}")
+    # a view of sel either way, so the writes below land in sel
+    rows = sel if sel.ndim == 2 else sel[np.newaxis]
     excess = rows @ instance.weights - instance.capacity
-    over = np.nonzero(excess > 0)[0]
+    over = np.flatnonzero(excess > 0)
     if over.size:
         order = instance._drop_order
         taken = rows[over[:, np.newaxis], order]

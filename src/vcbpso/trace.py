@@ -19,7 +19,8 @@ import numpy as np
 
 _MAGIC = "vcbpso-trace 1"
 
-# zlib's default level; level 9 took 5x the time for 4 % smaller traces
+# zlib's default level; level 9 (gzip.open's default) makes d=100 traces
+# about 4 % smaller at about 5x the compression time
 GZIP_LEVEL = 6
 
 
