@@ -7,7 +7,6 @@ import argparse
 import csv
 import os
 import sys
-from collections import defaultdict
 
 import numpy as np
 
@@ -41,6 +40,11 @@ def _cmd_run(args) -> int:
     for agg in aggregates:
         print(f"{agg.variant.label}: mean profit {agg.mean_best_profit:.2f} "
               f"({100 * agg.ratio:.1f}% of optimum {agg.optimum})")
+    pairs = harness.paired(aggregates)
+    if pairs:
+        gaps = [corr.ratio - plain.ratio for _, corr, plain in pairs]
+        print(f"mean corrected-vs-uncorrected gap: "
+              f"{100 * sum(gaps) / len(gaps):.2f} percentage points")
     return 0
 
 
@@ -56,30 +60,26 @@ def _cmd_metrics(args) -> int:
     d = metrics.dist_matrix(trace)
     e = metrics.dist_eff_matrix(trace)
     metrics.write_particle_metrics_csv(d, e, base + "_particle_metrics.csv")
-    metrics.write_aggregate_metrics_csv(d, e, base + "_aggregate_metrics.csv")
+    metrics.write_aggregate_metrics_csv(
+        d.mean(axis=1), e.mean(axis=1), np.cumsum((d - e).sum(axis=1)),
+        base + "_aggregate_metrics.csv")
     print(metrics.pujv_of(d, e, lo, hi))
     return 0
 
 
+_REPORT_COLUMNS = ["variant", "ratio", "mean_convergence_round",
+                   "mean_first_discovery_round", "mean_pujv"]
+
+
 def _cmd_report(args) -> int:
-    runs_path = os.path.join(args.results_dir, "runs.csv")
-    with open(runs_path, newline="") as fh:
+    path = os.path.join(args.results_dir, "aggregate.csv")
+    with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     if not rows:
-        raise ConfigError(f"{runs_path}: no run rows")
-    by_variant: dict[str, list[dict]] = defaultdict(list)
-    for row in rows:
-        by_variant[row["variant"]].append(row)
+        raise ConfigError(f"{path}: no variant rows")
     out = csv.writer(sys.stdout)
-    out.writerow(["variant", "ratio", "mean_convergence_round",
-                  "mean_first_discovery_round", "mean_pujv"])
-    for variant, vrows in by_variant.items():
-        ratio = float(np.mean([float(r["ratio"]) for r in vrows]))
-        conv = float(np.mean([int(r["convergence_round"]) for r in vrows]))
-        disc = float(np.mean([int(r["first_discovery_round"]) for r in vrows]))
-        pujvs = [int(r["pujv"]) for r in vrows if r["pujv"] != ""]
-        mean_pujv = repr(float(np.mean(pujvs))) if pujvs else ""
-        out.writerow([variant, repr(ratio), repr(conv), repr(disc), mean_pujv])
+    out.writerow(_REPORT_COLUMNS)
+    out.writerows([row[c] for c in _REPORT_COLUMNS] for row in rows)
     return 0
 
 
@@ -115,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     met.add_argument("--to", dest="to_iteration", type=int)
     met.set_defaults(fn=_cmd_metrics)
 
-    rep = sub.add_parser("report", help="consolidated table from runs.csv")
+    rep = sub.add_parser("report", help="per-variant table from aggregate.csv")
     rep.add_argument("--results-dir", required=True)
     rep.set_defaults(fn=_cmd_report)
     return parser

@@ -73,6 +73,27 @@ def w_at(schedule: WSchedule, iteration: int, max_iterations: int) -> float:
     return schedule.start + (schedule.end - schedule.start) * frac
 
 
+def check_run_settings(correction_enabled: bool, vmax: float | None,
+                       w: WSchedule, c1: float, c2: float, swarm_size: int,
+                       max_iterations: int) -> None:
+    """Raise ConfigError unless these settings make a valid run: no vmax
+    with the correction, a positive vmax without it, c1, c2 >= 0,
+    swarm_size >= 1, max_iterations >= 0 and a w ramp that fits the run.
+    :class:`RunConfig` and ``harness.ExperimentSpec`` both check this."""
+    if correction_enabled:
+        if vmax is not None:
+            raise ConfigError("correction mode runs without a vmax clamp")
+    elif vmax is None or not vmax > 0:
+        raise ConfigError("uncorrected mode needs a positive vmax")
+    if c1 < 0 or c2 < 0:
+        raise ConfigError("c1 and c2 must be >= 0")
+    if swarm_size < 1:
+        raise ConfigError("swarm size must be >= 1")
+    if max_iterations < 0:
+        raise ConfigError("iterations must be >= 0")
+    w.check_run_length(max_iterations)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     kind: TransferKind
@@ -87,19 +108,11 @@ class RunConfig:
     seed: int
 
     def __post_init__(self):
-        if self.correction_enabled:
-            if self.vmax is not None:
-                raise ConfigError("correction mode runs without a vmax clamp")
-        else:
-            if self.vmax is None or not self.vmax > 0:
-                raise ConfigError("uncorrected mode needs a positive vmax")
-        if self.c1 < 0 or self.c2 < 0:
-            raise ConfigError("c1 and c2 must be >= 0")
-        if self.swarm_size < 1 or self.dimensions < 1:
-            raise ConfigError("swarm_size and dimensions must be >= 1")
-        if self.max_iterations < 0:
-            raise ConfigError("max_iterations must be >= 0")
-        self.w.check_run_length(self.max_iterations)
+        check_run_settings(self.correction_enabled, self.vmax, self.w,
+                           self.c1, self.c2, self.swarm_size,
+                           self.max_iterations)
+        if self.dimensions < 1:
+            raise ConfigError("dimensions must be >= 1")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must fit in 64 unsigned bits")
 

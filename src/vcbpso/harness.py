@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import knapsack, metrics
-from .engine import RunConfig, WSchedule, run
+from .engine import RunConfig, WSchedule, check_run_settings, run
 from .errors import ConfigError, ParseError
 from .knapsack import KnapsackInstance, KnapsackObjective
 from .transfer import TransferKind
@@ -38,13 +38,6 @@ class Variant:
     correction: bool
     w: WSchedule
     vmax: float | None
-
-    def __post_init__(self):
-        if self.correction:
-            if self.vmax is not None:
-                raise ConfigError("corrected variants run without a vmax")
-        elif self.vmax is None or not self.vmax > 0:
-            raise ConfigError("uncorrected variants need a positive vmax")
 
     @property
     def label(self) -> str:
@@ -91,7 +84,9 @@ class ExperimentSpec:
             raise ConfigError("repetitions must be >= 1")
         for variant in self.variants:
             try:
-                variant.w.check_run_length(self.iterations)
+                check_run_settings(variant.correction, variant.vmax,
+                                   variant.w, self.c1, self.c2,
+                                   self.swarm_size, self.iterations)
             except ConfigError as exc:
                 raise ConfigError(f"variant {variant.label}: {exc}") from None
 
@@ -171,10 +166,7 @@ def _parse_variant(text: str, where: str) -> Variant:
             vmax = float(vmax_txt)
         except ValueError:
             raise ParseError(f"{where}: bad vmax {vmax_txt!r}") from None
-    try:
-        return Variant(kind, correction, w, vmax)
-    except ConfigError as exc:
-        raise ParseError(f"{where}: {exc}") from None
+    return Variant(kind, correction, w, vmax)
 
 
 def parse_config(text: str) -> ExperimentSpec:
@@ -241,7 +233,7 @@ def parse_config(text: str) -> ExperimentSpec:
         return _BOOL[value.lower()]
 
     try:
-        spec = ExperimentSpec(
+        return ExperimentSpec(
             instance=source,
             variants=variants,
             swarm_size=take("swarm.size", int, default=20),
@@ -256,11 +248,6 @@ def parse_config(text: str) -> ExperimentSpec:
         )
     except ConfigError as exc:
         raise ParseError(str(exc)) from None
-    if spec.swarm_size < 1:
-        raise ParseError("key 'swarm.size' must be >= 1")
-    if spec.iterations < 0:
-        raise ParseError("key 'run.iterations' must be >= 0")
-    return spec
 
 
 # -- execution -----------------------------------------------------------
@@ -365,9 +352,29 @@ def run_experiment(spec: ExperimentSpec) -> list[AggregateResult]:
         _write_curve_csv(
             os.path.join(spec.output_dir, f"curve_{label}.csv"), agg)
         if agg.mean_dist_curve is not None:
-            _write_metrics_csv(
-                os.path.join(spec.output_dir, f"metrics_{label}.csv"), agg)
+            metrics.write_aggregate_metrics_csv(
+                agg.mean_dist_curve, agg.mean_dist_eff_curve,
+                agg.mean_cum_pujv_curve,
+                os.path.join(spec.output_dir, f"metrics_{label}.csv"))
     return aggregates
+
+
+def paired(aggregates: list[AggregateResult]
+           ) -> list[tuple[TransferKind, AggregateResult, AggregateResult]]:
+    """(kind, corrected, uncorrected) per transfer kind, in the order the
+    kinds first appear, when each listed kind has exactly one corrected
+    and one uncorrected variant; otherwise []."""
+    by_kind: dict[TransferKind, list[AggregateResult]] = {}
+    for agg in aggregates:
+        by_kind.setdefault(agg.variant.kind, []).append(agg)
+    out = []
+    for kind, aggs in by_kind.items():
+        corrected = [a for a in aggs if a.variant.correction]
+        uncorrected = [a for a in aggs if not a.variant.correction]
+        if len(corrected) != 1 or len(uncorrected) != 1:
+            return []
+        out.append((kind, corrected[0], uncorrected[0]))
+    return out
 
 
 def _write_runs_csv(path, runs: list[RunResult]) -> None:
@@ -405,15 +412,3 @@ def _write_curve_csv(path, agg: AggregateResult) -> None:
         for k, g in enumerate(agg.mean_gbest_curve):
             out.writerow([k, repr(float(g))])
 
-
-def _write_metrics_csv(path, agg: AggregateResult) -> None:
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["iteration", "mean_dist", "mean_dist_eff", "cum_pujv"])
-        for k in range(len(agg.mean_dist_curve)):
-            out.writerow([
-                k + 1,
-                repr(float(agg.mean_dist_curve[k])),
-                repr(float(agg.mean_dist_eff_curve[k])),
-                repr(float(agg.mean_cum_pujv_curve[k])),
-            ])

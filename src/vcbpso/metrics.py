@@ -146,13 +146,14 @@ def write_particle_metrics_csv(d: np.ndarray, e: np.ndarray, path) -> None:
                           e.ravel().tolist()))
 
 
-def write_aggregate_metrics_csv(d: np.ndarray, e: np.ndarray, path) -> None:
-    """Schema: iteration,mean_dist,mean_dist_eff,cum_pujv, from the
-    ``dist`` and ``dist_eff`` matrices of one trace."""
-    cum = np.cumsum((d - e).sum(axis=1))
+def write_aggregate_metrics_csv(mean_dist: np.ndarray,
+                                mean_dist_eff: np.ndarray,
+                                cum_pujv: np.ndarray, path) -> None:
+    """Schema: iteration,mean_dist,mean_dist_eff,cum_pujv, one row per
+    iteration from 1. Cells keep their Python type: floats print as
+    ``repr`` and integer ``cum_pujv`` values as integers."""
     with open(path, "w", newline="") as fh:
         out = csv.writer(fh)
         out.writerow(["iteration", "mean_dist", "mean_dist_eff", "cum_pujv"])
-        for k in range(d.shape[0]):
-            out.writerow([k + 1, repr(float(d[k].mean())),
-                          repr(float(e[k].mean())), int(cum[k])])
+        out.writerows(zip(range(1, len(mean_dist) + 1), mean_dist.tolist(),
+                          mean_dist_eff.tolist(), cum_pujv.tolist()))

@@ -28,14 +28,9 @@ def pack_bits(bits) -> np.ndarray:
     """Pack 0/1 values along the last axis into little-endian uint64 words."""
     b = np.ascontiguousarray(bits, dtype=np.uint8)
     d = b.shape[-1]
-    words = (d + 63) // 64
-    packed = np.packbits(b, axis=-1, bitorder="little")
-    pad = words * 8 - packed.shape[-1]
-    if pad:
-        packed = np.concatenate(
-            [packed, np.zeros(packed.shape[:-1] + (pad,), np.uint8)], axis=-1
-        )
-    return np.ascontiguousarray(packed).view("<u8")
+    out = np.zeros(b.shape[:-1] + ((d + 63) // 64 * 8,), np.uint8)
+    out[..., :(d + 7) // 8] = np.packbits(b, axis=-1, bitorder="little")
+    return out.view("<u8")
 
 
 def unpack_bits(words, dimensions: int) -> np.ndarray:

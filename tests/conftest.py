@@ -1,10 +1,14 @@
 """Shared fixtures and oracles: the velocity grid used by the correction
-checks, a small reference knapsack instance and the scalar repair."""
+checks, a small reference knapsack instance, the scalar repair and the
+experiment protocols of ``configs/``."""
+
+import os
 
 import numpy as np
 import pytest
 
 from vcbpso.errors import OracleError
+from vcbpso.harness import ExperimentSpec, parse_config
 from vcbpso.knapsack import KnapsackInstance
 from vcbpso.transfer import (
     CORRECTION_CLAMP,
@@ -16,6 +20,9 @@ from vcbpso.transfer import (
 )
 
 ALL_KINDS = list(TransferKind)
+
+CONFIGS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                           os.pardir, "configs")
 
 # one line per acceptance criterion, echoed after the test summary
 ACCEPTANCE_LINES: list[str] = []
@@ -64,6 +71,12 @@ def clamp_bound(kind: TransferKind, v: float) -> float | None:
     if abs(want) > CORRECTION_CLAMP:
         return CORRECTION_CLAMP
     return None
+
+
+def load_config(name: str) -> ExperimentSpec:
+    """The spec of ``configs/<name>``, the protocol its table runs."""
+    with open(os.path.join(CONFIGS_DIR, name)) as fh:
+        return parse_config(fh.read())
 
 
 def repair_oracle(instance: KnapsackInstance, selection) -> np.ndarray:

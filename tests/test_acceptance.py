@@ -2,9 +2,10 @@
 solvers, the exploration metrics and the experimental trends.
 
 Each criterion emits one PASS/FAIL line (echoed in the terminal summary).
-Criteria 6-10 share one full-protocol experiment (UCI d=100, m=20,
-c1=c2=2, 1000 iterations, 20 repetitions) at each variant's best inertia
-schedule; criterion 7 runs the same protocol at d=500.
+Criteria 6 and 8-10 share one full-protocol experiment, ``configs/low_dim.cfg``
+(UCI d=100, m=20, c1=c2=2, 1000 iterations, 20 repetitions, each variant at
+its best inertia schedule); criterion 7 runs ``configs/scaling.cfg`` (the
+same at d=500, with the d=500 best schedules).
 
 Criteria 2 and 3 split the velocity grid by where the true correction
 lies, as found by the bisection oracle (``true_correction`` and
@@ -21,6 +22,7 @@ else its failure fails the criterion.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,36 +31,17 @@ from conftest import (
     ACCEPTANCE_LINES,
     ALL_KINDS,
     clamp_bound,
+    load_config,
     true_correction,
     velocity_grid,
 )
 from vcbpso import knapsack, metrics
-from vcbpso.engine import WSchedule
 from vcbpso.errors import OracleError
-from vcbpso.harness import (
-    ExperimentSpec,
-    InstanceSource,
-    Variant,
-    run_experiment,
-)
+from vcbpso.harness import paired, run_experiment
 from vcbpso.trace import TraceBuilder
-from vcbpso.transfer import correct, sigm
+from vcbpso.transfer import TransferKind, correct, sigm
 
 GRID = velocity_grid()
-
-INSTANCE_SEED = 20260823
-BASE_SEED = 99
-
-# per-kind best inertia schedules from the low-dimension table (d=100)
-BEST_D100 = {
-    "corrected": ["1.0", "1.0", "1.2-0.99", "1.2-0.99"],
-    "uncorrected": ["0.6", "1.0-0.4", "1.0-0.4", "1.0-0.4"],
-}
-# and from the scaling table (d=500)
-BEST_D500 = {
-    "corrected": ["1.0-0.99", "1.0-0.99", "1.1-0.99", "1.1-0.99"],
-    "uncorrected": ["0.6", "0.9-0.4", "0.6", "0.9-0.4"],
-}
 
 
 def report(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -68,50 +51,11 @@ def report(number: int, name: str, ok: bool, detail: str = "") -> None:
     assert ok, f"criterion {number} {name}{suffix}"
 
 
-def best_variants(schedules) -> list[Variant]:
-    out = []
-    for kind, w in zip(ALL_KINDS, schedules["corrected"]):
-        out.append(Variant(kind, True, WSchedule.parse(w), None))
-    for kind, w in zip(ALL_KINDS, schedules["uncorrected"]):
-        out.append(Variant(kind, False, WSchedule.parse(w), 5.0))
-    return out
-
-
-def table_spec(dimensions: int, schedules, output_dir: str,
-               compute_metrics: bool) -> ExperimentSpec:
-    return ExperimentSpec(
-        instance=InstanceSource(instance_type="UCI", n=dimensions, r=1000,
-                                s=0.5, seed=INSTANCE_SEED),
-        variants=best_variants(schedules),
-        swarm_size=20,
-        c1=2.0,
-        c2=2.0,
-        iterations=1000,
-        repetitions=20,
-        base_seed=BASE_SEED,
-        output_dir=output_dir,
-        save_traces=False,
-        compute_metrics=compute_metrics,
-    )
-
-
 @pytest.fixture(scope="module")
 def d100(tmp_path_factory):
     out = tmp_path_factory.mktemp("d100")
-    spec = table_spec(100, BEST_D100, str(out), compute_metrics=True)
-    aggregates = run_experiment(spec)
-    return {a.variant.label: a for a in aggregates}, out
-
-
-def paired(aggregates, schedules):
-    """(kind, corrected aggregate, uncorrected aggregate) per kind."""
-    variants = best_variants(schedules)
-    out = []
-    for i, kind in enumerate(ALL_KINDS):
-        corr = aggregates[variants[i].label]
-        plain = aggregates[variants[i + len(ALL_KINDS)].label]
-        out.append((kind, corr, plain))
-    return out
+    spec = replace(load_config("low_dim.cfg"), output_dir=str(out))
+    return paired(run_experiment(spec)), out
 
 
 class TestMathCriteria:
@@ -239,20 +183,19 @@ class TestMathCriteria:
 
 class TestExperimentCriteria:
     def test_06_low_dimension_trend(self, d100):
-        aggregates, _ = d100
+        pairs, _ = d100
         lines = []
-        ok = True
-        for kind, corr, plain in paired(aggregates, BEST_D100):
+        ok = len(pairs) == len(ALL_KINDS)
+        for kind, corr, plain in pairs:
             lines.append(f"{kind.value}: {corr.ratio:.4f} vs {plain.ratio:.4f}")
             ok = ok and corr.ratio >= 0.985 and plain.ratio < corr.ratio
         report(6, "d=100 ratio trend", ok, "; ".join(lines))
 
     def test_07_dimensional_scaling(self, tmp_path_factory):
         out = tmp_path_factory.mktemp("d500")
-        spec = table_spec(500, BEST_D500, str(out), compute_metrics=False)
-        aggregates = {a.variant.label: a
-                      for a in run_experiment(spec)}
-        pairs = paired(aggregates, BEST_D500)
+        spec = replace(load_config("scaling.cfg"), output_dir=str(out))
+        pairs = paired(run_experiment(spec))
+        assert len(pairs) == len(ALL_KINDS)
         gaps = [corr.ratio - plain.ratio for _, corr, plain in pairs]
         mean_gap = float(np.mean(gaps))
         min_corr = min(corr.ratio for _, corr, _ in pairs)
@@ -262,18 +205,18 @@ class TestExperimentCriteria:
                f"mean gap {100 * mean_gap:.2f}pp")
 
     def test_08_useless_jump_reduction(self, d100):
-        aggregates, _ = d100
+        pairs, _ = d100
         lines = []
-        ok = True
-        for kind, corr, plain in paired(aggregates, BEST_D100):
+        ok = len(pairs) == len(ALL_KINDS)
+        for kind, corr, plain in pairs:
             lines.append(f"{kind.value}: {corr.mean_pujv:.0f} vs "
                          f"{plain.mean_pujv:.0f}")
             ok = ok and corr.mean_pujv < plain.mean_pujv
         report(8, "useless jump reduction", ok, "; ".join(lines))
 
     def test_09_first_discovery_ordering(self, d100):
-        aggregates, _ = d100
-        _, corr, plain = paired(aggregates, BEST_D100)[1]
+        pairs, _ = d100
+        corr, plain = {kind: (c, p) for kind, c, p in pairs}[TransferKind.VT2]
         a = corr.mean_first_discovery_round
         b = plain.mean_first_discovery_round
         report(9, "first discovery ordering", a < b,
@@ -282,8 +225,8 @@ class TestExperimentCriteria:
     def test_10_pipeline_determinism(self, d100, tmp_path_factory):
         _, first_out = d100
         out = tmp_path_factory.mktemp("d100_repeat")
-        run_experiment(table_spec(100, BEST_D100, str(out),
-                                  compute_metrics=True))
+        run_experiment(replace(load_config("low_dim.cfg"),
+                               output_dir=str(out)))
         first = (first_out / "aggregate.csv").read_bytes()
         second = (out / "aggregate.csv").read_bytes()
         report(10, "pipeline determinism", first == second,

@@ -100,6 +100,21 @@ class TestRun:
         assert code == 0
         assert (out / "runs.csv").exists()
         assert "VCv2_w1:" in stdout and "% of optimum" in stdout
+        with open(out / "aggregate.csv", newline="") as fh:
+            ratio = {r["variant"]: float(r["ratio"])
+                     for r in csv.DictReader(fh)}
+        gap = 100 * (ratio["VCv2_w1"] - ratio["VT2_w1-0.4"])
+        assert stdout.splitlines()[-1] == (
+            f"mean corrected-vs-uncorrected gap: {gap:.2f} percentage points")
+
+    def test_no_gap_line_without_a_pair(self, capsys, config_file):
+        path, _ = config_file
+        with open(path) as fh:
+            text = fh.read()
+        with open(path, "w") as fh:
+            fh.write(text.replace("vt2, on, 1.0, none; ", ""))
+        code, stdout, _ = run_cli(capsys, "run", "--config", path)
+        assert code == 0 and "gap" not in stdout
 
     def test_empty_variants_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -188,12 +203,21 @@ class TestReport:
         code, stdout, _ = run_cli(capsys, "report", "--results-dir", str(out))
         assert code == 0
         rows = list(csv.reader(stdout.splitlines()))
-        assert rows[0] == ["variant", "ratio", "mean_convergence_round",
-                           "mean_first_discovery_round", "mean_pujv"]
-        variants = {r[0] for r in rows[1:]}
-        assert variants == {"VCv2_w1", "VT2_w1-0.4"}
-        for row in rows[1:]:
-            assert 0.0 < float(row[1]) <= 1.0
+        columns = ["variant", "ratio", "mean_convergence_round",
+                   "mean_first_discovery_round", "mean_pujv"]
+        assert rows[0] == columns
+        with open(out / "aggregate.csv", newline="") as fh:
+            want = [[r[c] for c in columns] for r in csv.DictReader(fh)]
+        assert rows[1:] == want
+        assert [r[0] for r in rows[1:]] == ["VCv2_w1", "VT2_w1-0.4"]
+
+    def test_empty_aggregate(self, capsys, tmp_path):
+        (tmp_path / "aggregate.csv").write_text(
+            "variant,mean_best_profit,ratio,mean_convergence_round,"
+            "mean_first_discovery_round,mean_pujv\n")
+        code, _, stderr = run_cli(capsys, "report", "--results-dir",
+                                  str(tmp_path))
+        assert code == 2 and "no variant rows" in stderr
 
     def test_missing_dir(self, capsys, tmp_path):
         code, _, stderr = run_cli(capsys, "report", "--results-dir",

@@ -1,6 +1,6 @@
 """Pinned behaviour fingerprint of a small protocol.
 
-The protocol is the d=100 acceptance protocol cut down: UCI instance with
+The protocol is ``configs/low_dim.cfg`` cut down: UCI instance with
 d=50, T=100 iterations, 2 repetitions of each of the 8 per-kind best
 variants, metrics and traces on. The sha256 of ``runs.csv``,
 ``aggregate.csv``, every ``curve_<variant>.csv`` and
@@ -19,12 +19,13 @@ import gzip
 import hashlib
 import io
 import os
+from dataclasses import replace
 
 import pytest
 
-from test_acceptance import BASE_SEED, BEST_D100, INSTANCE_SEED, best_variants
+from conftest import load_config
 from vcbpso.cli import main
-from vcbpso.harness import ExperimentSpec, InstanceSource, run_experiment
+from vcbpso.harness import run_experiment
 
 TRACE = "trace_VT2_w1-0.4_rep0"
 
@@ -60,21 +61,10 @@ def _sha256(data: bytes) -> str:
 
 def fingerprint(out_dir: str) -> dict[str, str]:
     """Run the protocol into ``out_dir``; digest of every pinned output."""
-    spec = ExperimentSpec(
-        instance=InstanceSource(instance_type="UCI", n=50, r=1000, s=0.5,
-                                seed=INSTANCE_SEED),
-        variants=best_variants(BEST_D100),
-        swarm_size=20,
-        c1=2.0,
-        c2=2.0,
-        iterations=100,
-        repetitions=2,
-        base_seed=BASE_SEED,
-        output_dir=out_dir,
-        save_traces=True,
-        compute_metrics=True,
-    )
-    run_experiment(spec)
+    spec = load_config("low_dim.cfg")
+    run_experiment(replace(spec, instance=replace(spec.instance, n=50),
+                           iterations=100, repetitions=2, output_dir=out_dir,
+                           save_traces=True))
     trace_path = os.path.join(out_dir, TRACE + ".txt.gz")
     stdout = _cli_stdout(["metrics", "--trace", trace_path])
     with gzip.open(trace_path, "rb") as fh:

@@ -1,10 +1,14 @@
 """Config parsing, seed derivation and experiment orchestration."""
 
 import csv
+import glob
+import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from conftest import CONFIGS_DIR, load_config
 from vcbpso import knapsack
 from vcbpso.engine import WSchedule
 from vcbpso.errors import ConfigError, ParseError
@@ -13,6 +17,7 @@ from vcbpso.harness import (
     InstanceSource,
     Variant,
     derive_seed,
+    paired,
     parse_config,
     run_experiment,
 )
@@ -162,6 +167,88 @@ output.dir = out
         spec = parse_config(text)
         assert spec.save_traces is False
         assert spec.compute_metrics is False
+
+
+class TestSpecValidation:
+    """A spec built in code fails at construction, before the DP or the
+    output directory, through the same rule as :class:`RunConfig`."""
+
+    def _spec(self, tmp_path, **kw):
+        base = dict(
+            instance=InstanceSource(instance_type="UCI", n=10, r=100, s=0.5,
+                                    seed=1),
+            variants=[Variant(TransferKind.VT2, True, WSchedule(1.0, 1.0),
+                              None)],
+            swarm_size=4, c1=2.0, c2=2.0, iterations=5, repetitions=1,
+            base_seed=1, output_dir=str(tmp_path / "out"),
+        )
+        base.update(kw)
+        return ExperimentSpec(**base)
+
+    @pytest.mark.parametrize("kw, message", [
+        (dict(c1=-1.0), "c1 and c2"),
+        (dict(c2=-1.0), "c1 and c2"),
+        (dict(swarm_size=0), "swarm size"),
+        (dict(iterations=-1), "iterations must be >= 0"),
+    ])
+    def test_bad_swarm_settings(self, tmp_path, kw, message):
+        with pytest.raises(ConfigError, match=message):
+            self._spec(tmp_path, **kw)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("variant, message", [
+        (Variant(TransferKind.VT2, True, WSchedule(1.0, 1.0), 5.0),
+         r"variant VCv2_w1: .*without a vmax"),
+        (Variant(TransferKind.VT3, False, WSchedule(1.0, 0.4), None),
+         r"variant VT3_w1-0\.4: .*positive vmax"),
+        (Variant(TransferKind.VT1, False, WSchedule(0.6, 0.6), 0.0),
+         r"variant VT1_w0\.6: .*positive vmax"),
+    ])
+    def test_bad_variant_names_it(self, tmp_path, variant, message):
+        good = Variant(TransferKind.VT2, True, WSchedule(1.0, 1.0), None)
+        with pytest.raises(ConfigError, match=message):
+            self._spec(tmp_path, variants=[good, variant])
+        assert not (tmp_path / "out").exists()
+
+
+class TestShippedConfigs:
+    @pytest.mark.parametrize("path", sorted(
+        glob.glob(os.path.join(CONFIGS_DIR, "*.cfg"))),
+        ids=os.path.basename)
+    def test_parses(self, path):
+        with open(path) as fh:
+            spec = parse_config(fh.read())
+        assert spec.output_dir.startswith("results/")
+
+    @pytest.mark.parametrize("name", ["low_dim.cfg", "scaling.cfg"])
+    def test_table_configs_pair_every_kind(self, name):
+        variants = load_config(name).variants
+        pairs = paired([SimpleNamespace(variant=v) for v in variants])
+        assert [kind for kind, _, _ in pairs] == list(TransferKind)
+        for kind, corr, plain in pairs:
+            assert corr.variant.correction and not plain.variant.correction
+
+
+class TestPaired:
+    @staticmethod
+    def _aggs(*flags):
+        return [SimpleNamespace(variant=Variant(
+                    kind, corr, WSchedule(1.0, 1.0), None if corr else 5.0))
+                for kind, corr in flags]
+
+    def test_one_pair(self):
+        aggs = self._aggs((TransferKind.VT2, False), (TransferKind.VT2, True))
+        assert paired(aggs) == [(TransferKind.VT2, aggs[1], aggs[0])]
+
+    @pytest.mark.parametrize("flags", [
+        [(TransferKind.VT2, True)],
+        [(TransferKind.VT2, True), (TransferKind.VT2, False),
+         (TransferKind.VT2, False)],
+        [(TransferKind.VT1, True), (TransferKind.VT1, False),
+         (TransferKind.VT2, True)],
+    ])
+    def test_incomplete_pairs_give_none(self, flags):
+        assert paired(self._aggs(*flags)) == []
 
 
 class TestDeriveSeed:

@@ -235,8 +235,10 @@ class TestCsvWriters:
     def test_aggregate_csv_schema(self, tmp_path):
         t = single_particle_trace("0000", "1100", "0011")
         path = tmp_path / "agg.csv"
-        metrics.write_aggregate_metrics_csv(dist_matrix(t), dist_eff_matrix(t),
-                                            path)
+        d, e = dist_matrix(t), dist_eff_matrix(t)
+        metrics.write_aggregate_metrics_csv(
+            d.mean(axis=1), e.mean(axis=1), np.cumsum((d - e).sum(axis=1)),
+            path)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["iteration", "mean_dist", "mean_dist_eff",

@@ -32,6 +32,20 @@ class TestPacking:
         assert words.shape == (2,)
         assert words[1] == 1 << 5
 
+    @pytest.mark.parametrize("d", [1, 63, 64, 65, 100, 128])
+    @pytest.mark.parametrize("shape", [(), (3,)])
+    def test_matches_padded_concatenation(self, d, shape):
+        rng = np.random.Generator(np.random.PCG64(d))
+        bits = rng.integers(0, 2, size=shape + (d,)).astype(np.uint8)
+        packed = np.packbits(bits, axis=-1, bitorder="little")
+        pad = np.zeros(shape + ((d + 63) // 64 * 8 - packed.shape[-1],),
+                       np.uint8)
+        want = np.concatenate([packed, pad], axis=-1).view("<u8")
+        words = pack_bits(bits)
+        assert words.dtype == np.dtype("<u8")
+        assert np.array_equal(words, want)
+        assert np.array_equal(unpack_bits(words, d), bits)
+
     @given(st.integers(1, 200), st.integers(0, 2**32 - 1))
     def test_round_trip(self, d, seed):
         rng = np.random.Generator(np.random.PCG64(seed))
