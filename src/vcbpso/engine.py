@@ -201,8 +201,12 @@ def step_swarm(state: SwarmState, config: RunConfig, objective: Objective,
     rng.random(out=draw)
     flips = draw < sigm(config.kind, v)
     x ^= flips
-    if config.correction_enabled and flips.any():
-        v[flips] = correct(config.kind, v[flips])
+    if config.correction_enabled:
+        # flat indices, in the order of v[flips]; take/put cost half of
+        # the boolean gather and scatter
+        hit = np.flatnonzero(flips)
+        if hit.size:
+            v.put(hit, correct(config.kind, v.take(hit)))
 
     fitness, stored = objective.evaluate_swarm(x)
     improved = fitness > state.pbest_fitness

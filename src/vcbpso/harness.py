@@ -63,10 +63,14 @@ class InstanceSource:
                                  self.s, self.seed)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentSpec:
+    """One experiment, checked when built; frozen, so a changed copy comes
+    from ``dataclasses.replace`` and is checked again. ``variants`` is
+    stored as a tuple for the same reason."""
+
     instance: InstanceSource
-    variants: list[Variant]
+    variants: tuple[Variant, ...]
     swarm_size: int
     c1: float
     c2: float
@@ -78,6 +82,7 @@ class ExperimentSpec:
     compute_metrics: bool = True
 
     def __post_init__(self):
+        object.__setattr__(self, "variants", tuple(self.variants))
         if not self.variants:
             raise ConfigError("at least one variant is required")
         if self.repetitions < 1:

@@ -25,6 +25,9 @@ INSTANCE_TYPES = ("UCI", "WCI", "SCI", "EXTERNAL")
 # Refuse DP tables beyond this many bytes for the packed choice matrix.
 DP_MEMORY_LIMIT = 2 << 30
 
+# Fitness sums are float64 products, exact for integer totals below this.
+FLOAT_EXACT_LIMIT = 2**53
+
 
 @dataclass(frozen=True)
 class KnapsackInstance:
@@ -36,6 +39,11 @@ class KnapsackInstance:
     # items sorted by increasing profit/weight ratio, ties by index;
     # this is the order in which repair drops items
     _drop_order: np.ndarray = field(init=False, repr=False, compare=False)
+    # the weights in drop order, and each item's position in that order
+    _drop_weights: np.ndarray = field(init=False, repr=False, compare=False)
+    _drop_rank: np.ndarray = field(init=False, repr=False, compare=False)
+    # (2, n) float64 rows [weights, profits] for the fitness product
+    _sums_matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = np.ascontiguousarray(self.weights, dtype=np.int64)
@@ -48,10 +56,22 @@ class KnapsackInstance:
             raise ValueError("capacity must be non-negative")
         if self.instance_type not in INSTANCE_TYPES:
             raise ValueError(f"unknown instance type: {self.instance_type!r}")
+        # A float64 sum of integers >= 1 reaches the limit exactly when the
+        # true sum does (2**53 is a double, rounding is monotonic), and it
+        # cannot wrap around as an int64 sum can.
+        for name, values in (("weights", w), ("profits", p)):
+            if values.sum(dtype=np.float64) >= FLOAT_EXACT_LIMIT:
+                raise ValueError(
+                    f"{name} sum to 2**53 or more; fitness sums are float64 "
+                    f"and exact only below 2**53")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "profits", p)
         order = np.lexsort((np.arange(w.size), p / w)) if w.size else np.empty(0, np.int64)
         object.__setattr__(self, "_drop_order", order)
+        object.__setattr__(self, "_drop_weights", w[order])
+        object.__setattr__(self, "_drop_rank", np.argsort(order))
+        object.__setattr__(self, "_sums_matrix",
+                           np.stack((w, p)).astype(np.float64))
 
     @property
     def n(self) -> int:
@@ -163,14 +183,15 @@ def repair(instance: KnapsackInstance, selection) -> np.ndarray:
     excess = rows @ instance.weights - instance.capacity
     over = np.flatnonzero(excess > 0)
     if over.size:
-        order = instance._drop_order
-        taken = rows[over[:, np.newaxis], order]
-        w = np.where(taken, instance.weights[order], 0)
+        # work in drop order, then put whole rows back in item order
+        # (take is about twice as fast as the same fancy index here)
+        taken = rows.take(over, axis=0).take(instance._drop_order, axis=1)
+        w = taken * instance._drop_weights
         cum = np.cumsum(w, axis=1)
         # the items before and at the first index whose cumsum reaches the
         # excess are those whose cumsum before them is still short of it
         keep = taken & (cum - w >= excess[over, np.newaxis])
-        rows[over[:, np.newaxis], order] = keep
+        rows[over] = keep.take(instance._drop_rank, axis=1)
     return sel.astype(np.uint8)
 
 
@@ -196,11 +217,17 @@ class KnapsackObjective:
         inst = self.instance
         pos = np.asarray(positions, dtype=np.uint8)
         stored = pos.copy()
-        over = pos @ inst.weights > inst.capacity
-        if over.any():
-            stored[over] = repair(inst, pos[over])
-        fitness = stored @ inst.profits
-        return fitness.astype(np.int64), stored
+        # weight and profit sums of every row in one BLAS product; exact,
+        # since the instance keeps both totals below FLOAT_EXACT_LIMIT.
+        # Compared as int64, as the capacity may exceed the float range.
+        weight, fitness = (inst._sums_matrix @ pos.astype(np.float64).T
+                           ).astype(np.int64)
+        over = np.flatnonzero(weight > inst.capacity)
+        if over.size:
+            fixed = repair(inst, pos[over])
+            stored[over] = fixed
+            fitness[over] = fixed @ inst.profits
+        return fitness, stored
 
 
 def save_instance(instance: KnapsackInstance, path) -> None:

@@ -46,7 +46,7 @@ class TransferKind(enum.Enum):
 
 
 def _check_finite(a: np.ndarray) -> None:
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("velocity must be finite")
 
 
@@ -62,10 +62,14 @@ def sigm(kind: TransferKind, v):
     if kind is TransferKind.VT1:
         p = (2.0 / np.pi) * np.arctan((np.pi / 2.0) * a)
     elif kind is TransferKind.VT2:
-        # a^2 overflows for huge a; switch to the reciprocal form there.
+        # a^2 overflows for huge a, so the elements above 1 take the
+        # reciprocal form, computed on those elements only (by index: a
+        # boolean mask or ufunc where= is slower at swarm sizes).
         lo = np.minimum(a, 1.0)
-        hi = np.maximum(a, 1.0)
-        p = np.where(a <= 1.0, lo * lo / (1.0 + lo * lo), 1.0 / (1.0 + hi**-2.0))
+        sq = lo * lo
+        p = np.divide(sq, 1.0 + sq, out=np.empty(arr.shape))
+        big = np.flatnonzero(a > 1.0)
+        p.put(big, 1.0 / (1.0 + a.take(big) ** -2.0))
     elif kind is TransferKind.VT3:
         p = np.tanh(a)
     elif kind is TransferKind.VT4:
@@ -131,7 +135,7 @@ def correct(kind: TransferKind, v):
     """
     arr = np.asarray(v, dtype=np.float64)
     _check_finite(arr)
-    if np.any(arr == 0.0):
+    if (arr == 0.0).any():
         raise ValueError("cannot correct a zero velocity")
     a = np.abs(arr)
     s = np.sign(arr)

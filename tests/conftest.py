@@ -1,6 +1,6 @@
 """Shared fixtures and oracles: the velocity grid used by the correction
-checks, a small reference knapsack instance, the scalar repair and the
-experiment protocols of ``configs/``."""
+checks, a small reference knapsack instance, the scalar repair, the
+whole-array VT2 transfer and the experiment protocols of ``configs/``."""
 
 import os
 
@@ -71,6 +71,16 @@ def clamp_bound(kind: TransferKind, v: float) -> float | None:
     if abs(want) > CORRECTION_CLAMP:
         return CORRECTION_CLAMP
     return None
+
+
+def sigm_vt2_where(v) -> np.ndarray:
+    """VT2 ``sigm`` computed on the whole array in both branches and
+    selected with ``np.where``: the reference for the by-index kernel."""
+    a = np.abs(np.asarray(v, dtype=np.float64))
+    lo = np.minimum(a, 1.0)
+    hi = np.maximum(a, 1.0)
+    p = np.where(a <= 1.0, lo * lo / (1.0 + lo * lo), 1.0 / (1.0 + hi**-2.0))
+    return np.minimum(p, np.nextafter(1.0, 0.0))
 
 
 def load_config(name: str) -> ExperimentSpec:

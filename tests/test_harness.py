@@ -3,6 +3,7 @@
 import csv
 import glob
 import os
+from dataclasses import FrozenInstanceError, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -210,6 +211,19 @@ class TestSpecValidation:
             self._spec(tmp_path, variants=[good, variant])
         assert not (tmp_path / "out").exists()
 
+    def test_fields_cannot_be_assigned(self, tmp_path):
+        spec = self._spec(tmp_path)
+        with pytest.raises(FrozenInstanceError):
+            spec.c1 = -1.0
+        assert spec.c1 == 2.0
+        # nor can a variant be added past the check
+        assert isinstance(spec.variants, tuple)
+
+    def test_replace_is_checked(self, tmp_path):
+        with pytest.raises(ConfigError, match="c1 and c2"):
+            replace(self._spec(tmp_path), c1=-1.0)
+        assert not (tmp_path / "out").exists()
+
 
 class TestShippedConfigs:
     @pytest.mark.parametrize("path", sorted(
@@ -265,10 +279,7 @@ class TestDeriveSeed:
 
 class TestRunExperiment:
     def _spec(self, tmp_path, **kw):
-        spec = parse_config(good_config(tmp_path / "out"))
-        for key, value in kw.items():
-            setattr(spec, key, value)
-        return spec
+        return replace(parse_config(good_config(tmp_path / "out")), **kw)
 
     def test_artifacts_written(self, tmp_path):
         spec = self._spec(tmp_path)

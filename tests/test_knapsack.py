@@ -10,6 +10,7 @@ from conftest import repair_oracle
 from vcbpso import knapsack
 from vcbpso.errors import ConfigError, ParseError, ResourceError
 from vcbpso.knapsack import (
+    FLOAT_EXACT_LIMIT,
     KnapsackInstance,
     KnapsackObjective,
     brute_force_optimal,
@@ -31,11 +32,11 @@ def random_small_instance(rng):
 
 
 @st.composite
-def instance_and_rows(draw):
-    """A small instance and a (k, n) batch; values from 1..6 make ties in
-    profit density common."""
+def instance_and_rows(draw, max_value=6):
+    """A small instance and a (k, n) batch; values from 1..6 (the default)
+    make ties in profit density common."""
     n = draw(st.integers(1, 12))
-    values = st.lists(st.integers(1, 6), min_size=n, max_size=n)
+    values = st.lists(st.integers(1, max_value), min_size=n, max_size=n)
     weights, profits = draw(values), draw(values)
     capacity = draw(st.integers(0, sum(weights)))
     k = draw(st.integers(0, 6))
@@ -74,6 +75,29 @@ class TestInstance:
     def test_rejects_unknown_type(self):
         with pytest.raises(ValueError):
             KnapsackInstance(np.array([1]), np.array([1]), 5, "XXX")
+
+    @pytest.mark.parametrize("weights, profits", [
+        ([2**52, 2**52], [1, 1]),
+        ([1, 1], [2**52, 2**52]),
+        ([1, 2**53 - 1], [1, 1]),
+        # an int64 sum of these wraps around to a negative number
+        ([2**62, 2**62], [1, 1]),
+    ])
+    def test_rejects_totals_not_exact_in_float(self, weights, profits):
+        with pytest.raises(ValueError, match=r"2\*\*53"):
+            KnapsackInstance(np.array(weights), np.array(profits), 5)
+
+    def test_totals_just_below_the_limit(self):
+        big = [2**52, 2**52 - 1]
+        assert sum(big) == FLOAT_EXACT_LIMIT - 1
+        positions = np.array([[1, 1], [0, 1], [1, 0]], dtype=np.uint8)
+        # all fit; then [1, 1] is over and drops item 0 (a density tie)
+        for capacity, first in ((sum(big), [1, 1]), (2**52, [0, 1])):
+            inst = KnapsackInstance(np.array(big), np.array(big), capacity)
+            fitness, stored = KnapsackObjective(inst).evaluate_swarm(positions)
+            assert fitness.dtype == np.int64
+            assert stored.tolist() == [first, [0, 1], [1, 0]]
+            assert fitness.tolist() == [int(np.dot(first, big)), big[1], big[0]]
 
 
 class TestGenerate:
@@ -284,6 +308,26 @@ class TestRepairAndEvaluate:
         assert np.array_equal(fitness, [7, 4])
         assert np.array_equal(stored, [[1, 1, 0], [0, 1, 0]])
 
+    @pytest.mark.parametrize("capacity", [2**63 + 5, 10**400])
+    def test_objective_takes_capacities_beyond_float(self, capacity):
+        inst = KnapsackInstance(np.array([3, 4]), np.array([1, 2]), capacity)
+        fitness, _ = KnapsackObjective(inst).evaluate_swarm(
+            np.array([[1, 1], [0, 1]], dtype=np.uint8))
+        assert fitness.tolist() == [3, 2]
+
+    @given(st.one_of(instance_and_rows(), instance_and_rows(2**49)))
+    @settings(max_examples=200, deadline=None)
+    def test_objective_matches_oracle_profits(self, case):
+        # values up to 2**49 give totals near 2**53, where a float sum
+        # would round if it were not exact
+        inst, rows = case
+        fitness, stored = KnapsackObjective(inst).evaluate_swarm(rows)
+        fixed = np.array([repair_oracle(inst, r) for r in rows],
+                         dtype=np.uint8).reshape(rows.shape)
+        assert fitness.dtype == np.int64
+        assert np.array_equal(stored, fixed)
+        assert np.array_equal(fitness, fixed.astype(np.int64) @ inst.profits)
+
     def test_objective_matches_scalar_evaluate(self):
         rng = np.random.Generator(np.random.PCG64(13))
         inst = random_small_instance(rng)
@@ -331,6 +375,12 @@ class TestInstanceIO:
         path = tmp_path / "bad.txt"
         path.write_text(text)
         with pytest.raises(ParseError):
+            load_instance(path)
+
+    def test_loader_rejects_totals_not_exact_in_float(self, tmp_path):
+        path = tmp_path / "huge.txt"
+        path.write_text(f"2 5 EXTERNAL\n{2**52} 1\n{2**52} 1\n")
+        with pytest.raises(ParseError, match=r"huge\.txt: weights .*2\*\*53"):
             load_instance(path)
 
     def test_gzip_helpers(self, tmp_path):

@@ -5,13 +5,14 @@ rounded to the nearest double.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import conftest
-from conftest import ALL_KINDS, clamp_bound, true_correction
+from conftest import ALL_KINDS, clamp_bound, sigm_vt2_where, true_correction
 from vcbpso.errors import OracleError
 from vcbpso.transfer import (
     CORRECTION_CLAMP,
@@ -79,6 +80,41 @@ class TestSigm:
         p = sigm(TransferKind.VT2, np.array([[0.0, 1.0], [2.0, 3.0]]))
         assert p.shape == (2, 2)
         assert p[0, 1] == 0.5
+
+
+class TestVt2ByIndex:
+    """VT2 takes its reciprocal branch by index; the result must equal the
+    whole-array ``np.where`` form bit for bit, without a warning."""
+
+    EDGES = [0.0, 1.0, -1.0, float(np.nextafter(1.0, 2.0)),
+             float(np.nextafter(1.0, 0.0)), 1e154, -1e154, 1e300, -1e300]
+
+    @staticmethod
+    def assert_bit_equal(v):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = np.asarray(sigm(TransferKind.VT2, v))
+        want = sigm_vt2_where(v)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_grid_and_edges(self, grid):
+        self.assert_bit_equal(np.concatenate([grid, self.EDGES]))
+
+    def test_scalars(self):
+        for v in self.EDGES:
+            got = sigm(TransferKind.VT2, v)
+            assert isinstance(got, float)
+            assert got == float(sigm_vt2_where(v))
+
+    @pytest.mark.parametrize("scale", [0.5, 1.0, 3.0, 1e100])
+    def test_swarm_blocks(self, scale):
+        rng = np.random.Generator(np.random.PCG64(5))
+        for _ in range(10):
+            self.assert_bit_equal(rng.standard_normal((20, 500)) * scale)
+
+    def test_no_element_above_one(self):
+        self.assert_bit_equal(np.linspace(-1.0, 1.0, 101).reshape(1, 101))
 
 
 class TestSigmComplement:
