@@ -13,7 +13,10 @@ the base seed. Results land in an output directory as CSV files:
 
 Seed derivation uses numpy's SeedSequence with the (variant index,
 repetition) spawn key, so every run owns an independent, reproducible
-PCG64 stream.
+PCG64 stream. The runs therefore go to one forked worker process per CPU
+the process may run on; the parent writes every CSV in spec order, so
+the outputs are the same bytes as when the runs execute in-process
+(``taskset -c 0`` gives that path).
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import numpy as np
 
 from . import knapsack, metrics
 from .engine import RunConfig, WSchedule, check_run_settings, run
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, ParseError, ResourceError
 from .knapsack import KnapsackInstance, KnapsackObjective
 from .transfer import TransferKind
 
@@ -329,6 +332,71 @@ def _aggregate(variant: Variant, runs: list[RunResult],
     return agg
 
 
+def _worker_count(runs: int) -> int:
+    """One worker per CPU this process may run on, at most one per run."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, runs)
+
+
+# (spec, objective, optimum) of the experiment a forked worker serves;
+# set only in the workers, by _init_worker
+_worker_state = None
+
+
+def _init_worker(spec: ExperimentSpec, objective: KnapsackObjective,
+                 optimum: int) -> None:
+    global _worker_state
+    _worker_state = (spec, objective, optimum)
+
+
+def _run_in_worker(variant_index: int, repetition: int) -> RunResult:
+    spec, objective, optimum = _worker_state
+    return _execute_run(spec, spec.variants[variant_index], variant_index,
+                        repetition, objective, optimum)
+
+
+def _execute_runs(spec: ExperimentSpec, objective: KnapsackObjective,
+                  optimum: int) -> list[RunResult]:
+    """Every (variant, repetition) run, in spec order.
+
+    Each run owns its seed, so the order in which they execute changes no
+    result. With more than one CPU available they run on a pool of forked
+    workers; the error of the first run in spec order that raises is
+    raised here, and a worker that dies becomes a :class:`ResourceError`.
+    """
+    pairs = [(vi, rep) for vi in range(len(spec.variants))
+             for rep in range(spec.repetitions)]
+    workers = _worker_count(len(pairs))
+    if workers == 1:
+        return [_execute_run(spec, spec.variants[vi], vi, rep, objective,
+                             optimum) for vi, rep in pairs]
+    # imported here, so that `import vcbpso` does not pay for them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    # fork, not spawn: the workers inherit the spec, the objective and the
+    # optimum (and every name rebound in this process), so nothing is
+    # pickled on the way in; the package starts no thread of its own
+    with ProcessPoolExecutor(workers,
+                             mp_context=multiprocessing.get_context("fork"),
+                             initializer=_init_worker,
+                             initargs=(spec, objective, optimum)) as pool:
+        futures = [pool.submit(_run_in_worker, vi, rep) for vi, rep in pairs]
+        try:
+            return [future.result() for future in futures]
+        except BaseException as exc:
+            pool.shutdown(cancel_futures=True)
+            if isinstance(exc, BrokenProcessPool):
+                raise ResourceError(
+                    "a worker process died before its runs finished; it "
+                    "may have been killed for lack of memory") from exc
+            raise
+
+
 def run_experiment(spec: ExperimentSpec) -> list[AggregateResult]:
     """Execute all variants x repetitions, write CSV artifacts, return
     per-variant aggregates. Deterministic given the spec."""
@@ -339,15 +407,12 @@ def run_experiment(spec: ExperimentSpec) -> list[AggregateResult]:
     objective = KnapsackObjective(instance)
     os.makedirs(spec.output_dir, exist_ok=True)
 
-    all_runs: list[RunResult] = []
-    aggregates: list[AggregateResult] = []
-    for vi, variant in enumerate(spec.variants):
-        runs = [
-            _execute_run(spec, variant, vi, rep, objective, optimum)
-            for rep in range(spec.repetitions)
-        ]
-        all_runs.extend(runs)
-        aggregates.append(_aggregate(variant, runs, optimum))
+    all_runs = _execute_runs(spec, objective, optimum)
+    reps = spec.repetitions
+    aggregates = [
+        _aggregate(variant, all_runs[vi * reps:(vi + 1) * reps], optimum)
+        for vi, variant in enumerate(spec.variants)
+    ]
 
     _write_runs_csv(os.path.join(spec.output_dir, "runs.csv"), all_runs)
     _write_aggregate_csv(os.path.join(spec.output_dir, "aggregate.csv"),

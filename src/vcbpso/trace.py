@@ -13,6 +13,7 @@ hex dump of the packed position words.
 from __future__ import annotations
 
 import gzip
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,7 +75,10 @@ class RunTrace:
 
     def save(self, path) -> None:
         if str(path).endswith(".gz"):
-            fh = gzip.open(path, "wt", compresslevel=GZIP_LEVEL)
+            # mtime=0: gzip.open stamps the current time into the header,
+            # so saving the same trace twice would give different bytes
+            fh = io.TextIOWrapper(gzip.GzipFile(
+                path, "wb", compresslevel=GZIP_LEVEL, mtime=0))
         else:
             fh = open(path, "w")
         with fh:

@@ -59,12 +59,16 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def fingerprint(out_dir: str) -> dict[str, str]:
-    """Run the protocol into ``out_dir``; digest of every pinned output."""
+def run_protocol(out_dir: str) -> None:
     spec = load_config("low_dim.cfg")
     run_experiment(replace(spec, instance=replace(spec.instance, n=50),
                            iterations=100, repetitions=2, output_dir=out_dir,
                            save_traces=True))
+
+
+def fingerprint(out_dir: str) -> dict[str, str]:
+    """Run the protocol into ``out_dir``; digest of every pinned output."""
+    run_protocol(out_dir)
     trace_path = os.path.join(out_dir, TRACE + ".txt.gz")
     stdout = _cli_stdout(["metrics", "--trace", trace_path])
     with gzip.open(trace_path, "rb") as fh:
@@ -93,6 +97,20 @@ def digests(tmp_path_factory):
 
 def test_pinned_outputs(digests):
     assert digests == PINS
+
+
+def test_worker_pool_writes_the_in_process_bytes(tmp_path, monkeypatch):
+    outputs = {}
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus,
+                            raising=False)
+        out_dir = tmp_path / str(len(cpus))
+        run_protocol(str(out_dir))
+        outputs[len(cpus)] = {path.name: path.read_bytes()
+                              for path in out_dir.iterdir()}
+    # 16 traces, 8 curve and 8 metrics CSVs, runs.csv and aggregate.csv
+    assert len(outputs[1]) == 34
+    assert outputs[2] == outputs[1]
 
 
 if __name__ == "__main__":

@@ -3,6 +3,7 @@
 import csv
 import glob
 import os
+import time
 from dataclasses import FrozenInstanceError, replace
 from types import SimpleNamespace
 
@@ -10,7 +11,8 @@ import numpy as np
 import pytest
 
 from conftest import CONFIGS_DIR, load_config
-from vcbpso import knapsack
+from vcbpso import harness, knapsack
+from vcbpso.cli import main
 from vcbpso.engine import WSchedule
 from vcbpso.errors import ConfigError, ParseError
 from vcbpso.harness import (
@@ -373,3 +375,84 @@ class TestRunExperiment:
         assert rows[0] == ["iteration", "mean_gbest"]
         assert len(rows) == 27  # header + initial record + 25 iterations
         assert rows[1][0] == "0"
+
+
+class TestWorkerPool:
+    """Runs on the worker pool, forced by reporting two CPUs. The fakes of
+    ``harness.run`` reach the workers through fork."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+
+    def _spec(self, tmp_path, **kw):
+        return replace(parse_config(good_config(tmp_path / "out")), **kw)
+
+    def test_one_cpu_runs_in_process(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        pids = []
+        real_run = harness.run
+
+        def recording_run(config, objective):
+            pids.append(os.getpid())
+            return real_run(config, objective)
+
+        monkeypatch.setattr(harness, "run", recording_run)
+        run_experiment(self._spec(tmp_path))
+        assert pids == [os.getpid()] * 6
+
+    def test_run_error_is_raised_and_no_table_written(self, tmp_path,
+                                                      monkeypatch):
+        real_run = harness.run
+
+        def refusing_run(config, objective):
+            if config.kind is TransferKind.VT1:
+                raise ConfigError(f"VT1 refused in process {os.getpid()}")
+            return real_run(config, objective)
+
+        monkeypatch.setattr(harness, "run", refusing_run)
+        with pytest.raises(ConfigError,
+                           match=r"^VT1 refused in process \d+$") as info:
+            run_experiment(self._spec(tmp_path))
+        assert str(info.value) != f"VT1 refused in process {os.getpid()}"
+        assert not (tmp_path / "out" / "runs.csv").exists()
+        assert not (tmp_path / "out" / "aggregate.csv").exists()
+
+    def test_runs_not_started_are_dropped_after_an_error(self, tmp_path,
+                                                         monkeypatch):
+        spec = self._spec(tmp_path, repetitions=6)
+        first_seed = derive_seed(spec.base_seed, 0, 0)
+        started = tmp_path / "started"
+        started.mkdir()
+
+        def slow_run(config, objective):
+            if config.seed == first_seed:
+                raise ConfigError("first run refused")
+            (started / str(config.seed)).touch()
+            time.sleep(0.2)
+            raise ConfigError("later run refused")
+
+        monkeypatch.setattr(harness, "run", slow_run)
+        with pytest.raises(ConfigError, match="first run refused"):
+            run_experiment(spec)
+        # 17 runs follow the first; only those already handed to a
+        # worker may start
+        assert len(list(started.iterdir())) < 17
+
+    def test_dead_worker_is_an_error_exit(self, tmp_path, monkeypatch,
+                                          capsys):
+        test_pid = os.getpid()
+
+        def dying_run(config, objective):
+            # a run that missed the pool must not kill the test process
+            assert os.getpid() != test_pid
+            os._exit(3)
+
+        monkeypatch.setattr(harness, "run", dying_run)
+        config = tmp_path / "exp.cfg"
+        config.write_text(good_config(tmp_path / "out"))
+        assert main(["run", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: a worker process died")
+        assert not (tmp_path / "out" / "runs.csv").exists()

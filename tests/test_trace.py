@@ -1,5 +1,7 @@
 """Bit packing and trace persistence."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -95,6 +97,16 @@ class TestRunTrace:
         path = tmp_path / "t.txt"
         trace.save(path)
         assert np.array_equal(RunTrace.load(path).gbest_fitness, gbest)
+
+    def test_gz_bytes_do_not_depend_on_the_clock(self, tmp_path,
+                                                monkeypatch):
+        trace = build_trace([[[0, 1]], [[1, 1]]], gbest=[1.0, 2.0])
+        saved = []
+        for now in (1.0e9, 2.0e9):
+            monkeypatch.setattr(time, "time", lambda: now)
+            trace.save(tmp_path / "t.txt.gz")
+            saved.append((tmp_path / "t.txt.gz").read_bytes())
+        assert saved[0] == saved[1]
 
     def test_load_rejects_wrong_magic(self, tmp_path):
         path = tmp_path / "t.txt"
