@@ -167,12 +167,15 @@ def brute_force_optimal(instance: KnapsackInstance) -> int:
     return int(psum[feasible].max()) if feasible.any() else 0
 
 
-def repair(instance: KnapsackInstance, selection) -> np.ndarray:
+def repair(instance: KnapsackInstance, selection, *,
+           excess=None) -> np.ndarray:
     """Feasible copy of ``selection``, one (n,) selection or a (k, n) batch.
 
     In each row, drops selected items in increasing profit/weight order
     (ties: lower index first) until the total weight fits the capacity.
-    Identity on feasible rows.
+    Identity on feasible rows. A caller that has already summed the
+    weights passes ``excess``, each row's total weight minus the
+    capacity, and saves that product.
     """
     sel = np.asarray(selection).astype(bool)
     if sel.ndim not in (1, 2) or sel.shape[-1] != instance.n:
@@ -180,7 +183,12 @@ def repair(instance: KnapsackInstance, selection) -> np.ndarray:
                          f"item count {instance.n}")
     # a view of sel either way, so the writes below land in sel
     rows = sel if sel.ndim == 2 else sel[np.newaxis]
-    excess = rows @ instance.weights - instance.capacity
+    if excess is None:
+        excess = rows @ instance.weights - instance.capacity
+    elif np.shape(excess) != sel.shape[:-1]:
+        raise ValueError(f"excess shape {np.shape(excess)} does not match "
+                         f"selection shape {sel.shape}")
+    excess = np.reshape(excess, len(rows))
     over = np.flatnonzero(excess > 0)
     if over.size:
         # work in drop order, then put whole rows back in item order
@@ -224,7 +232,8 @@ class KnapsackObjective:
                            ).astype(np.int64)
         over = np.flatnonzero(weight > inst.capacity)
         if over.size:
-            fixed = repair(inst, pos[over])
+            fixed = repair(inst, pos[over],
+                           excess=weight[over] - inst.capacity)
             stored[over] = fixed
             fitness[over] = fixed @ inst.profits
         return fitness, stored

@@ -19,6 +19,9 @@ from .trace import RunTrace, pack_bits
 # History records per block of dist_eff_matrix; 128 measured best at d=100.
 _BLOCK = 128
 
+# Odd multiplier that mixes a position's words into one sort key.
+_MIX = np.uint64(0x9E3779B97F4A7C15)
+
 
 def hamming(a, b) -> int:
     """Number of differing bits between two equal-length bit-vectors."""
@@ -59,29 +62,37 @@ def dist_matrix(trace: RunTrace) -> np.ndarray:
 def dist_eff_matrix(trace: RunTrace) -> np.ndarray:
     """(iterations, swarm_size) matrix of effective gains, same layout.
 
-    Only the upper triangle of each particle's pairwise distances is
-    computed: a block of ``_BLOCK`` history records r is compared with the
-    later records k > r, and the block's column minimum is folded into a
-    running minimum per record. The temporaries take about
-    12 * _BLOCK * records bytes, whatever the trace length.
+    A revisit has gain 0, so only each particle's first visits of its
+    distinct positions are compared, in visit order: the history of a
+    first visit is exactly the distinct positions visited before it.
+    Only the upper triangle of their pairwise distances is computed: a
+    block of ``_BLOCK`` history positions r is compared with the later
+    positions k > r, and the block's column minimum is folded into a
+    running minimum per position. The cost per particle is about U**2 / 2
+    word comparisons for U distinct positions, and the temporaries take
+    about 12 * _BLOCK * records bytes, whatever the trace length.
     """
     records, m, words = trace.positions.shape
-    out = np.empty((records - 1, m), dtype=np.int64)
+    out = np.zeros((records - 1, m), dtype=np.int64)
     # narrowest unsigned type that holds the largest distance of the words
     acc_type = np.min_scalar_type(64 * words)
     top = np.iinfo(acc_type).max
-    cols = records - 1
-    rows = min(_BLOCK, cols)
-    xor = np.empty((rows, cols), dtype=np.uint64)
-    count = np.empty((rows, cols), dtype=np.uint8)
-    acc = np.empty((rows, cols), dtype=acc_type)
-    block_min = np.empty(cols, dtype=acc_type)
-    best = np.empty(cols, dtype=acc_type)
-    # upper[j, l]: history record r0 + j lies before record r0 + 1 + l
+    # workspace for the worst case, a particle that never revisits
+    rows = min(_BLOCK, records - 1)
+    xor = np.empty((rows, records - 1), dtype=np.uint64)
+    count = np.empty((rows, records - 1), dtype=np.uint8)
+    acc = np.empty((rows, records - 1), dtype=acc_type)
+    block_min = np.empty(records - 1, dtype=acc_type)
+    best = np.empty(records - 1, dtype=acc_type)
+    # upper[j, l]: history position r0 + j lies before position r0 + 1 + l
     upper = np.triu(np.ones((rows, rows), dtype=bool))
     for i in range(m):
         pos = np.ascontiguousarray(trace.positions[:, i].T)  # (words, records)
-        best.fill(top)
+        first = _first_visits(pos)
+        pos = pos.take(first, axis=1)  # (words, U)
+        cols = first.size - 1
+        gain = best[:cols]
+        gain.fill(top)
         for r0 in range(0, cols, _BLOCK):
             later = cols - r0
             n = min(_BLOCK, later)
@@ -96,9 +107,35 @@ def dist_eff_matrix(trace: RunTrace) -> np.ndarray:
             np.minimum.reduce(a[:, :n], axis=0, where=upper[:n, :n],
                               initial=top, out=block_min[:n])
             np.minimum.reduce(a[:, n:], axis=0, out=block_min[n:later])
-            np.minimum(best[r0:], block_min[:later], out=best[r0:])
-        out[:, i] = best
+            np.minimum(gain[r0:], block_min[:later], out=gain[r0:])
+        out[first[1:] - 1, i] = gain
     return out
+
+
+def _first_visits(pos: np.ndarray) -> np.ndarray:
+    """Increasing record indices of the first visit of each distinct
+    position in one particle's (words, records) packed positions."""
+    # Records are grouped by one 64-bit key that mixes the words, which
+    # sorts several times faster than whole positions. Equal positions
+    # share a key; if different ones do too (possible only with two or
+    # more words), the exact sort of whole positions is used instead.
+    key = pos[0].copy()
+    for word in pos[1:]:
+        key *= _MIX
+        key ^= word
+    order = np.argsort(key)
+    sorted_key = key[order]
+    starts = np.flatnonzero(sorted_key[1:] != sorted_key[:-1]) + 1
+    starts = np.concatenate(([0], starts))
+    first = np.minimum.reduceat(order, starts)
+    # each record's group and the group's earliest record
+    earliest = np.empty_like(order)
+    earliest[order] = np.repeat(first, np.diff(starts, append=key.size))
+    if not np.array_equal(pos.take(earliest, axis=1), pos):
+        rows = np.ascontiguousarray(pos.T).view(f"V{pos.itemsize * len(pos)}")
+        first = np.unique(rows[:, 0], return_index=True)[1]
+    first.sort()
+    return first
 
 
 def check_range(iterations: int, m: int, n: int) -> None:

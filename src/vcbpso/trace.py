@@ -97,22 +97,43 @@ class RunTrace:
             lines = fh.read().splitlines()
         if not lines or lines[0] != _MAGIC:
             raise ValueError(f"{path}: not a trace file")
-        m, d, records = (int(x) for x in lines[1].split())
+        try:
+            m, d, records = (int(x) for x in lines[1].split())
+        except (IndexError, ValueError):
+            m = d = records = 0
+        if min(m, d, records) < 1:
+            raise ValueError(f"{path}: the second line must give the swarm "
+                             f"size, dimensions and record count, each >= 1")
+        if len(lines) != records + 2:
+            raise ValueError(f"{path}: expected {records} record lines")
         words = (d + 63) // 64
         gbest = np.empty(records, dtype=np.float64)
         flips = np.empty((records, m), dtype=np.int64)
-        positions = np.empty((records, m, words), dtype=np.uint64)
-        if len(lines) != records + 2:
-            raise ValueError(f"{path}: expected {records} record lines")
+        # each position is decoded into its own slot of raw; one of the
+        # wrong length would resize raw and shift every later record
+        row_bytes = 8 * m * words
+        raw = bytearray(records * row_bytes)
         for k, line in enumerate(lines[2:]):
-            idx, g, fl, blob = line.split()
-            if int(idx) != k:
-                raise ValueError(f"{path}: record {k} has index {idx}")
-            gbest[k] = float(g)
-            flips[k] = [int(x) for x in fl.split(",")]
-            positions[k] = np.frombuffer(
-                bytes.fromhex(blob), dtype="<u8"
-            ).reshape(m, words)
+            fields = line.split()
+            try:
+                if len(fields) != 4:
+                    raise ValueError(f"{len(fields)} fields, expected 4")
+                idx, g, fl, blob = fields
+                if int(idx) != k:
+                    raise ValueError(f"index {idx}")
+                counts = fl.split(",")
+                if len(counts) != m:
+                    raise ValueError(f"{len(counts)} flip counts, "
+                                     f"expected {m}")
+                if len(blob) != 2 * row_bytes:
+                    raise ValueError(f"position of {len(blob)} hex digits, "
+                                     f"expected {2 * row_bytes}")
+                gbest[k] = float(g)
+                flips[k] = counts
+                raw[k * row_bytes:(k + 1) * row_bytes] = bytes.fromhex(blob)
+            except (ValueError, OverflowError) as exc:
+                raise ValueError(f"{path}: record {k}: {exc}") from None
+        positions = np.frombuffer(raw, dtype="<u8").reshape(records, m, words)
         return cls(d, gbest, flips, positions)
 
 

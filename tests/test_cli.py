@@ -5,6 +5,7 @@ import csv
 import numpy as np
 import pytest
 
+from test_trace import BAD_RECORDS, save_bad_trace
 from vcbpso import knapsack
 from vcbpso.cli import main
 from vcbpso.knapsack import load_instance
@@ -194,6 +195,15 @@ class TestMetrics:
         assert code == 2 and stdout == "" and "[5, 5000]" in stderr
         for suffix in ("_particle_metrics.csv", "_aggregate_metrics.csv"):
             assert not (out / f"trace_VCv2_w1_rep0{suffix}").exists()
+
+    def test_bad_record_fails_before_writing(self, capsys, tmp_path):
+        path = tmp_path / "t.txt"
+        save_bad_trace(path, BAD_RECORDS["short and long positions"])
+        code, stdout, stderr = run_cli(capsys, "metrics", "--trace",
+                                       str(path))
+        assert code == 2 and stdout == ""
+        assert stderr.startswith("error:") and "record 1" in stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.txt"]
 
 
 class TestReport:

@@ -243,6 +243,12 @@ class TestRepairAndEvaluate:
             with pytest.raises(ValueError):
                 repair(three_items, bad)
 
+    def test_excess_must_match_the_rows(self, three_items):
+        for sel, excess in ((np.ones((2, 3)), [4]), (np.ones(3), [4]),
+                            (np.ones((1, 3)), 4)):
+            with pytest.raises(ValueError, match="excess shape"):
+                repair(three_items, sel, excess=excess)
+
     @given(instance_and_rows())
     @settings(max_examples=200, deadline=None)
     def test_batch_matches_scalar_oracle(self, case):

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from test_trace import build_trace
 from vcbpso import metrics
@@ -19,6 +20,7 @@ from vcbpso.metrics import (
     hamming,
     pujv,
 )
+from vcbpso.trace import unpack_bits
 
 
 def bits(text):
@@ -45,6 +47,32 @@ def revisiting_trace(rng, records, m, d):
                 pos[k, i] = 1 - pos[0, i]
             elif (k, i) == (1, 0) or rng.random() < 0.3:
                 pos[k, i] = pos[rng.integers(k), i]
+    return build_trace(list(pos))
+
+
+def pooled_trace(rng, records, m, d, distinct):
+    """Each particle visits exactly min(distinct, 2**d) positions. Their
+    first visits fall at random records, every other record revisits a
+    position seen before it, and the last record returns to record 0's."""
+    k = min(distinct, 2**d)
+    low = min(d, 20)
+    pos = np.empty((records, m, d), dtype=np.uint8)
+    for i in range(m):
+        # distinct codes in the low bits make the pool rows distinct
+        codes = rng.choice(2**low, size=k, replace=False)
+        pool = rng.integers(0, 2, size=(k, d)).astype(np.uint8)
+        pool[:, :low] = codes[:, None] >> np.arange(low) & 1
+        firsts = set(rng.choice(np.arange(1, records - 1), size=k - 1,
+                                replace=False).tolist())
+        seen = 1
+        pos[0, i] = pool[0]
+        for r in range(1, records - 1):
+            if r in firsts:
+                pos[r, i] = pool[seen]
+                seen += 1
+            else:
+                pos[r, i] = pool[rng.integers(seen)]
+        pos[-1, i] = pool[0]
     return build_trace(list(pos))
 
 
@@ -146,6 +174,55 @@ class TestDistEff:
                 assert np.array_equal(e, dist_eff_bruteforce(t)), (records, d)
                 if records > 1:
                     assert e[0].tolist() == [0, d]
+
+    @pytest.mark.parametrize("distinct", [1, metrics._BLOCK,
+                                          metrics._BLOCK + 1,
+                                          2 * metrics._BLOCK + 1])
+    @pytest.mark.parametrize("d", [1, 64, 65, 130])
+    def test_revisits_match_bruteforce_oracle(self, distinct, d):
+        # the distinct positions are spread over 600 records, so most
+        # revisits land in later record blocks than their first visit
+        rng = np.random.Generator(np.random.PCG64(distinct + d))
+        t = pooled_trace(rng, 600, 2, d, distinct)
+        for i in range(2):
+            rows = np.unique(t.positions[:, i], axis=0)
+            assert len(rows) == min(distinct, 2**d)
+        e = dist_eff_matrix(t)
+        assert e.dtype == np.int64
+        assert np.array_equal(e, dist_eff_bruteforce(t))
+        assert e[-1].tolist() == [0, 0]
+
+    def test_different_positions_with_one_sort_key(self):
+        # _first_visits groups records by the key (w0 * _MIX) ^ w1; b is
+        # built to share a's key, so only the exact fallback tells them
+        # apart
+        w0 = np.array([3, 4, 9], dtype=np.uint64)
+        mixed = w0 * metrics._MIX
+        w1 = np.array([5, 5 ^ mixed[0] ^ mixed[1], 6], dtype=np.uint64)
+        assert mixed[0] ^ w1[0] == mixed[1] ^ w1[1]
+        a, b, c = (unpack_bits(np.array([x, y]), 128) for x, y in zip(w0, w1))
+        t = build_trace([[p] for p in (a, b, a, c, b, a)])
+        e = dist_eff_matrix(t)
+        assert np.array_equal(e, dist_eff_bruteforce(t))
+        assert e[0, 0] > 0 and e[3, 0] == 0
+
+    @given(st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_small_pool_matches_bruteforce_oracle(self, data):
+        d = data.draw(st.sampled_from([1, 2, 63, 64, 65, 130]), label="d")
+        m = data.draw(st.integers(1, 3), label="m")
+        records = data.draw(st.integers(1, 2 * metrics._BLOCK + 3),
+                            label="records")
+        size = data.draw(st.integers(1, 6), label="pool size")
+        picks = data.draw(st.lists(st.integers(0, size - 1),
+                                   min_size=records * m,
+                                   max_size=records * m), label="picks")
+        rng = np.random.Generator(np.random.PCG64(size + d))
+        pool = rng.integers(0, 2, size=(size, d)).astype(np.uint8)
+        t = build_trace(list(pool[np.reshape(picks, (records, m))]))
+        e = dist_eff_matrix(t)
+        assert e.shape == (records - 1, m) and e.dtype == np.int64
+        assert np.array_equal(e, dist_eff_bruteforce(t))
 
     def test_memory_is_bounded_by_the_block(self):
         rng = np.random.Generator(np.random.PCG64(7))

@@ -9,6 +9,21 @@ from hypothesis import given, strategies as st
 from vcbpso.trace import RunTrace, TraceBuilder, pack_bits, unpack_bits
 
 
+# (record, field, edit) of the lines to spoil; fields are index, gbest,
+# flip counts and position hex. The first edited record is named.
+BAD_RECORDS = {
+    "short position": [(1, 3, lambda f: f[:-2])],
+    "long position": [(1, 3, lambda f: f + "00")],
+    # the total hex length is unchanged, so only a per-line check sees it
+    "short and long positions": [(1, 3, lambda f: f[:-2]),
+                                 (2, 3, lambda f: f + "00")],
+    "m-1 flip counts": [(1, 2, lambda f: f.rsplit(",", 1)[0])],
+    "wrong index": [(1, 0, lambda f: "2")],
+    "missing field": [(1, 1, lambda f: "")],
+    "not hexadecimal": [(1, 3, lambda f: "zz" + f[2:])],
+}
+
+
 def build_trace(positions, gbest=None, flips=None):
     """positions: list of (m, d) 0/1 arrays, one per record."""
     positions = [np.asarray(p, dtype=np.uint8) for p in positions]
@@ -19,6 +34,18 @@ def build_trace(positions, gbest=None, flips=None):
         f = flips[k] if flips is not None else np.zeros(m, np.int64)
         builder.record(g, f, pos)
     return builder.build()
+
+
+def save_bad_trace(path, edits):
+    """Save a 3-record, 2-particle, d=100 trace, then apply ``edits``."""
+    rng = np.random.Generator(np.random.PCG64(9))
+    build_trace(list(rng.integers(0, 2, size=(3, 2, 100)))).save(path)
+    lines = path.read_text().splitlines()
+    for k, field, edit in edits:
+        fields = lines[k + 2].split()
+        fields[field] = edit(fields[field])
+        lines[k + 2] = " ".join(fields)
+    path.write_text("\n".join(lines) + "\n")
 
 
 class TestPacking:
@@ -121,4 +148,20 @@ class TestRunTrace:
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(ValueError):
+            RunTrace.load(path)
+
+    @pytest.mark.parametrize("header", [None, "2 100", "2 100 3 4",
+                                        "2 x 3", "0 100 3", "2 100 -1"])
+    def test_load_rejects_a_bad_header(self, tmp_path, header):
+        path = tmp_path / "t.txt"
+        path.write_text("vcbpso-trace 1\n"
+                        + ("" if header is None else header + "\n"))
+        with pytest.raises(ValueError, match=r"t\.txt: the second line"):
+            RunTrace.load(path)
+
+    @pytest.mark.parametrize("bad", BAD_RECORDS)
+    def test_load_names_a_bad_record(self, tmp_path, bad):
+        path = tmp_path / "t.txt"
+        save_bad_trace(path, BAD_RECORDS[bad])
+        with pytest.raises(ValueError, match=r"t\.txt: record 1: "):
             RunTrace.load(path)
