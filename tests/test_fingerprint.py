@@ -5,8 +5,10 @@ d=50, T=100 iterations, 2 repetitions of each of the 8 per-kind best
 variants, metrics and traces on. The sha256 of ``runs.csv``,
 ``aggregate.csv``, every ``curve_<variant>.csv`` and
 ``metrics_<variant>.csv``, and of one trace's decompressed text and its
-``vcbpso metrics`` stdout and two CSVs are pinned below. A change to any
-digest is a behaviour change, also when every other test still passes.
+``vcbpso metrics`` stdout and two CSVs are pinned below, and so are the
+stdout and the ``.sol`` selection file of ``vcbpso solve`` on the d=500
+instance of ``configs/scaling.cfg``. A change to any digest is a
+behaviour change, also when every other test still passes.
 
 The pins were generated with numpy 2.4.6 (Python 3.11.7). Regenerate them
 only for an intended behaviour change, with::
@@ -26,6 +28,7 @@ import pytest
 from conftest import load_config
 from vcbpso.cli import main
 from vcbpso.harness import run_experiment
+from vcbpso.knapsack import save_instance
 
 TRACE = "trace_VT2_w1-0.4_rep0"
 
@@ -52,6 +55,11 @@ PINS = {
     "cli stdout": "af1401386b8b318e8fb86da60b06a7f53a832cd3d816cd91609ed42b9e16e3cb",
     f"{TRACE}_particle_metrics.csv": "fb6532be4d8c43ae24facef572cd105a9e4ca39918bf753f875c753996c17918",
     f"{TRACE}_aggregate_metrics.csv": "d6a0b26369bb692625c5ee24272f535ff823835722f29d218c3267786f7fbdf9",
+}
+
+SOLVE_PINS = {
+    "solve stdout": "94e9d2955dc5a856a581edec593e46e9e434f12a92bfabc87cae73075c6613cb",
+    "solve .sol": "6c369bda19b8853f4c94a68450b075cc4e0fd98874bf9b8b5ddbdd5b380d3207",
 }
 
 
@@ -82,6 +90,17 @@ def fingerprint(out_dir: str) -> dict[str, str]:
     return digests
 
 
+def solve_fingerprint(out_dir: str) -> dict[str, str]:
+    """Digests of ``vcbpso solve`` on the ``scaling.cfg`` instance: the
+    printed optimum and the selection file."""
+    path = os.path.join(out_dir, "scaling.txt")
+    save_instance(load_config("scaling.cfg").instance.load(), path)
+    stdout = _cli_stdout(["solve", "--instance", path])
+    with open(path + ".sol", "rb") as fh:
+        return {"solve stdout": _sha256(stdout.encode()),
+                "solve .sol": _sha256(fh.read())}
+
+
 def _cli_stdout(argv) -> str:
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
@@ -97,6 +116,10 @@ def digests(tmp_path_factory):
 
 def test_pinned_outputs(digests):
     assert digests == PINS
+
+
+def test_pinned_solve(tmp_path):
+    assert solve_fingerprint(str(tmp_path)) == SOLVE_PINS
 
 
 def test_worker_pool_writes_the_in_process_bytes(tmp_path, monkeypatch):
@@ -118,4 +141,6 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         for key, value in sorted(fingerprint(tmp).items()):
+            print(f'    "{key}": "{value}",')
+        for key, value in solve_fingerprint(tmp).items():
             print(f'    "{key}": "{value}",')
