@@ -11,7 +11,7 @@ import sys
 import numpy as np
 
 from . import harness, knapsack, metrics
-from .errors import ConfigError, OracleError, ResourceError
+from .errors import ConfigError, ResourceError
 from .trace import RunTrace
 
 
@@ -125,7 +125,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ResourceError, OracleError, ValueError, OSError) as exc:
+    except (ConfigError, ResourceError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,4 +1,4 @@
-"""0/1 knapsack instances, exact solvers and fitness evaluation.
+"""0/1 knapsack instances, the exact DP solver and fitness evaluation.
 
 Instance families follow the usual correlated-generation scheme: weights
 uniform integers on [1, R]; profits uniform (UCI), weight plus a uniform
@@ -22,7 +22,7 @@ from .errors import ConfigError, ParseError, ResourceError
 
 INSTANCE_TYPES = ("UCI", "WCI", "SCI", "EXTERNAL")
 
-# Refuse DP tables beyond this many bytes for the packed choice matrix.
+# Refuse a DP whose value row and choice bits need more bytes than this.
 DP_MEMORY_LIMIT = 2 << 30
 
 # Fitness sums are float64 products, exact for integer totals below this.
@@ -115,56 +115,81 @@ def dp_optimal(instance: KnapsackInstance,
     """Exact optimum by dynamic programming over capacity.
 
     Returns (profit, selection) where the selection is a 0/1 vector that is
-    feasible and achieves the profit. Single value row over capacity plus a
-    bit-packed item/capacity choice matrix for backtracking.
+    feasible and achieves the profit. One value row over capacity, updated
+    in place item by item, plus packed choice bits for backtracking.
+
+    Item i (of those that fit, weight w_i) updates only the capacities in
+    its band [lo_i, hi_i). With S_i the weight of the fitting items after
+    i, lo_i = max(w_i, c - S_i): backtracking from c never goes below
+    c - S_i at item i. With P_i the weight of the fitting items up to and
+    including i, hi_i = min(P_i, c + 1): from P_i up all of them fit, the
+    choice is "take" and the value is their profit sum. Only the bands'
+    bits are stored. The value row is int32 when the fitting profits sum
+    below 2**31, int64 otherwise. Selection and profit are those of the
+    full table, bit for bit.
     """
     n, c = instance.n, instance.capacity
-    if n == 0 or c == 0:
+    fit = np.flatnonzero(instance.weights <= c)
+    if fit.size == 0:
         return 0, np.zeros(n, dtype=np.uint8)
-    row_bytes = (c + 1 + 7) // 8
-    # the packed choice matrix and one packed row, plus per capacity the
-    # int64 value and candidate rows and the bool choice row
-    need = (n + 1) * row_bytes + 17 * (c + 1)
+    w = instance.weights[fit]
+    p = instance.profits[fit]
+    upto = np.cumsum(w)
+    lo = np.maximum(w, c - (upto[-1] - upto))
+    hi = np.minimum(upto, c + 1)
+    del upto
+    band = np.maximum(hi - lo, 0)
+    longest = int(band.max())
+    # item i's packed bits are bits[off[i]:off[i + 1]]
+    off = np.zeros(fit.size + 1, dtype=np.int64)
+    np.cumsum((band + 7) // 8, out=off[1:])
+    del band
+    value = np.int32 if int(p.sum()) < 2**31 else np.int64
+    size = np.dtype(value).itemsize
+    # the value row, the candidate and choice rows of the longest band,
+    # the packed bands and one packed band, the selection, and the six
+    # per-item arrays (fit, w, p, lo, hi, off) already allocated
+    need = (size * (c + 1) + (size + 1) * longest + int(off[-1])
+            + (longest + 7) // 8 + n + 6 * 8 * fit.size)
     if need > memory_limit:
         raise ResourceError(
             f"DP needs {need} bytes "
             f"(n={n}, capacity={c}), limit is {memory_limit}"
         )
-    dp = np.zeros(c + 1, dtype=np.int64)
-    cand = np.empty(c + 1, dtype=np.int64)
-    take = np.zeros((n, row_bytes), dtype=np.uint8)
-    chose = np.zeros(c + 1, dtype=bool)
-    for i in range(n):
-        w = int(instance.weights[i])
-        p = int(instance.profits[i])
-        if w > c:
-            continue
-        np.add(dp[:-w], p, out=cand[w:])
-        chose[:w] = False
-        np.greater(cand[w:], dp[w:], out=chose[w:])
-        np.maximum(dp[w:], cand[w:], out=dp[w:])
-        take[i] = np.packbits(chose, bitorder="little")
+    dp = np.empty(c + 1, dtype=value)
+    cand = np.empty(longest, dtype=value)
+    chose = np.empty(longest, dtype=bool)
+    bits = np.empty(int(off[-1]), dtype=np.uint8)
+    # dp[:top] is written; every capacity from top up holds all items so
+    # far, worth their profit sum `total`, written once a band reaches it
+    top = total = 0
+    for i in range(fit.size):
+        wi, a, b = int(w[i]), int(lo[i]), int(hi[i])
+        dp[top:b] = total
+        top, total = b, total + int(p[i])
+        if a < b:
+            k = b - a
+            np.add(dp[a - wi:b - wi], int(p[i]), out=cand[:k])
+            np.greater(cand[:k], dp[a:b], out=chose[:k])
+            np.maximum(dp[a:b], cand[:k], out=dp[a:b])
+            bits[int(off[i]):int(off[i + 1])] = np.packbits(
+                chose[:k], bitorder="little")
+    dp[top:] = total
     selection = np.zeros(n, dtype=np.uint8)
     cc = c
-    for i in range(n - 1, -1, -1):
-        if take[i, cc >> 3] >> (cc & 7) & 1:
-            selection[i] = 1
-            cc -= int(instance.weights[i])
+    for i in range(fit.size - 1, -1, -1):
+        a, b = int(lo[i]), int(hi[i])
+        if cc >= b:
+            take = True
+        elif cc < a:
+            take = False
+        else:
+            k = cc - a
+            take = bits[int(off[i]) + (k >> 3)] >> (k & 7) & 1
+        if take:
+            selection[fit[i]] = 1
+            cc -= int(w[i])
     return int(dp[c]), selection
-
-
-def brute_force_optimal(instance: KnapsackInstance) -> int:
-    """Exhaustive maximum over all 2^n subsets; oracle for dp_optimal."""
-    n = instance.n
-    if n > 24:
-        raise ValueError(f"brute force refused for n={n} > 24")
-    wsum = np.zeros(1, dtype=np.int64)
-    psum = np.zeros(1, dtype=np.int64)
-    for w, p in zip(instance.weights, instance.profits):
-        wsum = np.concatenate([wsum, wsum + w])
-        psum = np.concatenate([psum, psum + p])
-    feasible = wsum <= instance.capacity
-    return int(psum[feasible].max()) if feasible.any() else 0
 
 
 def repair(instance: KnapsackInstance, selection, *,

@@ -1,6 +1,7 @@
 """Shared fixtures and oracles: the velocity grid used by the correction
-checks, a small reference knapsack instance, the scalar repair, the
-whole-array VT2 transfer and the experiment protocols of ``configs/``."""
+checks, a small reference knapsack instance, the full-table and
+brute-force knapsack solvers, the scalar repair, the whole-array VT2
+transfer and the experiment protocols of ``configs/``."""
 
 import os
 
@@ -87,6 +88,51 @@ def load_config(name: str) -> ExperimentSpec:
     """The spec of ``configs/<name>``, the protocol its table runs."""
     with open(os.path.join(CONFIGS_DIR, name)) as fh:
         return parse_config(fh.read())
+
+
+def dp_full_oracle(instance: KnapsackInstance) -> tuple[int, np.ndarray]:
+    """Exact optimum and selection from the full DP table: every item
+    updates every capacity from its weight up in an int64 row, and its
+    choice bits over all capacities are kept. The reference for the
+    banded ``dp_optimal``."""
+    n, c = instance.n, instance.capacity
+    if n == 0 or c == 0:
+        return 0, np.zeros(n, dtype=np.uint8)
+    dp = np.zeros(c + 1, dtype=np.int64)
+    cand = np.empty(c + 1, dtype=np.int64)
+    take = np.zeros((n, (c + 1 + 7) // 8), dtype=np.uint8)
+    chose = np.zeros(c + 1, dtype=bool)
+    for i in range(n):
+        w = int(instance.weights[i])
+        p = int(instance.profits[i])
+        if w > c:
+            continue
+        np.add(dp[:-w], p, out=cand[w:])
+        chose[:w] = False
+        np.greater(cand[w:], dp[w:], out=chose[w:])
+        np.maximum(dp[w:], cand[w:], out=dp[w:])
+        take[i] = np.packbits(chose, bitorder="little")
+    selection = np.zeros(n, dtype=np.uint8)
+    cc = c
+    for i in range(n - 1, -1, -1):
+        if take[i, cc >> 3] >> (cc & 7) & 1:
+            selection[i] = 1
+            cc -= int(instance.weights[i])
+    return int(dp[c]), selection
+
+
+def brute_force_optimal(instance: KnapsackInstance) -> int:
+    """Exhaustive maximum over all 2^n subsets; the oracle of criterion 4."""
+    n = instance.n
+    if n > 24:
+        raise ValueError(f"brute force refused for n={n} > 24")
+    wsum = np.zeros(1, dtype=np.int64)
+    psum = np.zeros(1, dtype=np.int64)
+    for w, p in zip(instance.weights, instance.profits):
+        wsum = np.concatenate([wsum, wsum + w])
+        psum = np.concatenate([psum, psum + p])
+    feasible = wsum <= instance.capacity
+    return int(psum[feasible].max()) if feasible.any() else 0
 
 
 def repair_oracle(instance: KnapsackInstance, selection) -> np.ndarray:

@@ -30,6 +30,7 @@ import pytest
 from conftest import (
     ACCEPTANCE_LINES,
     ALL_KINDS,
+    brute_force_optimal,
     clamp_bound,
     load_config,
     true_correction,
@@ -146,8 +147,7 @@ class TestMathCriteria:
             inst = knapsack.generate(kind, n, int(rng.integers(1, 21)) * 10,
                                      float(rng.uniform(0.2, 0.8)),
                                      int(rng.integers(0, 2**32)))
-            if knapsack.dp_optimal(inst)[0] != \
-                    knapsack.brute_force_optimal(inst):
+            if knapsack.dp_optimal(inst)[0] != brute_force_optimal(inst):
                 mismatches += 1
         report(4, "exact solver oracle", mismatches == 0,
                f"{mismatches} mismatches over 200 instances")

@@ -1,19 +1,24 @@
 """Instance generation, exact solvers, repair and file IO."""
 
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import repair_oracle
+from conftest import (
+    brute_force_optimal,
+    dp_full_oracle,
+    load_config,
+    repair_oracle,
+)
 from vcbpso import knapsack
 from vcbpso.errors import ConfigError, ParseError, ResourceError
 from vcbpso.knapsack import (
     FLOAT_EXACT_LIMIT,
     KnapsackInstance,
     KnapsackObjective,
-    brute_force_optimal,
     dp_optimal,
     evaluate,
     generate,
@@ -43,6 +48,32 @@ def instance_and_rows(draw, max_value=6):
     bits = draw(st.lists(st.integers(0, 1), min_size=k * n, max_size=k * n))
     inst = KnapsackInstance(np.array(weights), np.array(profits), capacity)
     return inst, np.array(bits, dtype=np.uint8).reshape(k, n)
+
+
+@st.composite
+def dp_instances(draw):
+    """Generated UCI/WCI/SCI instances at S = 0.05, 0.5 and 0.95, or free
+    ones: items heavier than the capacity, c = 0 and every item fitting
+    all occur, and profits up to 2**30 often sum past 2**31, where the
+    value row is int64."""
+    if draw(st.booleans()):
+        return generate(draw(st.sampled_from(["UCI", "WCI", "SCI"])),
+                        draw(st.integers(1, 40)), draw(st.integers(1, 20)) * 10,
+                        draw(st.sampled_from([0.05, 0.5, 0.95])),
+                        draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 12))
+    top = draw(st.sampled_from([60, 2**30]))
+    weights = draw(st.lists(st.integers(1, 60), min_size=n, max_size=n))
+    profits = draw(st.lists(st.integers(1, top), min_size=n, max_size=n))
+    capacity = draw(st.integers(0, sum(weights) + 10))
+    return KnapsackInstance(np.array(weights), np.array(profits), capacity)
+
+
+def dp_need(inst) -> int:
+    """The byte count the memory guard of ``dp_optimal`` reports."""
+    with pytest.raises(ResourceError) as exc:
+        dp_optimal(inst, memory_limit=0)
+    return int(re.search(r"needs (\d+) bytes", str(exc.value)).group(1))
 
 
 def assert_matches_oracle(inst, rows):
@@ -187,8 +218,8 @@ class TestSolvers:
             dp_optimal(inst, memory_limit=1000)
 
     def test_dp_memory_guard_counts_the_value_rows(self):
-        # the packed choice matrix (125 kB) fits the limit; the int64 value
-        # and candidate rows (16 MB) do not, and nothing is allocated
+        # the item's band is empty, so there are no choice bits; the int32
+        # value row (4 MB) does not fit the limit, and nothing is allocated
         inst = KnapsackInstance(np.array([1]), np.array([1]), 10**6)
         tracemalloc.start()
         try:
@@ -208,6 +239,37 @@ class TestSolvers:
             sel = selection.astype(bool)
             assert inst.weights[sel].sum() <= inst.capacity
             assert inst.profits[sel].sum() == profit
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(dp_instances())
+    @example(KnapsackInstance(np.array([5]), np.array([3]), 0))
+    @example(KnapsackInstance(np.array([4]), np.array([3]), 9))
+    @example(KnapsackInstance(np.array([7, 2, 9]), np.array([1, 1, 4]), 5))
+    @example(KnapsackInstance(np.array([3, 1, 2]), np.array([4, 2, 2]), 6))
+    @example(KnapsackInstance(np.array([1, 1]),
+                              np.array([2**30, 2**30 - 1]), 2))
+    @example(KnapsackInstance(np.array([1, 1]), np.array([2**30, 2**30]), 2))
+    def test_dp_matches_full_table_oracle(self, inst):
+        profit, selection = dp_optimal(inst)
+        want_profit, want_selection = dp_full_oracle(inst)
+        assert profit == want_profit
+        assert selection.dtype == np.uint8
+        assert np.array_equal(selection, want_selection)
+
+    @pytest.mark.parametrize("inst", [
+        load_config("scaling.cfg").instance.load(),
+        KnapsackInstance(np.array([1]), np.array([1]), 10**6),
+    ], ids=["scaling.cfg", "n=1,c=10**6"])
+    def test_dp_memory_guard_counts_what_is_allocated(self, inst):
+        need = dp_need(inst)
+        tracemalloc.start()
+        try:
+            dp_optimal(inst)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert abs(peak - need) <= 16 * 1024, (need, peak)
 
 
 class TestRepairAndEvaluate:
