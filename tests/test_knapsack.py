@@ -54,17 +54,18 @@ def instance_and_rows(draw, max_value=6):
 def dp_instances(draw):
     """Generated UCI/WCI/SCI instances at S = 0.05, 0.5 and 0.95, or free
     ones: items heavier than the capacity, c = 0 and every item fitting
-    all occur, and profits up to 2**30 often sum past 2**31, where the
-    value row is int64."""
+    all occur, and profits from 2**29 up sum past 2**31 once four items
+    fit, where the value row is int64."""
     if draw(st.booleans()):
         return generate(draw(st.sampled_from(["UCI", "WCI", "SCI"])),
                         draw(st.integers(1, 40)), draw(st.integers(1, 20)) * 10,
                         draw(st.sampled_from([0.05, 0.5, 0.95])),
                         draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(1, 12))
-    top = draw(st.sampled_from([60, 2**30]))
+    least, most = draw(st.sampled_from([(1, 60), (2**29, 2**30)]))
     weights = draw(st.lists(st.integers(1, 60), min_size=n, max_size=n))
-    profits = draw(st.lists(st.integers(1, top), min_size=n, max_size=n))
+    profits = draw(st.lists(st.integers(least, most), min_size=n,
+                            max_size=n))
     capacity = draw(st.integers(0, sum(weights) + 10))
     return KnapsackInstance(np.array(weights), np.array(profits), capacity)
 
@@ -240,9 +241,10 @@ class TestSolvers:
             assert inst.weights[sel].sum() <= inst.capacity
             assert inst.profits[sel].sum() == profit
 
-
     @settings(max_examples=300, deadline=None)
     @given(dp_instances())
+    # c = 0, n = 1 fitting, some items too heavy, every item fitting, and
+    # fitting profits summing to 2**31 - 1 (int32) and to 2**31 (int64)
     @example(KnapsackInstance(np.array([5]), np.array([3]), 0))
     @example(KnapsackInstance(np.array([4]), np.array([3]), 9))
     @example(KnapsackInstance(np.array([7, 2, 9]), np.array([1, 1, 4]), 5))
