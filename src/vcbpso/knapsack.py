@@ -135,8 +135,11 @@ def dp_optimal(instance: KnapsackInstance,
     w = instance.weights[fit]
     p = instance.profits[fit]
     upto = np.cumsum(w)
-    lo = np.maximum(w, c - (upto[-1] - upto))
-    hi = np.minimum(upto, c + 1)
+    # capacities from the total fitting weight up give the same (empty)
+    # bands, and this keeps capacities beyond int64 out of the arithmetic
+    cap = min(c, int(upto[-1]))
+    lo = np.maximum(w, cap - (upto[-1] - upto))
+    hi = np.minimum(upto, cap + 1)
     del upto
     band = np.maximum(hi - lo, 0)
     longest = int(band.max())

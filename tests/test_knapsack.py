@@ -218,6 +218,12 @@ class TestSolvers:
         with pytest.raises(ResourceError):
             dp_optimal(inst, memory_limit=1000)
 
+    @pytest.mark.parametrize("capacity", [2**63 - 1, 2**63 + 5, 10**400])
+    def test_dp_memory_guard_beyond_int64(self, capacity):
+        inst = KnapsackInstance(np.array([3, 5]), np.array([1, 2]), capacity)
+        with pytest.raises(ResourceError):
+            dp_optimal(inst)
+
     def test_dp_memory_guard_counts_the_value_rows(self):
         # the item's band is empty, so there are no choice bits; the int32
         # value row (4 MB) does not fit the limit, and nothing is allocated
