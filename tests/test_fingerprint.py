@@ -7,7 +7,9 @@ variants, metrics and traces on. The sha256 of ``runs.csv``,
 ``metrics_<variant>.csv``, and of one trace's decompressed text and its
 ``vcbpso metrics`` stdout and two CSVs are pinned below, and so are the
 stdout and the ``.sol`` selection file of ``vcbpso solve`` on the d=500
-instance of ``configs/scaling.cfg``. A change to any digest is a
+instance of ``configs/scaling.cfg``. ``PARTIAL_PINS`` digests every
+output of a second cut (d=40, T=60, 3 repetitions: 24 runs, which the
+harness's run groups do not divide evenly). A change to any digest is a
 behaviour change, also when every other test still passes.
 
 The pins were generated with numpy 2.4.6 (Python 3.11.7). Regenerate them
@@ -57,6 +59,17 @@ PINS = {
     f"{TRACE}_aggregate_metrics.csv": "d6a0b26369bb692625c5ee24272f535ff823835722f29d218c3267786f7fbdf9",
 }
 
+# 24 runs of low_dim.cfg at d=40, T=60, 3 repetitions, traces and metrics
+# on. Every output kind is digested, the files of one kind in name order
+# (traces decompressed).
+PARTIAL_PINS = {
+    "runs": "5d4ea93c74109a91e287bc30b56fb9a31cff886b0ef9e96410c41324a34e9b38",
+    "aggregate": "ae09e788ff69d3a0d7a0e43cc23cd71e63b38b0565dfc923c8e97149ef0060cc",
+    "curve_": "0c9ccec3ea425534a6d9938ed243be5de5ad17717b1a105acefb45fe1b5892f4",
+    "metrics_": "9647298229e87455e5d9d968e5f01b4dd030dc791a0a35d010da1726c2e43d13",
+    "trace_": "f9b6ee52afca4cb2aa803fcfdea5051f56452e6b4891ac434b493cd72a64dca8",
+}
+
 SOLVE_PINS = {
     "solve stdout": "94e9d2955dc5a856a581edec593e46e9e434f12a92bfabc87cae73075c6613cb",
     "solve .sol": "6c369bda19b8853f4c94a68450b075cc4e0fd98874bf9b8b5ddbdd5b380d3207",
@@ -87,6 +100,25 @@ def fingerprint(out_dir: str) -> dict[str, str]:
         if name.endswith(".csv"):
             with open(os.path.join(out_dir, name), "rb") as fh:
                 digests[name] = _sha256(fh.read())
+    return digests
+
+
+def partial_fingerprint(out_dir: str) -> dict[str, str]:
+    """Run the 24-run protocol of ``PARTIAL_PINS`` into ``out_dir``; one
+    digest per output kind."""
+    spec = load_config("low_dim.cfg")
+    run_experiment(replace(spec, instance=replace(spec.instance, n=40),
+                           iterations=60, repetitions=3, output_dir=out_dir,
+                           save_traces=True, compute_metrics=True))
+    digests = {}
+    for kind in ("runs", "aggregate", "curve_", "metrics_", "trace_"):
+        h = hashlib.sha256()
+        for name in sorted(os.listdir(out_dir)):
+            if name.startswith(kind):
+                opener = gzip.open if name.endswith(".gz") else open
+                with opener(os.path.join(out_dir, name), "rb") as fh:
+                    h.update(fh.read())
+        digests[kind] = h.hexdigest()
     return digests
 
 
@@ -122,6 +154,10 @@ def test_pinned_solve(tmp_path):
     assert solve_fingerprint(str(tmp_path)) == SOLVE_PINS
 
 
+def test_pinned_partial_group(tmp_path):
+    assert partial_fingerprint(str(tmp_path)) == PARTIAL_PINS
+
+
 def test_worker_pool_writes_the_in_process_bytes(tmp_path, monkeypatch):
     outputs = {}
     for cpus in ({0}, {0, 1}):
@@ -143,4 +179,7 @@ if __name__ == "__main__":
         for key, value in sorted(fingerprint(tmp).items()):
             print(f'    "{key}": "{value}",')
         for key, value in solve_fingerprint(tmp).items():
+            print(f'    "{key}": "{value}",')
+    with tempfile.TemporaryDirectory() as tmp:
+        for key, value in partial_fingerprint(tmp).items():
             print(f'    "{key}": "{value}",')
