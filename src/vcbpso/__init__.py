@@ -2,7 +2,6 @@
 benchmarks, exact oracles and exploration metrics."""
 
 from .engine import (
-    FunctionObjective,
     RunConfig,
     SwarmState,
     WSchedule,
@@ -15,7 +14,6 @@ from .transfer import TransferKind, correct, correct_oracle, sigm
 
 __all__ = [
     "ExperimentSpec",
-    "FunctionObjective",
     "InstanceSource",
     "KnapsackInstance",
     "KnapsackObjective",

@@ -170,17 +170,27 @@ def first_discovery_round(trace: RunTrace) -> int:
     return int(np.argmax(g == g[-1]))
 
 
+# Rows per write of write_particle_metrics_csv; one string per chunk
+# keeps its temporaries small whatever the trace length.
+_CSV_CHUNK_ROWS = 4096
+
+
 def write_particle_metrics_csv(d: np.ndarray, e: np.ndarray, path) -> None:
     """Schema: iteration,particle,dist,dist_eff (one row per pair), from
-    the ``dist`` and ``dist_eff`` matrices of one trace."""
+    the ``dist`` and ``dist_eff`` matrices of one trace. The bytes are
+    those of ``csv.writer``: integer cells, ``\\r\\n`` line ends."""
     iterations, m = d.shape
-    k = np.repeat(np.arange(1, iterations + 1), m)
-    i = np.tile(np.arange(m), iterations)
+    rows = np.empty((iterations * m, 4), dtype=np.int64)
+    rows[:, 0] = np.repeat(np.arange(1, iterations + 1), m)
+    rows[:, 1] = np.tile(np.arange(m), iterations)
+    rows[:, 2] = d.ravel()
+    rows[:, 3] = e.ravel()
     with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["iteration", "particle", "dist", "dist_eff"])
-        out.writerows(zip(k.tolist(), i.tolist(), d.ravel().tolist(),
-                          e.ravel().tolist()))
+        fh.write("iteration,particle,dist,dist_eff\r\n")
+        for start in range(0, len(rows), _CSV_CHUNK_ROWS):
+            chunk = rows[start:start + _CSV_CHUNK_ROWS]
+            fh.write("%d,%d,%d,%d\r\n" * len(chunk)
+                     % tuple(chunk.ravel().tolist()))
 
 
 def write_aggregate_metrics_csv(mean_dist: np.ndarray,

@@ -49,11 +49,15 @@ class RunTrace:
     dimensions: int
     gbest_fitness: np.ndarray   # (records,) float64
     flip_counts: np.ndarray     # (records, swarm_size) int64; row 0 is zeros
-    positions: np.ndarray       # (records, swarm_size, words) uint64, packed
+    # (records, swarm_size, words) uint64, packed; None when the run kept
+    # no positions (``engine.run_block`` with ``keep_positions`` false)
+    positions: np.ndarray | None
 
     def __post_init__(self):
-        if not (len(self.gbest_fitness) == len(self.flip_counts)
-                == len(self.positions)):
+        lengths = {len(self.gbest_fitness), len(self.flip_counts)}
+        if self.positions is not None:
+            lengths.add(len(self.positions))
+        if len(lengths) != 1:
             raise ValueError("record arrays must have equal length")
 
     @property
@@ -66,7 +70,7 @@ class RunTrace:
 
     @property
     def swarm_size(self) -> int:
-        return self.positions.shape[1]
+        return self.flip_counts.shape[1]
 
     def position_bits(self, k: int, particle: int | None = None) -> np.ndarray:
         """Unpacked 0/1 positions at record k, one particle or the full swarm."""
@@ -138,24 +142,37 @@ class RunTrace:
 
 
 class TraceBuilder:
-    """Accumulates records during a run; produces a RunTrace."""
+    """Accumulates the records of a block of runs, one record per call to
+    :meth:`record`; produces one RunTrace per run."""
 
-    def __init__(self, dimensions: int):
+    def __init__(self, dimensions: int, runs: int, swarm_size: int,
+                 records: int, keep_positions: bool = True):
         self.dimensions = dimensions
-        self._gbest: list[float] = []
-        self._flips: list[np.ndarray] = []
-        self._positions: list[np.ndarray] = []
+        self._count = 0
+        # one contiguous slab per run, so that its trace is a view
+        self._gbest = np.empty((runs, records))
+        self._flips = np.empty((runs, records, swarm_size), dtype=np.int64)
+        self._positions = (
+            np.empty((runs, records, swarm_size, (dimensions + 63) // 64),
+                     dtype="<u8") if keep_positions else None)
 
-    def record(self, gbest_fitness: float, flip_counts: np.ndarray,
+    def record(self, gbest_fitness: np.ndarray, flip_counts: np.ndarray,
                position_bits: np.ndarray) -> None:
-        self._gbest.append(float(gbest_fitness))
-        self._flips.append(np.asarray(flip_counts, dtype=np.int64))
-        self._positions.append(pack_bits(position_bits))
+        """gbest_fitness (runs,); flip_counts (runs*m,); position_bits
+        (runs*m, d), run r in rows r*m:(r+1)*m."""
+        k = self._count
+        self._gbest[:, k] = gbest_fitness
+        self._flips[:, k] = flip_counts.reshape(self._flips[:, k].shape)
+        if self._positions is not None:
+            slot = self._positions[:, k]
+            slot[...] = pack_bits(position_bits).reshape(slot.shape)
+        self._count += 1
 
-    def build(self) -> RunTrace:
-        return RunTrace(
-            self.dimensions,
-            np.array(self._gbest, dtype=np.float64),
-            np.stack(self._flips),
-            np.stack(self._positions),
-        )
+    def build(self) -> list[RunTrace]:
+        if self._count != self._gbest.shape[1]:
+            raise ValueError(f"{self._count} of {self._gbest.shape[1]} "
+                             f"records written")
+        return [RunTrace(self.dimensions, self._gbest[r], self._flips[r],
+                         None if self._positions is None
+                         else self._positions[r])
+                for r in range(len(self._gbest))]

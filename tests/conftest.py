@@ -1,7 +1,8 @@
 """Shared fixtures and oracles: the velocity grid used by the correction
 checks, a small reference knapsack instance, the full-table and
 brute-force knapsack solvers, the scalar repair, the whole-array VT2
-transfer and the experiment protocols of ``configs/``."""
+transfer, a function objective for the engine and the experiment
+protocols of ``configs/``."""
 
 import os
 
@@ -133,6 +134,19 @@ def brute_force_optimal(instance: KnapsackInstance) -> int:
         psum = np.concatenate([psum, psum + p])
     feasible = wsum <= instance.capacity
     return int(psum[feasible].max()) if feasible.any() else 0
+
+
+class FunctionObjective:
+    """Wraps a plain bits -> fitness function as an engine Objective,
+    one call per row."""
+
+    def __init__(self, fn, dimensions: int):
+        self._fn = fn
+        self.dimensions = dimensions
+
+    def evaluate_swarm(self, positions):
+        fitness = np.array([self._fn(row) for row in positions], dtype=np.float64)
+        return fitness, positions.copy()
 
 
 def repair_oracle(instance: KnapsackInstance, selection) -> np.ndarray:

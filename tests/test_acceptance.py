@@ -159,10 +159,10 @@ class TestMathCriteria:
         for _ in range(50):
             d = int(rng.integers(8, 65))
             bits = rng.integers(0, 2, size=(201, 5, d)).astype(np.uint8)
-            builder = TraceBuilder(d)
+            builder = TraceBuilder(d, 1, 5, len(bits))
             for pos in bits:
-                builder.record(0.0, np.zeros(5, np.int64), pos)
-            trace = builder.build()
+                builder.record(np.zeros(1), np.zeros(5, np.int64), pos)
+            trace = builder.build()[0]
             eff = metrics.dist_eff_matrix(trace)
             signed = bits.astype(np.int16)
             for i in range(5):

@@ -3,15 +3,17 @@ determinism and best-tracking invariants."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import repair_oracle
+from conftest import FunctionObjective, repair_oracle
 from vcbpso.engine import (
-    FunctionObjective,
+    Block,
     RunConfig,
     SwarmState,
     WSchedule,
     init_swarm,
     run,
+    run_block,
     step_swarm,
     w_at,
 )
@@ -186,8 +188,8 @@ class TestStepSwarm:
             velocities=np.asarray(velocities, dtype=np.float64),
             pbest_positions=positions.copy(),
             pbest_fitness=fitness.astype(np.float64),
-            gbest_position=positions[best].copy(),
-            gbest_fitness=float(fitness[best]),
+            gbest_position=positions[[best]],
+            gbest_fitness=fitness[[best]].astype(np.float64),
         )
 
     def test_all_zero_velocities_noop(self):
@@ -196,7 +198,7 @@ class TestStepSwarm:
         obj = count_ones(3)
         state = self._state([[1, 0, 1], [0, 1, 0]], np.zeros((2, 3)), obj)
         rng = QueueRng([np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((2, 3))])
-        state, flips = step_swarm(state, cfg, obj, rng)
+        state, flips = step_swarm(state, Block([cfg]), obj, [rng])
         assert np.array_equal(state.positions, [[1, 0, 1], [0, 1, 0]])
         assert np.array_equal(state.velocities, np.zeros((2, 3)))
         assert np.array_equal(flips, [0, 0])
@@ -208,7 +210,7 @@ class TestStepSwarm:
         obj = constant_zero(1)
         state = self._state([[1]], [[2.0]], obj)
         rng = QueueRng([[[0.3]], [[0.9]], [[0.1]]])
-        state, flips = step_swarm(state, cfg, obj, rng)
+        state, flips = step_swarm(state, Block([cfg]), obj, [rng])
         assert state.positions[0, 0] == 0
         assert state.velocities[0, 0] == 0.5
         assert flips[0] == 1
@@ -224,7 +226,7 @@ class TestStepSwarm:
         seen_bits, seen_v = [], []
         for _ in range(4):
             rng = QueueRng([[[0.0]], [[0.0]], [[0.0]]])
-            state, flips = step_swarm(state, cfg, obj, rng)
+            state, flips = step_swarm(state, Block([cfg]), obj, [rng])
             assert flips[0] == 1
             seen_bits.append(int(state.positions[0, 0]))
             seen_v.append(float(state.velocities[0, 0]))
@@ -240,7 +242,7 @@ class TestStepSwarm:
         obj = constant_zero(1)
         state = self._state([[1]], [[2.0]], obj)
         rng = QueueRng([[[0.3]], [[0.9]], [[0.1]]])
-        state, _ = step_swarm(state, cfg, obj, rng)
+        state, _ = step_swarm(state, Block([cfg]), obj, [rng])
         assert state.positions[0, 0] == 0
         assert state.velocities[0, 0] == 2.0
 
@@ -250,7 +252,7 @@ class TestStepSwarm:
         obj = constant_zero(1)
         state = self._state([[1]], [[2.0]], obj)  # w*v = 8, clamps to 5
         rng = QueueRng([[[0.0]], [[0.0]], [[0.99]]])
-        state, _ = step_swarm(state, cfg, obj, rng)
+        state, _ = step_swarm(state, Block([cfg]), obj, [rng])
         assert state.velocities[0, 0] == 5.0
 
     @pytest.mark.parametrize("corrected", [True, False],
@@ -267,7 +269,8 @@ class TestStepSwarm:
                           c1=3.0, c2=3.0, swarm_size=5, dimensions=40,
                           seed=77, w=WSchedule(1.2, 0.4), max_iterations=3)
         rng = np.random.Generator(np.random.PCG64(cfg.seed))
-        state = init_swarm(cfg, obj, rng)
+        block = Block([cfg])
+        state = init_swarm(block, obj, [rng])
 
         shadow = np.random.Generator(np.random.PCG64(cfg.seed))
         x = (shadow.random((5, 40)) < 0.5).astype(np.uint8)
@@ -298,14 +301,14 @@ class TestStepSwarm:
             if pf.max() > gf:
                 gb, gf = pb[pf.argmax()].copy(), pf.max()
 
-            state, flip_counts = step_swarm(state, cfg, obj, rng)
+            state, flip_counts = step_swarm(state, block, obj, [rng])
             assert np.array_equal(state.positions, x)
             assert np.array_equal(state.velocities, v)
             assert np.array_equal(flip_counts, flips.sum(axis=1))
             assert np.array_equal(state.pbest_positions, pb)
             assert np.array_equal(state.pbest_fitness, pf)
-            assert np.array_equal(state.gbest_position, gb)
-            assert state.gbest_fitness == gf
+            assert np.array_equal(state.gbest_position, [gb])
+            assert np.array_equal(state.gbest_fitness, [gf])
         assert repairs > 0
         if not corrected:
             assert np.abs(state.velocities).max() == vmax  # the clip ran
@@ -349,23 +352,26 @@ class TestRun:
                           dimensions=16, max_iterations=50, seed=11)
         obj = count_ones(16)
         rng = np.random.Generator(np.random.PCG64(cfg.seed))
-        state = init_swarm(cfg, obj, rng)
+        block = Block([cfg])
+        state = init_swarm(block, obj, [rng])
         for _ in range(cfg.max_iterations):
-            state, _ = step_swarm(state, cfg, obj, rng)
+            state, _ = step_swarm(state, block, obj, [rng])
             assert float(np.abs(state.velocities).max()) <= 5.0
 
     def test_pbest_monotone_and_consistent(self):
         cfg = make_config(dimensions=16, max_iterations=50, seed=5)
         obj = count_ones(16)
         rng = np.random.Generator(np.random.PCG64(cfg.seed))
-        state = init_swarm(cfg, obj, rng)
+        block = Block([cfg])
+        state = init_swarm(block, obj, [rng])
         prev = state.pbest_fitness.copy()
         for _ in range(cfg.max_iterations):
-            state, _ = step_swarm(state, cfg, obj, rng)
+            state, _ = step_swarm(state, block, obj, [rng])
             assert np.all(state.pbest_fitness >= prev)
             recomputed = state.pbest_positions.sum(axis=1)
             assert np.array_equal(recomputed, state.pbest_fitness)
-            assert state.gbest_fitness == state.pbest_fitness.max()
+            assert np.array_equal(state.gbest_fitness,
+                                  [state.pbest_fitness.max()])
             prev = state.pbest_fitness.copy()
 
     def test_flip_counts_match_position_deltas(self):
@@ -374,3 +380,61 @@ class TestRun:
         for k in range(1, trace.n_records):
             delta = trace.position_bits(k) ^ trace.position_bits(k - 1)
             assert np.array_equal(delta.sum(axis=1), trace.flip_counts[k])
+
+
+# Runs of every kind, corrected and not, with constant and ramped w and
+# several vmax values, for the block tests.
+BLOCK_VARIANTS = [
+    (TransferKind.VT1, True, "1.0", None),
+    (TransferKind.VT1, False, "0.6", 5.0),
+    (TransferKind.VT2, True, "1.2-0.4", None),
+    (TransferKind.VT2, False, "1.0-0.4", 3.0),
+    (TransferKind.VT3, True, "1.2-0.99", None),
+    (TransferKind.VT3, False, "0.9", 6.0),
+    (TransferKind.VT4, True, "1.0-0.99", None),
+    (TransferKind.VT4, False, "1.0-0.4", 4.0),
+]
+
+
+class TestRunBlock:
+    @settings(max_examples=40, deadline=None)
+    @given(order=st.permutations(range(len(BLOCK_VARIANTS))),
+           extra=st.lists(st.integers(0, len(BLOCK_VARIANTS) - 1),
+                          max_size=4),
+           by_kind=st.booleans(),
+           m=st.integers(1, 6), d=st.integers(1, 70),
+           iterations=st.integers(2, 12), seed=st.integers(0, 2**32),
+           s=st.sampled_from([0.1, 0.5, 0.9]))
+    def test_block_replays_separate_runs(self, order, extra, by_kind, m, d,
+                                         iterations, seed, s):
+        """A block of mixed runs gives every run the trace of its own
+        ``run`` call, bit for bit: gbest curve, flip counts and packed
+        positions. Repeated variants and the harness's sort by kind put
+        runs with equal settings next to each other."""
+        picks = list(order) + extra
+        if by_kind:
+            picks.sort(key=lambda i: BLOCK_VARIANTS[i][0].value)
+        configs = [
+            make_config(kind=kind, correction_enabled=corrected,
+                        w=WSchedule.parse(w), vmax=vmax, swarm_size=m,
+                        dimensions=d, max_iterations=iterations,
+                        seed=seed + r)
+            for r, (kind, corrected, w, vmax) in enumerate(
+                BLOCK_VARIANTS[i] for i in picks)]
+        obj = KnapsackObjective(generate("UCI", d, 100, s, seed))
+        block = run_block(configs, obj)
+        bare = run_block(configs, obj, keep_positions=False)
+        for config, got, lean in zip(configs, block, bare):
+            want = run(config, obj)
+            assert np.array_equal(got.gbest_fitness, want.gbest_fitness)
+            assert np.array_equal(got.flip_counts, want.flip_counts)
+            assert np.array_equal(got.positions, want.positions)
+            assert np.array_equal(lean.gbest_fitness, want.gbest_fitness)
+            assert np.array_equal(lean.flip_counts, want.flip_counts)
+            assert lean.positions is None and lean.swarm_size == m
+
+    def test_runs_must_share_the_swarm_settings(self):
+        for kw in (dict(swarm_size=5), dict(dimensions=9),
+                   dict(max_iterations=11), dict(c1=1.0), dict(c2=1.0)):
+            with pytest.raises(ConfigError, match="the runs of a block"):
+                run_block([make_config(), make_config(**kw)], count_ones(8))

@@ -16,10 +16,12 @@ from vcbpso.cli import main
 from vcbpso.engine import WSchedule
 from vcbpso.errors import ConfigError, ParseError
 from vcbpso.harness import (
+    GROUP_ELEMENTS,
     ExperimentSpec,
     InstanceSource,
     Variant,
     derive_seed,
+    group_size,
     paired,
     parse_config,
     run_experiment,
@@ -377,9 +379,34 @@ class TestRunExperiment:
         assert rows[1][0] == "0"
 
 
+class TestGroupSize:
+    def test_d500_runs_alone(self):
+        assert group_size(160, 2, 20, 500) == 1
+        assert group_size(160, 1, 20, 500) == 1
+
+    def test_d100_groups_of_four(self):
+        assert group_size(8, 2, 20, 100) == 4
+        assert group_size(160, 2, 20, 100) == 4
+
+    def test_at_most_the_runs_per_worker(self):
+        assert group_size(3, 1, 1, 1) == 3
+        assert group_size(9, 4, 1, 1) == 2
+
+    def test_never_fewer_groups_than_workers(self):
+        for runs in range(1, 41):
+            for workers in range(1, min(runs, 8) + 1):
+                for m, d in ((1, 1), (6, 30), (20, 40), (20, 100),
+                             (20, 500), (100, 100)):
+                    size = group_size(runs, workers, m, d)
+                    assert size >= 1
+                    assert size * m * d <= max(GROUP_ELEMENTS, m * d)
+                    assert -(-runs // size) >= workers
+
+
 class TestWorkerPool:
     """Runs on the worker pool, forced by reporting two CPUs. The fakes of
-    ``harness.run`` reach the workers through fork."""
+    ``harness.run_block``, which steps each group of runs, reach the
+    workers through fork."""
 
     @pytest.fixture(autouse=True)
     def two_cpus(self, monkeypatch):
@@ -392,26 +419,26 @@ class TestWorkerPool:
     def test_one_cpu_runs_in_process(self, tmp_path, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         pids = []
-        real_run = harness.run
+        real_run_block = harness.run_block
 
-        def recording_run(config, objective):
-            pids.append(os.getpid())
-            return real_run(config, objective)
+        def recording_run_block(configs, objective, **kw):
+            pids.extend([os.getpid()] * len(configs))
+            return real_run_block(configs, objective, **kw)
 
-        monkeypatch.setattr(harness, "run", recording_run)
+        monkeypatch.setattr(harness, "run_block", recording_run_block)
         run_experiment(self._spec(tmp_path))
         assert pids == [os.getpid()] * 6
 
     def test_run_error_is_raised_and_no_table_written(self, tmp_path,
                                                       monkeypatch):
-        real_run = harness.run
+        real_run_block = harness.run_block
 
-        def refusing_run(config, objective):
-            if config.kind is TransferKind.VT1:
+        def refusing_run_block(configs, objective, **kw):
+            if any(config.kind is TransferKind.VT1 for config in configs):
                 raise ConfigError(f"VT1 refused in process {os.getpid()}")
-            return real_run(config, objective)
+            return real_run_block(configs, objective, **kw)
 
-        monkeypatch.setattr(harness, "run", refusing_run)
+        monkeypatch.setattr(harness, "run_block", refusing_run_block)
         with pytest.raises(ConfigError,
                            match=r"^VT1 refused in process \d+$") as info:
             run_experiment(self._spec(tmp_path))
@@ -422,18 +449,23 @@ class TestWorkerPool:
     def test_runs_not_started_are_dropped_after_an_error(self, tmp_path,
                                                          monkeypatch):
         spec = self._spec(tmp_path, repetitions=6)
-        first_seed = derive_seed(spec.base_seed, 0, 0)
+        # one run per group, so that every run is its own task; the runs
+        # execute sorted by transfer kind, so the VT1 variant's come first
+        monkeypatch.setattr(harness, "GROUP_ELEMENTS", 1)
+        first_seed = derive_seed(spec.base_seed, 2, 0)
         started = tmp_path / "started"
         started.mkdir()
 
-        def slow_run(config, objective):
-            if config.seed == first_seed:
+        def slow_run_block(configs, objective, **kw):
+            seeds = [config.seed for config in configs]
+            if first_seed in seeds:
                 raise ConfigError("first run refused")
-            (started / str(config.seed)).touch()
+            for seed in seeds:
+                (started / str(seed)).touch()
             time.sleep(0.2)
             raise ConfigError("later run refused")
 
-        monkeypatch.setattr(harness, "run", slow_run)
+        monkeypatch.setattr(harness, "run_block", slow_run_block)
         with pytest.raises(ConfigError, match="first run refused"):
             run_experiment(spec)
         # 17 runs follow the first; only those already handed to a
@@ -444,12 +476,12 @@ class TestWorkerPool:
                                           capsys):
         test_pid = os.getpid()
 
-        def dying_run(config, objective):
+        def dying_run_block(configs, objective, **kw):
             # a run that missed the pool must not kill the test process
             assert os.getpid() != test_pid
             os._exit(3)
 
-        monkeypatch.setattr(harness, "run", dying_run)
+        monkeypatch.setattr(harness, "run_block", dying_run_block)
         config = tmp_path / "exp.cfg"
         config.write_text(good_config(tmp_path / "out"))
         assert main(["run", "--config", str(config)]) == 2

@@ -309,6 +309,25 @@ class TestCsvWriters:
         assert rows[1] == ["1", "0", "2", "2"]
         assert rows[2] == ["2", "0", "4", "2"]
 
+    @pytest.mark.parametrize("iterations,m", [(0, 3), (1, 1), (7, 5),
+                                              (205, 20)])
+    def test_particle_csv_bytes_are_csv_writer_bytes(self, tmp_path,
+                                                     iterations, m):
+        # 205 x 20 rows span two of the writer's chunks
+        rng = np.random.Generator(np.random.PCG64(iterations))
+        d = rng.integers(0, 10**6, size=(iterations, m))
+        e = rng.integers(0, 10**6, size=(iterations, m))
+        path = tmp_path / "particle.csv"
+        metrics.write_particle_metrics_csv(d, e, path)
+        want = tmp_path / "want.csv"
+        with open(want, "w", newline="") as fh:
+            out = csv.writer(fh)
+            out.writerow(["iteration", "particle", "dist", "dist_eff"])
+            for k in range(iterations):
+                for i in range(m):
+                    out.writerow([k + 1, i, int(d[k, i]), int(e[k, i])])
+        assert path.read_bytes() == want.read_bytes()
+
     def test_aggregate_csv_schema(self, tmp_path):
         t = single_particle_trace("0000", "1100", "0011")
         path = tmp_path / "agg.csv"

@@ -28,12 +28,12 @@ def build_trace(positions, gbest=None, flips=None):
     """positions: list of (m, d) 0/1 arrays, one per record."""
     positions = [np.asarray(p, dtype=np.uint8) for p in positions]
     m, d = positions[0].shape
-    builder = TraceBuilder(d)
+    builder = TraceBuilder(d, 1, m, len(positions))
     for k, pos in enumerate(positions):
         g = gbest[k] if gbest is not None else 0.0
         f = flips[k] if flips is not None else np.zeros(m, np.int64)
-        builder.record(g, f, pos)
-    return builder.build()
+        builder.record(np.array([g]), np.asarray(f), pos)
+    return builder.build()[0]
 
 
 def save_bad_trace(path, edits):
@@ -102,6 +102,28 @@ class TestRunTrace:
         with pytest.raises(ValueError):
             RunTrace(2, np.zeros(2), np.zeros((3, 1), np.int64),
                      np.zeros((2, 1, 1), np.uint64))
+
+    def test_builder_refuses_missing_records(self):
+        builder = TraceBuilder(4, 2, 3, 3)
+        for _ in range(2):
+            builder.record(np.zeros(2), np.zeros(6, np.int64),
+                           np.zeros((6, 4), np.uint8))
+        with pytest.raises(ValueError, match="2 of 3 records"):
+            builder.build()
+
+    def test_builder_splits_a_block_by_run(self):
+        rng = np.random.Generator(np.random.PCG64(3))
+        bits = rng.integers(0, 2, size=(4, 6, 70)).astype(np.uint8)
+        flips = rng.integers(0, 70, size=(4, 6))
+        builder = TraceBuilder(70, 2, 3, 4)
+        for k in range(4):
+            builder.record(np.array([k, -k]), flips[k], bits[k])
+        first, second = builder.build()
+        assert np.array_equal(first.gbest_fitness, [0, 1, 2, 3])
+        assert np.array_equal(second.gbest_fitness, [0, -1, -2, -3])
+        assert np.array_equal(second.flip_counts, flips[:, 3:])
+        assert np.array_equal(first.positions, pack_bits(bits[:, :3]))
+        assert np.array_equal(second.positions, pack_bits(bits[:, 3:]))
 
     @pytest.mark.parametrize("name", ["t.txt", "t.txt.gz"])
     def test_save_load_round_trip(self, tmp_path, name):
