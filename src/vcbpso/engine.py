@@ -10,7 +10,7 @@ value. Personal and global bests update on strict improvement only.
 Runs that share swarm size, dimensions, iterations, c1 and c2 can be
 stepped in lockstep as one :class:`Block` of R runs, an (R*m, d) swarm,
 which pays numpy's per-call cost once for all R: where that cost
-dominates the step (d=100, m=20), a block of 4 steps 1.4-1.7x faster
+dominates the step (d=100, m=20), a block of 4 steps 1.6-1.8x faster
 than its runs one by one (``BENCH_5.json``). Every operation acts on
 each element or row by itself, so each run's trace is bit for bit that
 of the run alone; :func:`run` is the block of one run.
@@ -192,8 +192,8 @@ class Block:
             (sl, kind) for sl, (kind, on) in _segments(
                 self.rows, [(c.kind, c.correction_enabled)
                             for c in self.configs]) if on]
-        # one float and one int8 scratch block; each run's generator
-        # fills its own rows of the float one
+        # the step's scratch arrays; each run's generator fills its own
+        # rows of draw
         self.draw = np.empty((self.runs * m, d))
         self.pull = np.empty((self.runs * m, d), dtype=np.int8)
         self.flips = np.empty((self.runs * m, d), dtype=bool)

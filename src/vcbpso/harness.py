@@ -365,9 +365,9 @@ def _worker_count(runs: int) -> int:
 
 # Particles x dimensions of one run group. Stepping runs as one block pays
 # numpy's per-call cost once for the group: at d=100, m=20 blocks of 4
-# runs stepped 1.3-1.6x faster than 4 single runs, while at d=500 a block
-# of 2 was no faster (BENCH_5.json). This gives 4 runs at d=100, m=20 and
-# 1 at d=500.
+# runs stepped 1.6-1.8x faster than the same runs one by one, while at
+# d=500 blocks of 2 read 0.93-1.18x across sessions (BENCH_5.json). This
+# gives 4 runs at d=100, m=20 and 1 at d=500.
 GROUP_ELEMENTS = 8000
 
 

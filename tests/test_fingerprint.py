@@ -60,8 +60,10 @@ PINS = {
 }
 
 # 24 runs of low_dim.cfg at d=40, T=60, 3 repetitions, traces and metrics
-# on. Every output kind is digested, the files of one kind in name order
-# (traces decompressed).
+# on: at m=20, d=40 the harness's run groups hold 10 runs on 1 or 2 CPUs,
+# so the last group holds 4 VT4 runs, one corrected and three not. Every
+# output kind is digested, the files of one kind in name order (traces
+# decompressed).
 PARTIAL_PINS = {
     "runs": "5d4ea93c74109a91e287bc30b56fb9a31cff886b0ef9e96410c41324a34e9b38",
     "aggregate": "ae09e788ff69d3a0d7a0e43cc23cd71e63b38b0565dfc923c8e97149ef0060cc",
