@@ -10,7 +10,7 @@ from .engine import (
 from .harness import ExperimentSpec, InstanceSource, Variant, run_experiment
 from .knapsack import KnapsackInstance, KnapsackObjective
 from .trace import RunTrace
-from .transfer import TransferKind, correct, correct_oracle, sigm
+from .transfer import TransferKind, correct, sigm
 
 __all__ = [
     "ExperimentSpec",
@@ -24,7 +24,6 @@ __all__ = [
     "Variant",
     "WSchedule",
     "correct",
-    "correct_oracle",
     "run",
     "run_experiment",
     "sigm",

@@ -8,8 +8,6 @@ import csv
 import os
 import sys
 
-import numpy as np
-
 from . import harness, knapsack, metrics
 from .errors import ConfigError, ResourceError
 from .trace import RunTrace
@@ -60,9 +58,8 @@ def _cmd_metrics(args) -> int:
     d = metrics.dist_matrix(trace)
     e = metrics.dist_eff_matrix(trace)
     metrics.write_particle_metrics_csv(d, e, base + "_particle_metrics.csv")
-    metrics.write_aggregate_metrics_csv(
-        d.mean(axis=1), e.mean(axis=1), np.cumsum((d - e).sum(axis=1)),
-        base + "_aggregate_metrics.csv")
+    metrics.write_aggregate_metrics_csv(*metrics.aggregate_curves(d, e),
+                                        base + "_aggregate_metrics.csv")
     print(metrics.pujv_of(d, e, lo, hi))
     return 0
 

@@ -24,6 +24,8 @@ block, and the jump block, each (m, d).
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -43,21 +45,23 @@ class WSchedule:
     end: float
 
     def __post_init__(self):
-        if not (self.start > 0 and self.end > 0):
-            raise ConfigError("w schedule endpoints must be positive")
+        for w in (self.start, self.end):
+            if not (w > 0 and math.isfinite(w)):
+                raise ConfigError(f"w schedule endpoints must be positive "
+                                  f"and finite, got w={w!r}")
 
     @classmethod
     def parse(cls, text: str) -> "WSchedule":
-        """Accepts "a" (constant) or "a-b" (ramp) notation."""
-        parts = text.strip().split("-")
+        """Accepts "a" (constant) or "a-b" (ramp) notation; a number may
+        carry an exponent ("1e-3", "1.2-1e-2")."""
+        # a "-" right after e/E is an exponent's sign, not the ramp's dash
+        parts = re.split(r"(?<![eE])-", text.strip())
         try:
-            if len(parts) == 1:
-                w = float(parts[0])
-                return cls(w, w)
-            if len(parts) == 2:
-                return cls(float(parts[0]), float(parts[1]))
+            values = [float(part) for part in parts]
         except ValueError:
-            pass
+            values = []
+        if len(values) in (1, 2):
+            return cls(values[0], values[-1])
         raise ConfigError(f"bad w schedule: {text!r}")
 
     def check_run_length(self, max_iterations: int) -> None:
@@ -86,16 +90,21 @@ def check_run_settings(correction_enabled: bool, vmax: float | None,
                        w: WSchedule, c1: float, c2: float, swarm_size: int,
                        max_iterations: int) -> None:
     """Raise ConfigError unless these settings make a valid run: no vmax
-    with the correction, a positive vmax without it, c1, c2 >= 0,
-    swarm_size >= 1, max_iterations >= 0 and a w ramp that fits the run.
-    :class:`RunConfig` and ``harness.ExperimentSpec`` both check this."""
+    with the correction, a positive finite vmax without it, finite c1,
+    c2 >= 0, swarm_size >= 1, max_iterations >= 0 and a w ramp that fits
+    the run. :class:`RunConfig` and ``harness.ExperimentSpec`` both check
+    this."""
     if correction_enabled:
         if vmax is not None:
             raise ConfigError("correction mode runs without a vmax clamp")
-    elif vmax is None or not vmax > 0:
-        raise ConfigError("uncorrected mode needs a positive vmax")
-    if c1 < 0 or c2 < 0:
-        raise ConfigError("c1 and c2 must be >= 0")
+    elif vmax is None or not (vmax > 0 and math.isfinite(vmax)):
+        # an infinite vmax would clamp nothing
+        raise ConfigError(f"uncorrected mode needs a positive vmax that "
+                          f"is finite, got vmax={vmax!r}")
+    for name, c in (("c1", c1), ("c2", c2)):
+        if not (c >= 0 and math.isfinite(c)):
+            raise ConfigError(f"c1 and c2 must be finite and >= 0, "
+                              f"got {name}={c!r}")
     if swarm_size < 1:
         raise ConfigError("swarm size must be >= 1")
     if max_iterations < 0:

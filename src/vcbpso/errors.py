@@ -9,9 +9,5 @@ class ParseError(ConfigError):
     """Malformed config or instance file; message names the offending key/line."""
 
 
-class OracleError(RuntimeError):
-    """A test oracle failed to produce a reference value."""
-
-
 class ResourceError(RuntimeError):
     """A computation would exceed its memory budget."""

@@ -310,11 +310,8 @@ def _run_result(spec: ExperimentSpec, variant: Variant, repetition: int,
     dist_curve = dist_eff_curve = cum_curve = None
     total_pujv = None
     if spec.compute_metrics and spec.iterations >= 1:
-        d = metrics.dist_matrix(trace)
-        e = metrics.dist_eff_matrix(trace)
-        dist_curve = d.mean(axis=1)
-        dist_eff_curve = e.mean(axis=1)
-        cum_curve = np.cumsum((d - e).sum(axis=1))
+        dist_curve, dist_eff_curve, cum_curve = metrics.aggregate_curves(
+            metrics.dist_matrix(trace), metrics.dist_eff_matrix(trace))
         total_pujv = int(cum_curve[-1])
     return RunResult(
         variant=variant,

@@ -231,12 +231,6 @@ def repair(instance: KnapsackInstance, selection, *,
     return sel.astype(np.uint8)
 
 
-def evaluate(instance: KnapsackInstance, selection) -> int:
-    """Profit of the selection, repaired first if infeasible."""
-    fixed = repair(instance, selection)
-    return int(instance.profits[fixed.astype(bool)].sum())
-
-
 class KnapsackObjective:
     """Swarm-facing fitness contract for one instance.
 

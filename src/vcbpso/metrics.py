@@ -14,42 +14,13 @@ import csv
 
 import numpy as np
 
-from .trace import RunTrace, pack_bits
+from .trace import RunTrace
 
 # History records per block of dist_eff_matrix; 128 measured best at d=100.
 _BLOCK = 128
 
 # Odd multiplier that mixes a position's words into one sort key.
 _MIX = np.uint64(0x9E3779B97F4A7C15)
-
-
-def hamming(a, b) -> int:
-    """Number of differing bits between two equal-length bit-vectors."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
-    return int(np.bitwise_count(pack_bits(a) ^ pack_bits(b)).sum())
-
-
-def _check_k(trace: RunTrace, k: int) -> None:
-    if not 1 <= k < trace.n_records:
-        raise ValueError(f"iteration {k} outside trace of {trace.iterations}")
-
-
-def dist_iteration(trace: RunTrace, particle: int, k: int) -> int:
-    """Hamming distance between the particle's positions at k-1 and k."""
-    _check_k(trace, k)
-    x = trace.positions[k, particle] ^ trace.positions[k - 1, particle]
-    return int(np.bitwise_count(x).sum())
-
-
-def dist_eff_iteration(trace: RunTrace, particle: int, k: int) -> int:
-    """Minimum Hamming distance from the position at k to every earlier
-    recorded position of the same particle (history from record 0)."""
-    _check_k(trace, k)
-    x = trace.positions[:k, particle] ^ trace.positions[k, particle]
-    return int(np.bitwise_count(x).sum(axis=-1).min())
 
 
 def dist_matrix(trace: RunTrace) -> np.ndarray:
@@ -145,16 +116,19 @@ def check_range(iterations: int, m: int, n: int) -> None:
                          f"{iterations}")
 
 
-def pujv(trace: RunTrace, m: int, n: int) -> int:
-    """Total useless jump volume over iterations m..n inclusive."""
-    check_range(trace.iterations, m, n)
-    return pujv_of(dist_matrix(trace), dist_eff_matrix(trace), m, n)
-
-
 def pujv_of(d: np.ndarray, e: np.ndarray, m: int, n: int) -> int:
-    """:func:`pujv` from the trace's ``dist`` and ``dist_eff`` matrices."""
+    """Total useless jump volume over iterations m..n inclusive, from a
+    trace's ``dist`` and ``dist_eff`` matrices."""
     check_range(len(d), m, n)
     return int((d[m - 1:n] - e[m - 1:n]).sum())
+
+
+def aggregate_curves(d: np.ndarray, e: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-iteration mean ``dist``, mean ``dist_eff`` and cumulative PUJV
+    over the swarm, from a trace's ``dist`` and ``dist_eff`` matrices:
+    the columns of :func:`write_aggregate_metrics_csv`."""
+    return d.mean(axis=1), e.mean(axis=1), np.cumsum((d - e).sum(axis=1))
 
 
 def convergence_round(trace: RunTrace) -> int:

@@ -34,14 +34,6 @@ def pack_bits(bits) -> np.ndarray:
     return out.view("<u8")
 
 
-def unpack_bits(words, dimensions: int) -> np.ndarray:
-    """Inverse of :func:`pack_bits`."""
-    w = np.ascontiguousarray(words, dtype="<u8")
-    as_bytes = w.view(np.uint8)
-    bits = np.unpackbits(as_bytes, axis=-1, bitorder="little")
-    return bits[..., :dimensions]
-
-
 @dataclass
 class RunTrace:
     """Immutable result of one swarm run."""
@@ -72,12 +64,10 @@ class RunTrace:
     def swarm_size(self) -> int:
         return self.flip_counts.shape[1]
 
-    def position_bits(self, k: int, particle: int | None = None) -> np.ndarray:
-        """Unpacked 0/1 positions at record k, one particle or the full swarm."""
-        rows = self.positions[k] if particle is None else self.positions[k, particle]
-        return unpack_bits(rows, self.dimensions)
-
     def save(self, path) -> None:
+        if self.positions is None:
+            # checked first, so that no partial file is left behind
+            raise ValueError(f"{path}: the trace kept no positions to save")
         if str(path).endswith(".gz"):
             # mtime=0: gzip.open stamps the current time into the header,
             # so saving the same trace twice would give different bytes

@@ -4,8 +4,8 @@ A transfer function maps a signed velocity to a bit-flip probability in
 [0, 1). After a bit flips, the stored velocity must be re-expressed
 relative to the new bit value: the corrected velocity ``v'`` satisfies
 ``sigm(v') = 1 - sigm(v)`` and keeps the sign of ``v``. Closed forms for
-all four corrections are implemented here, together with a bisection
-oracle used by the test suite to validate them.
+all four corrections are implemented here; the test suite checks them
+against a bisection oracle in ``tests/conftest.py``.
 
 All functions accept scalars or numpy arrays and are pure.
 """
@@ -17,15 +17,14 @@ import math
 
 import numpy as np
 
-from .errors import OracleError
-
 # Magnitude guards on corrected velocities. Near v -> 0 the VT1/VT2 forms
 # blow up; near large |v| the VT3/VT4 forms underflow. sigm saturates far
 # inside these bounds, so clamping changes no observable flip probability
 # while keeping stored state finite and signed. A clamped value is not the
 # true correction: where that lies outside the bounds (below the floor for
-# VT3 beyond |v| ~ 345.7 and VT4 beyond ~ 692.2) correct_oracle raises
-# OracleError and correct does not invert itself; see correct's docstring.
+# VT3 beyond |v| ~ 345.7 and VT4 beyond ~ 692.2) the bisection oracle of
+# the tests cannot bracket it and correct does not invert itself; see
+# correct's docstring.
 CORRECTION_CLAMP = 1e12
 CORRECTION_FLOOR = 1e-300
 
@@ -81,36 +80,6 @@ def sigm(kind: TransferKind, v):
     return float(p) if np.isscalar(v) or arr.ndim == 0 else p
 
 
-def sigm_complement(kind: TransferKind, v):
-    """``1 - sigm(v)`` evaluated without cancellation.
-
-    Needed wherever sigm is close to 1: the naive subtraction loses all
-    precision once sigm rounds to 1. Used by the bisection oracle and by
-    tests; underflows to 0 where the true complement is below double range.
-    """
-    arr = np.asarray(v, dtype=np.float64)
-    _check_finite(arr)
-    a = np.abs(arr)
-    if kind is TransferKind.VT1:
-        # arctan(x) + arctan(1/x) = pi/2 for x > 0
-        with np.errstate(divide="ignore"):
-            c = (2.0 / np.pi) * np.arctan(2.0 / (np.pi * a))
-        c = np.where(a == 0.0, 1.0, c)
-    elif kind is TransferKind.VT2:
-        lo = np.minimum(a, 1.0)
-        inv2 = np.maximum(a, 1.0) ** -2.0
-        c = np.where(a <= 1.0, 1.0 / (1.0 + lo * lo), inv2 / (1.0 + inv2))
-    elif kind is TransferKind.VT3:
-        t = np.exp(-2.0 * a)
-        c = 2.0 * t / (1.0 + t)
-    elif kind is TransferKind.VT4:
-        t = np.exp(-a)
-        c = 2.0 * t / (1.0 + t)
-    else:  # pragma: no cover
-        raise TypeError(f"unknown transfer kind: {kind!r}")
-    return float(c) if np.isscalar(v) or arr.ndim == 0 else c
-
-
 def _log1mexp(x):
     """log(1 - exp(-x)) for x > 0, accurate across the whole range."""
     with np.errstate(divide="ignore"):
@@ -152,63 +121,3 @@ def correct(kind: TransferKind, v):
     c = np.clip(c, CORRECTION_FLOOR, CORRECTION_CLAMP)
     out = s * c
     return float(out) if np.isscalar(v) or arr.ndim == 0 else out
-
-
-def correct_oracle(kind: TransferKind, v: float) -> float:
-    """Invert ``sigm(x) = 1 - sigm(v)`` by bracketed bisection.
-
-    Test oracle for the closed forms in :func:`correct`. Bisects on the
-    log of the magnitude over |x| in [1e-300, 1e300] until the bracket is
-    resolved to full precision (well below 1e-12 both absolutely and
-    relatively). Raises :class:`OracleError` when the target cannot be
-    bracketed, which signals either a broken closed form or an input whose
-    correction lies outside double range.
-    """
-    v = float(v)
-    if not math.isfinite(v):
-        raise ValueError("velocity must be finite")
-    if v == 0.0:
-        raise ValueError("cannot correct a zero velocity")
-    a = abs(v)
-    sign = 1.0 if v > 0 else -1.0
-
-    # sigm(x) = 1 - sigm(a) has two equivalent float formulations; pick the
-    # one whose fixed side is far from 1 so the bisection target keeps full
-    # relative precision. For sigm(a) < 0.5 the answer x is large and
-    # 1 - sigm(x) is the tiny, well-conditioned quantity; otherwise x is
-    # small and sigm(x) itself is well conditioned.
-    p = float(sigm(kind, a))
-    if p < 0.5:
-
-        def f(u: float) -> float:
-            return p - float(sigm_complement(kind, math.exp(u)))
-
-    else:
-        target = float(sigm_complement(kind, a))
-
-        def f(u: float) -> float:
-            return float(sigm(kind, math.exp(u))) - target
-
-    lo, hi = math.log(1e-300), math.log(1e300)
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return sign * math.exp(lo)
-    if fhi == 0.0:
-        return sign * math.exp(hi)
-    if flo > 0.0 or fhi < 0.0:
-        raise OracleError(
-            f"cannot bracket correction of {kind.value} at v={v!r}"
-        )
-    for _ in range(300):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            lo = hi = mid
-            break
-        if fm < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-15:
-            break
-    return sign * math.exp(0.5 * (lo + hi))

@@ -1,24 +1,27 @@
 """Shared fixtures and oracles: the velocity grid used by the correction
-checks, a small reference knapsack instance, the full-table and
-brute-force knapsack solvers, the scalar repair, the whole-array VT2
-transfer, a function objective for the engine and the experiment
-protocols of ``configs/``."""
+checks, the cancellation-free complement of ``sigm`` and the bisection
+oracle of ``correct``, a small reference knapsack instance, the
+full-table and brute-force knapsack solvers, the scalar repair and
+evaluation, the whole-array VT2 transfer, the scalar exploration metrics
+and bit unpacking, a function objective for the engine and the
+experiment protocols of ``configs/``."""
 
+import math
 import os
 
 import numpy as np
 import pytest
 
-from vcbpso.errors import OracleError
 from vcbpso.harness import ExperimentSpec, parse_config
-from vcbpso.knapsack import KnapsackInstance
+from vcbpso.knapsack import KnapsackInstance, repair
+from vcbpso.metrics import check_range, dist_eff_matrix, dist_matrix, pujv_of
+from vcbpso.trace import RunTrace, pack_bits
 from vcbpso.transfer import (
     CORRECTION_CLAMP,
     CORRECTION_FLOOR,
     TransferKind,
-    correct_oracle,
+    _check_finite,
     sigm,
-    sigm_complement,
 )
 
 ALL_KINDS = list(TransferKind)
@@ -41,6 +44,100 @@ def velocity_grid() -> np.ndarray:
     """Log-spaced magnitudes 10^-6 .. 10^6 plus 0.5, 1, 2, 5, both signs."""
     mags = {10.0 ** k for k in range(-6, 7)} | {0.5, 1.0, 2.0, 5.0}
     return np.array(sorted(mags | {-m for m in mags}))
+
+
+class OracleError(RuntimeError):
+    """A test oracle failed to produce a reference value."""
+
+
+def sigm_complement(kind: TransferKind, v):
+    """``1 - sigm(v)`` evaluated without cancellation.
+
+    Needed wherever sigm is close to 1: the naive subtraction loses all
+    precision once sigm rounds to 1. Used by the bisection oracle and by
+    tests; underflows to 0 where the true complement is below double range.
+    """
+    arr = np.asarray(v, dtype=np.float64)
+    _check_finite(arr)
+    a = np.abs(arr)
+    if kind is TransferKind.VT1:
+        # arctan(x) + arctan(1/x) = pi/2 for x > 0
+        with np.errstate(divide="ignore"):
+            c = (2.0 / np.pi) * np.arctan(2.0 / (np.pi * a))
+        c = np.where(a == 0.0, 1.0, c)
+    elif kind is TransferKind.VT2:
+        lo = np.minimum(a, 1.0)
+        inv2 = np.maximum(a, 1.0) ** -2.0
+        c = np.where(a <= 1.0, 1.0 / (1.0 + lo * lo), inv2 / (1.0 + inv2))
+    elif kind is TransferKind.VT3:
+        t = np.exp(-2.0 * a)
+        c = 2.0 * t / (1.0 + t)
+    elif kind is TransferKind.VT4:
+        t = np.exp(-a)
+        c = 2.0 * t / (1.0 + t)
+    else:  # pragma: no cover
+        raise TypeError(f"unknown transfer kind: {kind!r}")
+    return float(c) if np.isscalar(v) or arr.ndim == 0 else c
+
+
+def correct_oracle(kind: TransferKind, v: float) -> float:
+    """Invert ``sigm(x) = 1 - sigm(v)`` by bracketed bisection.
+
+    Test oracle for the closed forms in ``transfer.correct``. Bisects on
+    the log of the magnitude over |x| in [1e-300, 1e300] until the bracket
+    is resolved to full precision (well below 1e-12 both absolutely and
+    relatively). Raises :class:`OracleError` when the target cannot be
+    bracketed, which signals either a broken closed form or an input whose
+    correction lies outside double range.
+    """
+    v = float(v)
+    if not math.isfinite(v):
+        raise ValueError("velocity must be finite")
+    if v == 0.0:
+        raise ValueError("cannot correct a zero velocity")
+    a = abs(v)
+    sign = 1.0 if v > 0 else -1.0
+
+    # sigm(x) = 1 - sigm(a) has two equivalent float formulations; pick the
+    # one whose fixed side is far from 1 so the bisection target keeps full
+    # relative precision. For sigm(a) < 0.5 the answer x is large and
+    # 1 - sigm(x) is the tiny, well-conditioned quantity; otherwise x is
+    # small and sigm(x) itself is well conditioned.
+    p = float(sigm(kind, a))
+    if p < 0.5:
+
+        def f(u: float) -> float:
+            return p - float(sigm_complement(kind, math.exp(u)))
+
+    else:
+        target = float(sigm_complement(kind, a))
+
+        def f(u: float) -> float:
+            return float(sigm(kind, math.exp(u))) - target
+
+    lo, hi = math.log(1e-300), math.log(1e300)
+    flo, fhi = f(lo), f(hi)
+    if flo == 0.0:
+        return sign * math.exp(lo)
+    if fhi == 0.0:
+        return sign * math.exp(hi)
+    if flo > 0.0 or fhi < 0.0:
+        raise OracleError(
+            f"cannot bracket correction of {kind.value} at v={v!r}"
+        )
+    for _ in range(300):
+        mid = 0.5 * (lo + hi)
+        fm = f(mid)
+        if fm == 0.0:
+            lo = hi = mid
+            break
+        if fm < 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-15:
+            break
+    return sign * math.exp(0.5 * (lo + hi))
 
 
 def true_correction(kind: TransferKind, v: float) -> float | None:
@@ -149,6 +246,12 @@ class FunctionObjective:
         return fitness, positions.copy()
 
 
+def evaluate(instance: KnapsackInstance, selection) -> int:
+    """Profit of one selection, repaired first if infeasible."""
+    fixed = repair(instance, selection)
+    return int(instance.profits[fixed.astype(bool)].sum())
+
+
 def repair_oracle(instance: KnapsackInstance, selection) -> np.ndarray:
     """One selection made feasible the slow way: drop the selected items in
     the instance's drop order up to the first whose weight cumsum reaches
@@ -168,6 +271,58 @@ def repair_oracle(instance: KnapsackInstance, selection) -> np.ndarray:
     out = sel.copy()
     out[drops[:k]] = False
     return out.astype(np.uint8)
+
+
+def unpack_bits(words, dimensions: int) -> np.ndarray:
+    """Inverse of ``trace.pack_bits``."""
+    w = np.ascontiguousarray(words, dtype="<u8")
+    as_bytes = w.view(np.uint8)
+    bits = np.unpackbits(as_bytes, axis=-1, bitorder="little")
+    return bits[..., :dimensions]
+
+
+def position_bits(trace: RunTrace, k: int,
+                  particle: int | None = None) -> np.ndarray:
+    """Unpacked 0/1 positions at record k, one particle or the full swarm."""
+    rows = trace.positions[k] if particle is None else trace.positions[k, particle]
+    return unpack_bits(rows, trace.dimensions)
+
+
+def hamming(a, b) -> int:
+    """Number of differing bits between two equal-length bit-vectors."""
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if a.shape != b.shape or a.ndim != 1:
+        raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
+    return int(np.bitwise_count(pack_bits(a) ^ pack_bits(b)).sum())
+
+
+def _check_k(trace: RunTrace, k: int) -> None:
+    if not 1 <= k < trace.n_records:
+        raise ValueError(f"iteration {k} outside trace of {trace.iterations}")
+
+
+def dist_iteration(trace: RunTrace, particle: int, k: int) -> int:
+    """Hamming distance between the particle's positions at k-1 and k; the
+    scalar reference for ``metrics.dist_matrix``."""
+    _check_k(trace, k)
+    x = trace.positions[k, particle] ^ trace.positions[k - 1, particle]
+    return int(np.bitwise_count(x).sum())
+
+
+def dist_eff_iteration(trace: RunTrace, particle: int, k: int) -> int:
+    """Minimum Hamming distance from the position at k to every earlier
+    recorded position of the same particle (history from record 0); the
+    scalar reference for ``metrics.dist_eff_matrix``."""
+    _check_k(trace, k)
+    x = trace.positions[:k, particle] ^ trace.positions[k, particle]
+    return int(np.bitwise_count(x).sum(axis=-1).min())
+
+
+def pujv(trace: RunTrace, m: int, n: int) -> int:
+    """Total useless jump volume of a trace over iterations m..n inclusive."""
+    check_range(trace.iterations, m, n)
+    return pujv_of(dist_matrix(trace), dist_eff_matrix(trace), m, n)
 
 
 @pytest.fixture(scope="session")

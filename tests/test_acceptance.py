@@ -30,14 +30,15 @@ import pytest
 from conftest import (
     ACCEPTANCE_LINES,
     ALL_KINDS,
+    OracleError,
     brute_force_optimal,
     clamp_bound,
     load_config,
+    pujv,
     true_correction,
     velocity_grid,
 )
 from vcbpso import knapsack, metrics
-from vcbpso.errors import OracleError
 from vcbpso.harness import paired, run_experiment
 from vcbpso.trace import TraceBuilder
 from vcbpso.transfer import TransferKind, correct, sigm
@@ -172,8 +173,8 @@ class TestMathCriteria:
                 if not np.array_equal(eff[:, i], want):
                     mismatches += 1
             q = int(rng.integers(1, 200))
-            if metrics.pujv(trace, 1, q) + metrics.pujv(trace, q + 1, 200) \
-                    != metrics.pujv(trace, 1, 200):
+            if pujv(trace, 1, q) + pujv(trace, q + 1, 200) \
+                    != pujv(trace, 1, 200):
                 additivity_violations += 1
         ok = mismatches == 0 and additivity_violations == 0
         report(5, "metric oracle", ok,

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import FunctionObjective, repair_oracle
+from conftest import FunctionObjective, position_bits, repair_oracle
 from vcbpso.engine import (
     Block,
     RunConfig,
@@ -85,9 +85,12 @@ class QueueRng:
 class TestWSchedule:
     def test_parse_constant(self):
         assert WSchedule.parse("0.6") == WSchedule(0.6, 0.6)
+        assert WSchedule.parse("1e-3") == WSchedule(1e-3, 1e-3)
 
     def test_parse_ramp(self):
         assert WSchedule.parse("1.2-0.99") == WSchedule(1.2, 0.99)
+        assert WSchedule.parse("1.2-1e-2") == WSchedule(1.2, 1e-2)
+        assert WSchedule.parse("1E-3-2e-3") == WSchedule(1e-3, 2e-3)
 
     def test_parse_garbage(self):
         for text in ("", "a", "1.0-2.0-3.0", "1.0--0.5"):
@@ -97,11 +100,21 @@ class TestWSchedule:
     def test_nonpositive_endpoint(self):
         with pytest.raises(ConfigError):
             WSchedule(0.0, 0.4)
+        # nor a non-finite one, also when parsed
+        for start, end, bad in ((np.inf, 0.4, "inf"), (1.0, np.inf, "inf"),
+                                (np.nan, 0.4, "nan")):
+            with pytest.raises(ConfigError, match=f"w={bad}"):
+                WSchedule(start, end)
+            with pytest.raises(ConfigError, match=f"w={bad}"):
+                WSchedule.parse(f"{start}-{end}")
 
     def test_str_round_trip(self):
-        for text in ("0.6", "1.2-0.99", "1", "1-0.4"):
+        for text in ("0.6", "1.2-0.99", "1", "1-0.4", "1e-3", "1.2-1e-2"):
             assert WSchedule.parse(str(WSchedule.parse(text))) == \
                 WSchedule.parse(text)
+        # str gives "1e-05" here, with an exponent sign
+        for w in (WSchedule(1e-5, 1e-5), WSchedule(1e-5, 2e-5)):
+            assert WSchedule.parse(str(w)) == w
 
 
 class TestWAt:
@@ -160,10 +173,17 @@ class TestRunConfig:
     def test_uncorrected_needs_vmax(self):
         with pytest.raises(ConfigError):
             make_config(correction_enabled=False, vmax=None)
+        # an infinite vmax clamps nothing
+        with pytest.raises(ConfigError, match="vmax=inf"):
+            make_config(correction_enabled=False, vmax=np.inf)
 
     def test_negative_c_rejected(self):
         with pytest.raises(ConfigError):
             make_config(c1=-0.1)
+        with pytest.raises(ConfigError, match="c1=nan"):
+            make_config(c1=np.nan)
+        with pytest.raises(ConfigError, match="c2=inf"):
+            make_config(c2=np.inf)
 
     def test_bad_counts_rejected(self):
         with pytest.raises(ConfigError):
@@ -378,7 +398,7 @@ class TestRun:
         cfg = make_config(dimensions=16, max_iterations=20, seed=9)
         trace = run(cfg, count_ones(16))
         for k in range(1, trace.n_records):
-            delta = trace.position_bits(k) ^ trace.position_bits(k - 1)
+            delta = position_bits(trace, k) ^ position_bits(trace, k - 1)
             assert np.array_equal(delta.sum(axis=1), trace.flip_counts[k])
 
 

@@ -2,6 +2,7 @@
 
 import csv
 import glob
+import math
 import os
 import time
 from dataclasses import FrozenInstanceError, replace
@@ -10,7 +11,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import CONFIGS_DIR, load_config
+from conftest import CONFIGS_DIR, evaluate, load_config
+import vcbpso
 from vcbpso import harness, knapsack
 from vcbpso.cli import main
 from vcbpso.engine import WSchedule
@@ -141,6 +143,19 @@ class TestParseConfig:
         with pytest.raises(ParseError):
             parse_config(text)
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("swarm.c1 = 2.0", "swarm.c1 = nan", "c1=nan"),
+        ("swarm.c2 = 2.0", "swarm.c2 = inf", "c2=inf"),
+        ("vt1, off, 0.6, 5", "vt1, off, 0.6, inf", r"VT1_w0\.6: .*vmax=inf"),
+        ("vt1, off, 0.6, 5", "vt1, off, inf, 5", "w=inf"),
+        ("vt1, off, 0.6, 5", "vt1, off, 1.0-nan, 5", "w=nan"),
+    ])
+    def test_nonfinite_settings_name_the_key(self, tmp_path, old, new,
+                                             message):
+        text = good_config(tmp_path).replace(old, new)
+        with pytest.raises(ParseError, match=message):
+            parse_config(text)
+
     def test_path_conflicts_with_generation_keys(self, tmp_path):
         text = good_config(tmp_path) + "\ninstance.path = inst.txt\n"
         with pytest.raises(ParseError, match="instance.path"):
@@ -195,6 +210,8 @@ class TestSpecValidation:
         (dict(c2=-1.0), "c1 and c2"),
         (dict(swarm_size=0), "swarm size"),
         (dict(iterations=-1), "iterations must be >= 0"),
+        (dict(c1=math.nan), "c1=nan"),
+        (dict(c2=math.inf), "c2=inf"),
     ])
     def test_bad_swarm_settings(self, tmp_path, kw, message):
         with pytest.raises(ConfigError, match=message):
@@ -208,6 +225,8 @@ class TestSpecValidation:
          r"variant VT3_w1-0\.4: .*positive vmax"),
         (Variant(TransferKind.VT1, False, WSchedule(0.6, 0.6), 0.0),
          r"variant VT1_w0\.6: .*positive vmax"),
+        (Variant(TransferKind.VT1, False, WSchedule(0.6, 0.6), math.inf),
+         r"variant VT1_w0\.6: .*vmax=inf"),
     ])
     def test_bad_variant_names_it(self, tmp_path, variant, message):
         good = Variant(TransferKind.VT2, True, WSchedule(1.0, 1.0), None)
@@ -230,12 +249,12 @@ class TestSpecValidation:
 
 
 class TestShippedConfigs:
-    @pytest.mark.parametrize("path", sorted(
-        glob.glob(os.path.join(CONFIGS_DIR, "*.cfg"))),
-        ids=os.path.basename)
-    def test_parses(self, path):
-        with open(path) as fh:
-            spec = parse_config(fh.read())
+    @pytest.mark.parametrize("name", sorted(
+        os.path.basename(path)
+        for path in glob.glob(os.path.join(CONFIGS_DIR, "*.cfg"))))
+    def test_parses(self, name):
+        spec = load_config(name)
+        assert isinstance(spec, ExperimentSpec)
         assert spec.output_dir.startswith("results/")
 
     @pytest.mark.parametrize("name", ["low_dim.cfg", "scaling.cfg"])
@@ -245,6 +264,12 @@ class TestShippedConfigs:
         assert [kind for kind, _, _ in pairs] == list(TransferKind)
         for kind, corr, plain in pairs:
             assert corr.variant.correction and not plain.variant.correction
+
+
+class TestPackage:
+    def test_every_exported_name_resolves(self):
+        for name in vcbpso.__all__:
+            assert getattr(vcbpso, name) is not None, name
 
 
 class TestPaired:
@@ -342,7 +367,7 @@ class TestRunExperiment:
         rng = np.random.Generator(
             np.random.PCG64(derive_seed(spec.base_seed, 0, 0)))
         init = (rng.random((spec.swarm_size, instance.n)) < 0.5).astype(int)
-        best = max(knapsack.evaluate(instance, row) for row in init)
+        best = max(evaluate(instance, row) for row in init)
         assert agg.ratio == pytest.approx(best / optimum)
 
     def test_metrics_optional(self, tmp_path):

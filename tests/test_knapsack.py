@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import (
     brute_force_optimal,
     dp_full_oracle,
+    evaluate,
     load_config,
     repair_oracle,
 )
@@ -20,7 +21,6 @@ from vcbpso.knapsack import (
     KnapsackInstance,
     KnapsackObjective,
     dp_optimal,
-    evaluate,
     generate,
     load_instance,
     repair,

@@ -8,19 +8,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import (
+    dist_eff_iteration,
+    dist_iteration,
+    hamming,
+    position_bits,
+    pujv,
+    unpack_bits,
+)
 from test_trace import build_trace
 from vcbpso import metrics
 from vcbpso.metrics import (
     convergence_round,
-    dist_eff_iteration,
     dist_eff_matrix,
-    dist_iteration,
     dist_matrix,
     first_discovery_round,
-    hamming,
-    pujv,
 )
-from vcbpso.trace import unpack_bits
 
 
 def bits(text):
@@ -79,8 +82,8 @@ def pooled_trace(rng, records, m, d, distinct):
 def dist_eff_bruteforce(trace):
     """(iterations, swarm_size) effective gains by a scan over the unpacked
     history of every record; independent oracle."""
-    bits = np.array([trace.position_bits(k) for k in range(trace.n_records)],
-                    dtype=np.int64)
+    bits = np.array([position_bits(trace, k)
+                     for k in range(trace.n_records)], dtype=np.int64)
     out = np.empty((trace.iterations, trace.swarm_size), dtype=np.int64)
     for k in range(1, trace.n_records):
         out[k - 1] = np.abs(bits[:k] - bits[k]).sum(axis=-1).min(axis=0)
@@ -332,9 +335,8 @@ class TestCsvWriters:
         t = single_particle_trace("0000", "1100", "0011")
         path = tmp_path / "agg.csv"
         d, e = dist_matrix(t), dist_eff_matrix(t)
-        metrics.write_aggregate_metrics_csv(
-            d.mean(axis=1), e.mean(axis=1), np.cumsum((d - e).sum(axis=1)),
-            path)
+        metrics.write_aggregate_metrics_csv(*metrics.aggregate_curves(d, e),
+                                            path)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["iteration", "mean_dist", "mean_dist_eff",

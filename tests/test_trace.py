@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from vcbpso.trace import RunTrace, TraceBuilder, pack_bits, unpack_bits
+from conftest import position_bits, unpack_bits
+from vcbpso.trace import RunTrace, TraceBuilder, pack_bits
 
 
 # (record, field, edit) of the lines to spoil; fields are index, gbest,
@@ -95,8 +96,18 @@ class TestRunTrace:
         assert trace.n_records == 2
         assert trace.iterations == 1
         assert trace.swarm_size == 1
-        assert np.array_equal(trace.position_bits(0), [[0, 0]])
-        assert np.array_equal(trace.position_bits(1, 0), [1, 0])
+        assert np.array_equal(position_bits(trace, 0), [[0, 0]])
+        assert np.array_equal(position_bits(trace, 1, 0), [1, 0])
+
+    @pytest.mark.parametrize("name", ["t.txt", "t.txt.gz"])
+    def test_save_without_positions_writes_nothing(self, tmp_path, name):
+        builder = TraceBuilder(4, 1, 2, 1, keep_positions=False)
+        builder.record(np.zeros(1), np.zeros(2, np.int64),
+                       np.zeros((2, 4), np.uint8))
+        trace = builder.build()[0]
+        with pytest.raises(ValueError, match="no positions"):
+            trace.save(tmp_path / name)
+        assert not (tmp_path / name).exists()
 
     def test_mismatched_records_rejected(self):
         with pytest.raises(ValueError):

@@ -12,16 +12,21 @@ import pytest
 from hypothesis import given, strategies as st
 
 import conftest
-from conftest import ALL_KINDS, clamp_bound, sigm_vt2_where, true_correction
-from vcbpso.errors import OracleError
+from conftest import (
+    ALL_KINDS,
+    OracleError,
+    clamp_bound,
+    correct_oracle,
+    sigm_complement,
+    sigm_vt2_where,
+    true_correction,
+)
 from vcbpso.transfer import (
     CORRECTION_CLAMP,
     CORRECTION_FLOOR,
     TransferKind,
     correct,
-    correct_oracle,
     sigm,
-    sigm_complement,
 )
 
 TANH_1 = 0.7615941559557649
