@@ -71,7 +71,12 @@ _REPORT_COLUMNS = ["variant", "ratio", "mean_convergence_round",
 def _cmd_report(args) -> int:
     path = os.path.join(args.results_dir, "aggregate.csv")
     with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    missing = [c for c in _REPORT_COLUMNS
+               if c not in (reader.fieldnames or ())]
+    if missing:
+        raise ConfigError(f"{path}: no column {', '.join(missing)}")
     if not rows:
         raise ConfigError(f"{path}: no variant rows")
     out = csv.writer(sys.stdout)

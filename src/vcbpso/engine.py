@@ -166,11 +166,9 @@ class Block:
     stepped in lockstep as one (R*m, d) swarm; run r owns rows
     r*m:(r+1)*m of every per-particle array.
 
-    The operations that depend on a run's variant (the inertia weight,
-    the velocity clip, ``sigm`` and ``correct``) act on each stretch of
-    adjacent runs that share the setting, with the same scalars as a run
-    of its own; the block holds those stretches and the step's scratch
-    arrays.
+    Each run's inertia weight and velocity bound act on its (m, d) slab
+    as an (R, 1, 1) column; ``sigm`` and ``correct``, one function per
+    kind, act on each stretch of adjacent runs of one kind.
     """
 
     def __init__(self, configs):
@@ -189,24 +187,29 @@ class Block:
         self.max_iterations = first.max_iterations
         self.c1, self.c2 = first.c1, first.c2
         self.rows = [slice(r * m, (r + 1) * m) for r in range(self.runs)]
-        self.w_segments = _segments(self.rows, [c.w for c in self.configs])
+        self.starts = np.arange(0, self.runs * m, m)  # each run's first row
         # uncorrected runs clip at vmax; corrected ones at CORRECTION_CLAMP,
         # an overflow safeguard far above where sigm saturates
-        self.clip_segments = _segments(
-            self.rows, [CORRECTION_CLAMP if c.vmax is None else c.vmax
-                        for c in self.configs])
+        self.bound = np.array([CORRECTION_CLAMP if c.vmax is None else c.vmax
+                               for c in self.configs]).reshape(-1, 1, 1)
+        self.neg_bound = -self.bound
         self.sigm_segments = _segments(self.rows,
                                        [c.kind for c in self.configs])
         self.correct_segments = [
             (sl, kind) for sl, (kind, on) in _segments(
                 self.rows, [(c.kind, c.correction_enabled)
                             for c in self.configs]) if on]
-        # the step's scratch arrays; each run's generator fills its own
-        # rows of draw
+        # the step's scratch arrays: each run's w, refilled every step, and
+        # the draws, which each run's generator fills in its own rows
+        self.w = np.empty((self.runs, 1, 1))
         self.draw = np.empty((self.runs * m, d))
         self.pull = np.empty((self.runs * m, d), dtype=np.int8)
         self.flips = np.empty((self.runs * m, d), dtype=bool)
         self.draw_rows = [self.draw[sl] for sl in self.rows]
+
+    def best_rows(self, pbest_fitness: np.ndarray) -> np.ndarray:
+        """Row of each run's best pbest, its first particle on a tie."""
+        return self.starts + pbest_fitness.reshape(self.runs, -1).argmax(1)
 
     def fill(self, rngs) -> np.ndarray:
         """The next (m, d) uniform block of every run, in its rows."""
@@ -234,7 +237,7 @@ def init_swarm(block: Block, objective: Objective, rngs) -> SwarmState:
     fitness, stored = objective.evaluate_swarm(positions)
     pbest_positions = stored.astype(np.uint8)
     pbest_fitness = fitness.astype(np.float64)
-    best = [sl.start + int(np.argmax(pbest_fitness[sl])) for sl in block.rows]
+    best = block.best_rows(pbest_fitness)
     return SwarmState(
         positions=positions,
         velocities=np.zeros(positions.shape),
@@ -255,13 +258,13 @@ def step_swarm(state: SwarmState, block: Block, objective: Objective,
     v = state.velocities
     draw, pull, flips = block.draw, block.pull, block.flips
     runs, m = block.runs, block.swarm_size
+    v_runs = v.reshape(runs, m, -1)
     # v = ((w*v) + (c1*r1)*(pbest - x)) + (c2*r2)*(gbest - x), in place;
     # the draw order is r1, r2, jump. The bit differences -1/0/1 are
     # exact in int8.
-    for sl, schedule in block.w_segments:
-        vs = v[sl]
-        vs *= w_at(schedule, state.iteration, block.max_iterations)
-    # each run's gbest, broadcast over its own m rows
+    block.w[:, 0, 0] = [w_at(c.w, state.iteration, block.max_iterations)
+                        for c in block.configs]
+    v_runs *= block.w
     gbest = state.gbest_position[:, np.newaxis]
     for c, best, diff in ((block.c1, state.pbest_positions, pull),
                           (block.c2, gbest, pull.reshape(runs, m, -1))):
@@ -270,9 +273,7 @@ def step_swarm(state: SwarmState, block: Block, objective: Objective,
         np.subtract(best, x.reshape(diff.shape), out=diff, dtype=np.int8)
         draw *= pull
         v += draw
-    for sl, bound in block.clip_segments:
-        vs = v[sl]
-        np.clip(vs, -bound, bound, out=vs)
+    np.clip(v_runs, block.neg_bound, block.bound, out=v_runs)
     block.fill(rngs)
     for sl, kind in block.sigm_segments:
         np.less(draw[sl], sigm(kind, v[sl]), out=flips[sl])
@@ -289,12 +290,12 @@ def step_swarm(state: SwarmState, block: Block, objective: Objective,
     improved = fitness > state.pbest_fitness
     state.pbest_positions[improved] = stored[improved]
     state.pbest_fitness[improved] = fitness[improved]
-    for r, sl in enumerate(block.rows):
-        fitness = state.pbest_fitness[sl]
-        best = int(np.argmax(fitness))
-        if fitness[best] > state.gbest_fitness[r]:
-            state.gbest_fitness[r] = fitness[best]
-            state.gbest_position[r] = state.pbest_positions[sl.start + best]
+    # only the runs whose best pbest beats their gbest move it, often none
+    top = block.best_rows(state.pbest_fitness)
+    better = state.pbest_fitness[top] > state.gbest_fitness
+    if better.any():
+        state.gbest_fitness[better] = state.pbest_fitness[top[better]]
+        state.gbest_position[better] = state.pbest_positions[top[better]]
     state.iteration += 1
     return state, flips.sum(axis=1)
 

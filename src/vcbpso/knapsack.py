@@ -12,13 +12,13 @@ particle's own bits are never mutated.
 
 from __future__ import annotations
 
-import gzip
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, ParseError, ResourceError
+from .trace import open_text
 
 INSTANCE_TYPES = ("UCI", "WCI", "SCI", "EXTERNAL")
 
@@ -262,19 +262,20 @@ class KnapsackObjective:
 
 
 def save_instance(instance: KnapsackInstance, path) -> None:
-    """Write the line-oriented instance format.
+    """Write the line-oriented instance format through ``trace.open_text``.
 
     Line 1: ``n capacity instance_type``; then one ``weight profit`` pair
     per line.
     """
     lines = [f"{instance.n} {instance.capacity} {instance.instance_type}"]
     lines += [f"{w} {p}" for w, p in zip(instance.weights, instance.profits)]
-    _write_text(path, "\n".join(lines) + "\n")
+    with open_text(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def load_instance(path) -> KnapsackInstance:
-    text = _read_text(path)
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    with open_text(path) as fh:
+        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
     if not lines:
         raise ParseError(f"{path}: empty instance file")
     head = lines[0].split()
@@ -301,14 +302,3 @@ def load_instance(path) -> KnapsackInstance:
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from None
 
-
-def _write_text(path, text: str) -> None:
-    opener = gzip.open if str(path).endswith(".gz") else open
-    with opener(path, "wt") as fh:
-        fh.write(text)
-
-
-def _read_text(path) -> str:
-    opener = gzip.open if str(path).endswith(".gz") else open
-    with opener(path, "rt") as fh:
-        return fh.read()

@@ -4,10 +4,10 @@ Record 0 is the initial state (pre-step); record k holds the swarm after
 iteration k. Positions are packed little-endian into 64-bit words so the
 metric computations can run on whole words with population counts.
 
-On disk a trace is line-oriented text (transparently gzipped for ``.gz``
-paths): a two-line header, then one record per line with the iteration
-index, the gbest fitness, comma-separated per-particle flip counts and the
-hex dump of the packed position words.
+On disk a trace is line-oriented text (opened by :func:`open_text`, as
+instances are): a two-line header, then one record per line with the
+iteration index, the gbest fitness, comma-separated per-particle flip
+counts and the hex dump of the packed position words.
 """
 
 from __future__ import annotations
@@ -23,6 +23,17 @@ _MAGIC = "vcbpso-trace 1"
 # zlib's default level; level 9 (gzip.open's default) makes d=100 traces
 # about 4 % smaller at about 5x the compression time
 GZIP_LEVEL = 6
+
+
+def open_text(path, mode: str = "r"):
+    """Open ``path`` as text to read ("r") or write ("w"). A ``.gz`` path
+    is gzip text at ``GZIP_LEVEL`` with mtime 0 (``gzip.open`` stamps the
+    clock), so equal text under one file name gives equal bytes (the
+    header holds the name); other paths are plain text."""
+    if not str(path).endswith(".gz"):
+        return open(path, mode)
+    return io.TextIOWrapper(gzip.GzipFile(path, mode + "b",
+                                          compresslevel=GZIP_LEVEL, mtime=0))
 
 
 def pack_bits(bits) -> np.ndarray:
@@ -68,14 +79,7 @@ class RunTrace:
         if self.positions is None:
             # checked first, so that no partial file is left behind
             raise ValueError(f"{path}: the trace kept no positions to save")
-        if str(path).endswith(".gz"):
-            # mtime=0: gzip.open stamps the current time into the header,
-            # so saving the same trace twice would give different bytes
-            fh = io.TextIOWrapper(gzip.GzipFile(
-                path, "wb", compresslevel=GZIP_LEVEL, mtime=0))
-        else:
-            fh = open(path, "w")
-        with fh:
+        with open_text(path, "w") as fh:
             fh.write(f"{_MAGIC}\n")
             fh.write(f"{self.swarm_size} {self.dimensions} {self.n_records}\n")
             rows = zip(self.gbest_fitness.tolist(), self.flip_counts.tolist(),
@@ -86,8 +90,7 @@ class RunTrace:
 
     @classmethod
     def load(cls, path) -> "RunTrace":
-        opener = gzip.open if str(path).endswith(".gz") else open
-        with opener(path, "rt") as fh:
+        with open_text(path) as fh:
             lines = fh.read().splitlines()
         if not lines or lines[0] != _MAGIC:
             raise ValueError(f"{path}: not a trace file")

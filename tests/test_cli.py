@@ -229,6 +229,16 @@ class TestReport:
                                   str(tmp_path))
         assert code == 2 and "no variant rows" in stderr
 
+    def test_missing_column(self, capsys, tmp_path):
+        (tmp_path / "aggregate.csv").write_text(
+            "variant,mean_best_profit,ratio,mean_convergence_round\n"
+            "VT2_w1,10,0.5,3\n")
+        code, stdout, stderr = run_cli(capsys, "report", "--results-dir",
+                                       str(tmp_path))
+        assert code == 2 and stdout == ""
+        assert ("no column mean_first_discovery_round, mean_pujv"
+                in stderr)
+
     def test_missing_dir(self, capsys, tmp_path):
         code, _, stderr = run_cli(capsys, "report", "--results-dir",
                                   str(tmp_path / "nope"))

@@ -453,6 +453,48 @@ class TestRunBlock:
             assert np.array_equal(lean.flip_counts, want.flip_counts)
             assert lean.positions is None and lean.swarm_size == m
 
+    def test_gbest_ties_keep_the_first_particle(self):
+        """Fitness counts ones in steps of 4, so several particles of a
+        run tie for its best pbest. In a block of mixed runs each run's
+        gbest position and curve are those of the run stepped alone, and
+        a gbest that moves takes the first particle at the maximum."""
+        m, d, iterations = 6, 12, 15
+        obj = FunctionObjective(lambda bits: float(bits.sum() // 4), d)
+        configs = [
+            make_config(kind=kind, correction_enabled=corrected,
+                        w=WSchedule.parse(w), vmax=vmax, swarm_size=m,
+                        dimensions=d, max_iterations=iterations, seed=7 + r)
+            for r, (kind, corrected, w, vmax) in enumerate(BLOCK_VARIANTS)]
+
+        def start(cfgs):
+            block = Block(cfgs)
+            rngs = [np.random.Generator(np.random.PCG64(c.seed))
+                    for c in cfgs]
+            return block, rngs, init_swarm(block, obj, rngs)
+
+        block, rngs, state = start(configs)
+        alone = [start([config]) for config in configs]
+        before = np.full(len(configs), -np.inf)
+        tied_moves = 0
+        for k in range(iterations + 1):
+            if k:
+                step_swarm(state, block, obj, rngs)
+                for own_block, own_rngs, own_state in alone:
+                    step_swarm(own_state, own_block, obj, own_rngs)
+            pbest = state.pbest_fitness.reshape(len(configs), m)
+            for r, (_, _, own) in enumerate(alone):
+                assert state.gbest_fitness[r] == own.gbest_fitness[0]
+                assert np.array_equal(state.gbest_position[r],
+                                      own.gbest_position[0])
+                if state.gbest_fitness[r] > before[r]:
+                    top = np.flatnonzero(pbest[r] == pbest[r].max())
+                    tied_moves += len(top) > 1
+                    assert np.array_equal(
+                        state.gbest_position[r],
+                        state.pbest_positions[r * m + top[0]])
+            before = state.gbest_fitness.copy()
+        assert tied_moves > 0
+
     def test_runs_must_share_the_swarm_settings(self):
         for kw in (dict(swarm_size=5), dict(dimensions=9),
                    dict(max_iterations=11), dict(c1=1.0), dict(c2=1.0)):

@@ -22,7 +22,10 @@ import contextlib
 import gzip
 import hashlib
 import io
+import json
 import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
@@ -34,6 +37,10 @@ from vcbpso.knapsack import save_instance
 
 TRACE = "trace_VT2_w1-0.4_rep0"
 
+# The x86-64 CPU the pins were generated on runs every SIMD dispatch
+# target of numpy 2.4.6 above its X86_V2 baseline: X86_V3 X86_V4
+# AVX512_ICL AVX512_SPR. test_pins_hold_at_the_simd_baseline reproduces
+# the pins with those targets disabled.
 PINS = {
     "curve_VCv1_w1.csv": "f498e43a232e7d311282a9968828adf9a607505cfa55cac4574a5c555e1c4344",
     "curve_VCv2_w1.csv": "45c96415512e9aa4599f87cbd15580e0bc80b5313e7f15d355d22c7895657b8a",
@@ -158,6 +165,43 @@ def test_pinned_solve(tmp_path):
 
 def test_pinned_partial_group(tmp_path):
     assert partial_fingerprint(str(tmp_path)) == PARTIAL_PINS
+
+
+def _dispatch_targets() -> list[str]:
+    """numpy's SIMD dispatch targets that this CPU runs; each is above
+    numpy's baseline, which the build always uses."""
+    from numpy._core import _multiarray_umath as umath
+    return [target for target in umath.__cpu_dispatch__
+            if umath.__cpu_features__.get(target)]
+
+
+def test_pins_hold_at_the_simd_baseline(tmp_path):
+    """The PINS protocol, run in a fresh interpreter with every dispatch
+    target disabled, so that numpy runs only its baseline SIMD code,
+    gives the same digests: no pinned byte depends on the CPU's SIMD
+    extensions. Takes about 1 s."""
+    targets = _dispatch_targets()
+    if not targets:
+        pytest.skip("this CPU runs no numpy SIMD target above the baseline")
+    tests_dir = os.path.dirname(os.path.abspath(__file__))
+    src_dir = os.path.join(tests_dir, os.pardir, "src")
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(targets),
+               PYTHONPATH=os.pathsep.join([src_dir, tests_dir]))
+    # numpy refuses to start with both variables set
+    env.pop("NPY_ENABLE_CPU_FEATURES", None)
+    script = (
+        "import json, sys\n"
+        "from numpy._core import _multiarray_umath as umath\n"
+        "from test_fingerprint import fingerprint\n"
+        "on = [t for t in sys.argv[2:] if umath.__cpu_features__.get(t)]\n"
+        "print(json.dumps([on, fingerprint(sys.argv[1])]))\n")
+    result = subprocess.run([sys.executable, "-c", script, str(tmp_path),
+                             *targets], env=env, capture_output=True,
+                            text=True, timeout=600)
+    assert result.returncode == 0, result.stderr
+    still_on, digests = json.loads(result.stdout)
+    assert still_on == []
+    assert digests == PINS
 
 
 def test_worker_pool_writes_the_in_process_bytes(tmp_path, monkeypatch):

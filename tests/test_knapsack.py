@@ -1,6 +1,7 @@
 """Instance generation, exact solvers, repair and file IO."""
 
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -14,7 +15,6 @@ from conftest import (
     load_config,
     repair_oracle,
 )
-from vcbpso import knapsack
 from vcbpso.errors import ConfigError, ParseError, ResourceError
 from vcbpso.knapsack import (
     FLOAT_EXACT_LIMIT,
@@ -26,6 +26,7 @@ from vcbpso.knapsack import (
     repair,
     save_instance,
 )
+from vcbpso.trace import open_text
 
 
 def random_small_instance(rng):
@@ -459,7 +460,22 @@ class TestInstanceIO:
         with pytest.raises(ParseError, match=r"huge\.txt: weights .*2\*\*53"):
             load_instance(path)
 
+    def test_gz_bytes_do_not_depend_on_the_clock(self, tmp_path,
+                                                 monkeypatch):
+        inst = generate("UCI", 32, 100, 0.5, 3)
+        path = tmp_path / "inst.txt.gz"
+        saved = []
+        for clock in (1.0e9, 2.0e9):
+            monkeypatch.setattr(time, "time", lambda: clock)
+            save_instance(inst, path)
+            saved.append(path.read_bytes())
+        assert saved[0] == saved[1]
+        # the header's little-endian mtime field, bytes 4-7
+        assert saved[0][4:8] == bytes(4)
+
     def test_gzip_helpers(self, tmp_path):
         path = tmp_path / "t.gz"
-        knapsack._write_text(path, "hello\n")
-        assert knapsack._read_text(path) == "hello\n"
+        with open_text(path, "w") as fh:
+            fh.write("hello\n")
+        with open_text(path) as fh:
+            assert fh.read() == "hello\n"
