@@ -51,10 +51,7 @@ def _cmd_metrics(args) -> int:
     lo = args.from_iteration if args.from_iteration is not None else 1
     hi = args.to_iteration if args.to_iteration is not None else trace.iterations
     metrics.check_range(trace.iterations, lo, hi)
-    base = args.trace
-    for suffix in (".gz", ".txt"):
-        if base.endswith(suffix):
-            base = base[: -len(suffix)]
+    base = args.trace.removesuffix(".gz").removesuffix(".txt")
     d = metrics.dist_matrix(trace)
     e = metrics.dist_eff_matrix(trace)
     metrics.write_particle_metrics_csv(d, e, base + "_particle_metrics.csv")
@@ -71,10 +68,15 @@ _REPORT_COLUMNS = ["variant", "ratio", "mean_convergence_round",
 def _cmd_report(args) -> int:
     path = os.path.join(args.results_dir, "aggregate.csv")
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = list(reader)
-    missing = [c for c in _REPORT_COLUMNS
-               if c not in (reader.fieldnames or ())]
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        rows = []
+        for cells in filter(None, reader):      # blank lines are skipped
+            if len(cells) != len(header):
+                raise ConfigError(f"{path}: line {reader.line_num} has "
+                                  f"{len(cells)} cells, the header {len(header)}")
+            rows.append(dict(zip(header, cells)))
+    missing = [c for c in _REPORT_COLUMNS if c not in header]
     if missing:
         raise ConfigError(f"{path}: no column {', '.join(missing)}")
     if not rows:

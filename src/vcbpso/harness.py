@@ -14,10 +14,11 @@ the base seed. Results land in an output directory as CSV files:
 Seed derivation uses numpy's SeedSequence with the (variant index,
 repetition) spawn key, so every run owns an independent, reproducible
 PCG64 stream. The runs are therefore stepped in groups, one engine
-block each (:func:`group_size`), and the groups go to one forked worker
-process per CPU the process may run on; the parent writes every CSV in
-spec order, so the outputs are the same bytes as when each run executes
-alone and in-process (``taskset -c 0`` gives the in-process path).
+block each (:func:`group_size`), on one forked worker per CPU the
+process may run on; each task carries all it reads as arguments. The
+parent writes every CSV in spec order through :func:`_write_csv`, so
+the outputs are the same bytes as when each run executes alone and
+in-process (``taskset -c 0`` gives the in-process path).
 """
 
 from __future__ import annotations
@@ -55,7 +56,8 @@ class Variant:
 
 @dataclass(frozen=True)
 class InstanceSource:
-    """Either generation parameters or a path to an instance file."""
+    """A path to an instance file, or all five generation parameters;
+    checked when built."""
 
     path: str | None = None
     instance_type: str | None = None
@@ -63,6 +65,17 @@ class InstanceSource:
     r: int | None = None
     s: float | None = None
     seed: int | None = None
+
+    def __post_init__(self):
+        keys = ("instance.path", "instance.type", "instance.n", "instance.r",
+                "instance.s", "instance.seed")
+        given = [key for key, value in zip(keys, (
+            self.path, self.instance_type, self.n, self.r, self.s, self.seed))
+            if value is not None]
+        if given != ["instance.path"] and given != list(keys[1:]):
+            raise ConfigError(f"the instance needs instance.path alone or all "
+                              f"of {', '.join(keys[1:])}; got "
+                              f"{', '.join(given) or 'none'}")
 
     def load(self) -> KnapsackInstance:
         if self.path is not None:
@@ -130,9 +143,9 @@ class AggregateResult:
     mean_first_discovery_round: float
     mean_pujv: float | None
     mean_gbest_curve: np.ndarray
-    mean_dist_curve: np.ndarray | None = None
-    mean_dist_eff_curve: np.ndarray | None = None
-    mean_cum_pujv_curve: np.ndarray | None = None
+    mean_dist_curve: np.ndarray | None
+    mean_dist_eff_curve: np.ndarray | None
+    mean_cum_pujv_curve: np.ndarray | None
 
 
 def derive_seed(base_seed: int, variant_index: int, repetition: int) -> int:
@@ -218,22 +231,6 @@ def parse_config(text: str) -> ExperimentSpec:
         except (ValueError, ConfigError) as exc:
             raise ParseError(f"line {lineno}: key {key!r}: {exc}") from None
 
-    if "instance.path" in values:
-        for key in ("instance.type", "instance.n", "instance.r",
-                    "instance.s", "instance.seed"):
-            if key in values:
-                raise ParseError(
-                    f"line {values[key][1]}: {key!r} conflicts with instance.path")
-        source = InstanceSource(path=values["instance.path"][0])
-    else:
-        source = InstanceSource(
-            instance_type=take("instance.type", str, required=True),
-            n=take("instance.n", int, required=True),
-            r=take("instance.r", int, required=True),
-            s=take("instance.s", float, required=True),
-            seed=take("instance.seed", int, required=True),
-        )
-
     variants_raw, vline = values.get("variants", ("", 0))
     variant_texts = [t for t in (s.strip() for s in variants_raw.split(";")) if t]
     if not variant_texts:
@@ -247,7 +244,14 @@ def parse_config(text: str) -> ExperimentSpec:
 
     try:
         return ExperimentSpec(
-            instance=source,
+            instance=InstanceSource(
+                path=take("instance.path", str),
+                instance_type=take("instance.type", str),
+                n=take("instance.n", int),
+                r=take("instance.r", int),
+                s=take("instance.s", float),
+                seed=take("instance.seed", int),
+            ),
             variants=variants,
             swarm_size=take("swarm.size", int, default=20),
             c1=take("swarm.c1", float, default=2.0),
@@ -308,11 +312,9 @@ def _run_result(spec: ExperimentSpec, variant: Variant, repetition: int,
         trace.save(os.path.join(spec.output_dir, name))
     best = float(trace.gbest_fitness[-1])
     dist_curve = dist_eff_curve = cum_curve = None
-    total_pujv = None
     if spec.compute_metrics and spec.iterations >= 1:
         dist_curve, dist_eff_curve, cum_curve = metrics.aggregate_curves(
             metrics.dist_matrix(trace), metrics.dist_eff_matrix(trace))
-        total_pujv = int(cum_curve[-1])
     return RunResult(
         variant=variant,
         repetition=repetition,
@@ -321,7 +323,7 @@ def _run_result(spec: ExperimentSpec, variant: Variant, repetition: int,
         ratio=best / optimum,
         convergence_round=metrics.convergence_round(trace),
         first_discovery_round=metrics.first_discovery_round(trace),
-        pujv=total_pujv,
+        pujv=None if cum_curve is None else int(cum_curve[-1]),
         gbest_curve=trace.gbest_fitness.copy(),
         dist_curve=dist_curve,
         dist_eff_curve=dist_eff_curve,
@@ -331,24 +333,27 @@ def _run_result(spec: ExperimentSpec, variant: Variant, repetition: int,
 
 def _aggregate(variant: Variant, runs: list[RunResult],
                optimum: int) -> AggregateResult:
-    mean_best = float(np.mean([r.best_profit for r in runs]))
-    agg = AggregateResult(
+    def mean(name, axis=None):
+        values = [getattr(r, name) for r in runs]
+        if values[0] is None:
+            return None
+        m = np.mean(values, axis=axis)
+        return float(m) if axis is None else m
+
+    mean_best = mean("best_profit")
+    return AggregateResult(
         variant=variant,
         optimum=optimum,
         mean_best_profit=mean_best,
         ratio=mean_best / optimum,
-        mean_convergence_round=float(np.mean([r.convergence_round for r in runs])),
-        mean_first_discovery_round=float(
-            np.mean([r.first_discovery_round for r in runs])),
-        mean_pujv=(float(np.mean([r.pujv for r in runs]))
-                   if runs[0].pujv is not None else None),
-        mean_gbest_curve=np.mean([r.gbest_curve for r in runs], axis=0),
+        mean_convergence_round=mean("convergence_round"),
+        mean_first_discovery_round=mean("first_discovery_round"),
+        mean_pujv=mean("pujv"),
+        mean_gbest_curve=mean("gbest_curve", 0),
+        mean_dist_curve=mean("dist_curve", 0),
+        mean_dist_eff_curve=mean("dist_eff_curve", 0),
+        mean_cum_pujv_curve=mean("cum_pujv_curve", 0),
     )
-    if runs[0].dist_curve is not None:
-        agg.mean_dist_curve = np.mean([r.dist_curve for r in runs], axis=0)
-        agg.mean_dist_eff_curve = np.mean([r.dist_eff_curve for r in runs], axis=0)
-        agg.mean_cum_pujv_curve = np.mean([r.cum_pujv_curve for r in runs], axis=0)
-    return agg
 
 
 def _worker_count(runs: int) -> int:
@@ -376,22 +381,6 @@ def group_size(runs: int, workers: int, swarm_size: int,
                       runs // workers))
 
 
-# (spec, objective, optimum) of the experiment a forked worker serves;
-# set only in the workers, by _init_worker
-_worker_state = None
-
-
-def _init_worker(spec: ExperimentSpec, objective: KnapsackObjective,
-                 optimum: int) -> None:
-    global _worker_state
-    _worker_state = (spec, objective, optimum)
-
-
-def _run_in_worker(pairs: list[tuple[int, int]]) -> list[RunResult]:
-    spec, objective, optimum = _worker_state
-    return _execute_group(spec, pairs, objective, optimum)
-
-
 def _execute_runs(spec: ExperimentSpec, objective: KnapsackObjective,
                   optimum: int) -> list[RunResult]:
     """Every (variant, repetition) run, in spec order.
@@ -409,20 +398,16 @@ def _execute_runs(spec: ExperimentSpec, objective: KnapsackObjective,
     workers = _worker_count(len(pairs))
     size = group_size(len(pairs), workers, spec.swarm_size,
                       objective.dimensions)
-    order = sorted(range(len(pairs)),
-                   key=lambda i: spec.variants[pairs[i][0]].kind.value)
-    groups = [order[i:i + size] for i in range(0, len(order), size)]
-    tasks = [[pairs[i] for i in group] for group in groups]
+    order = sorted(pairs, key=lambda pair: spec.variants[pair[0]].kind.value)
+    tasks = [order[k:k + size] for k in range(0, len(order), size)]
     if workers == 1:
         done = [_execute_group(spec, task, objective, optimum)
                 for task in tasks]
     else:
         done = _run_on_pool(workers, tasks, spec, objective, optimum)
-    results = [None] * len(pairs)
-    for group, group_results in zip(groups, done):
-        for i, result in zip(group, group_results):
-            results[i] = result
-    return results
+    # the tasks cut ``order`` in sequence, and so do their results
+    results = dict(zip(order, (r for task in done for r in task)))
+    return [results[pair] for pair in pairs]
 
 
 def _run_on_pool(workers: int, tasks: list[list[tuple[int, int]]],
@@ -434,14 +419,12 @@ def _run_on_pool(workers: int, tasks: list[list[tuple[int, int]]],
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    # fork, not spawn: the workers inherit the spec, the objective and the
-    # optimum (and every name rebound in this process), so nothing is
-    # pickled on the way in; the package starts no thread of its own
-    with ProcessPoolExecutor(workers,
-                             mp_context=multiprocessing.get_context("fork"),
-                             initializer=_init_worker,
-                             initargs=(spec, objective, optimum)) as pool:
-        futures = [pool.submit(_run_in_worker, task) for task in tasks]
+    # fork, not spawn: the workers inherit every name rebound in this
+    # process, and the package starts no thread of its own
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(workers, mp_context=context) as pool:
+        futures = [pool.submit(_execute_group, spec, task, objective, optimum)
+                   for task in tasks]
         try:
             return [future.result() for future in futures]
         except BaseException as exc:
@@ -465,23 +448,28 @@ def run_experiment(spec: ExperimentSpec) -> list[AggregateResult]:
 
     all_runs = _execute_runs(spec, objective, optimum)
     reps = spec.repetitions
-    aggregates = [
-        _aggregate(variant, all_runs[vi * reps:(vi + 1) * reps], optimum)
-        for vi, variant in enumerate(spec.variants)
-    ]
+    aggregates = [_aggregate(v, all_runs[vi * reps:(vi + 1) * reps], optimum)
+                  for vi, v in enumerate(spec.variants)]
 
-    _write_runs_csv(os.path.join(spec.output_dir, "runs.csv"), all_runs)
-    _write_aggregate_csv(os.path.join(spec.output_dir, "aggregate.csv"),
-                         aggregates)
+    out = spec.output_dir
+    _write_csv(os.path.join(out, "runs.csv"), RUNS_HEADER,
+               ([r.variant.label, r.repetition, r.seed, r.best_profit,
+                 r.ratio, r.convergence_round, r.first_discovery_round,
+                 r.pujv] for r in all_runs))
+    _write_csv(os.path.join(out, "aggregate.csv"), AGGREGATE_HEADER,
+               ([a.variant.label, a.mean_best_profit, a.ratio,
+                 a.mean_convergence_round, a.mean_first_discovery_round,
+                 a.mean_pujv] for a in aggregates))
     for agg in aggregates:
         label = _safe_label(agg.variant.label)
-        _write_curve_csv(
-            os.path.join(spec.output_dir, f"curve_{label}.csv"), agg)
+        _write_csv(os.path.join(out, f"curve_{label}.csv"),
+                   ["iteration", "mean_gbest"],
+                   enumerate(agg.mean_gbest_curve.tolist()))
         if agg.mean_dist_curve is not None:
             metrics.write_aggregate_metrics_csv(
                 agg.mean_dist_curve, agg.mean_dist_eff_curve,
                 agg.mean_cum_pujv_curve,
-                os.path.join(spec.output_dir, f"metrics_{label}.csv"))
+                os.path.join(out, f"metrics_{label}.csv"))
     return aggregates
 
 
@@ -503,38 +491,17 @@ def paired(aggregates: list[AggregateResult]
     return out
 
 
-def _write_runs_csv(path, runs: list[RunResult]) -> None:
+RUNS_HEADER = ["variant", "repetition", "seed", "best_profit", "ratio",
+               "convergence_round", "first_discovery_round", "pujv"]
+AGGREGATE_HEADER = ["variant", "mean_best_profit", "ratio",
+                    "mean_convergence_round", "mean_first_discovery_round",
+                    "mean_pujv"]
+
+
+def _write_csv(path, header: list[str], rows) -> None:
+    """The harness's one CSV writer: a Python float as its repr, None as an
+    empty cell. Rows hold Python values; a numpy float's repr differs."""
     with open(path, "w", newline="") as fh:
         out = csv.writer(fh)
-        out.writerow(["variant", "repetition", "seed", "best_profit", "ratio",
-                      "convergence_round", "first_discovery_round", "pujv"])
-        for r in runs:
-            out.writerow([
-                r.variant.label, r.repetition, r.seed, repr(r.best_profit),
-                repr(r.ratio), r.convergence_round, r.first_discovery_round,
-                "" if r.pujv is None else r.pujv,
-            ])
-
-
-def _write_aggregate_csv(path, aggregates: list[AggregateResult]) -> None:
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["variant", "mean_best_profit", "ratio",
-                      "mean_convergence_round", "mean_first_discovery_round",
-                      "mean_pujv"])
-        for a in aggregates:
-            out.writerow([
-                a.variant.label, repr(a.mean_best_profit), repr(a.ratio),
-                repr(a.mean_convergence_round),
-                repr(a.mean_first_discovery_round),
-                "" if a.mean_pujv is None else repr(a.mean_pujv),
-            ])
-
-
-def _write_curve_csv(path, agg: AggregateResult) -> None:
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["iteration", "mean_gbest"])
-        for k, g in enumerate(agg.mean_gbest_curve):
-            out.writerow([k, repr(float(g))])
-
+        out.writerow(header)
+        out.writerows(rows)

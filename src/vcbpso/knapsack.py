@@ -35,7 +35,6 @@ class KnapsackInstance:
     profits: np.ndarray
     capacity: int
     instance_type: str = "EXTERNAL"
-    generation_seed: int | None = None
     # items sorted by increasing profit/weight ratio, ties by index;
     # this is the order in which repair drops items
     _drop_order: np.ndarray = field(init=False, repr=False, compare=False)
@@ -107,7 +106,7 @@ def generate(instance_type: str, n: int, r: int, s: float,
             raise ConfigError("SCI requires R to be a multiple of 10")
         profits = weights + r // 10
     capacity = math.floor(s * int(weights.sum()))
-    return KnapsackInstance(weights, profits, capacity, instance_type, seed)
+    return KnapsackInstance(weights, profits, capacity, instance_type)
 
 
 def dp_optimal(instance: KnapsackInstance,

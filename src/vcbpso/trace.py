@@ -131,6 +131,11 @@ class RunTrace:
             except (ValueError, OverflowError) as exc:
                 raise ValueError(f"{path}: record {k}: {exc}") from None
         positions = np.frombuffer(raw, dtype="<u8").reshape(records, m, words)
+        # the bits past d in each last word are padding and must be zero
+        padding = np.uint64((1 << 64) - (1 << (d - 64 * (words - 1))))
+        bad = np.flatnonzero((positions[:, :, -1] & padding).any(axis=1))
+        if bad.size:
+            raise ValueError(f"{path}: record {bad[0]}: bits set past d={d}")
         return cls(d, gbest, flips, positions)
 
 

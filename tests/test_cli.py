@@ -239,6 +239,18 @@ class TestReport:
         assert ("no column mean_first_discovery_round, mean_pujv"
                 in stderr)
 
+    @pytest.mark.parametrize("row", ["VT2_w1,10,0.5", "VT2_w1,10,0.5,3,4,5,6"])
+    def test_row_of_another_length(self, capsys, tmp_path, row):
+        (tmp_path / "aggregate.csv").write_text(
+            "variant,mean_best_profit,ratio,mean_convergence_round,"
+            "mean_first_discovery_round,mean_pujv\n"
+            "VCv2_w1,10,0.5,3,4,5\n\n" + row + "\n")
+        code, stdout, stderr = run_cli(capsys, "report", "--results-dir",
+                                       str(tmp_path))
+        assert code == 2 and stdout == ""
+        assert "aggregate.csv: line 4 has" in stderr
+        assert "the header 6" in stderr
+
     def test_missing_dir(self, capsys, tmp_path):
         code, _, stderr = run_cli(capsys, "report", "--results-dir",
                                   str(tmp_path / "nope"))

@@ -4,6 +4,8 @@ import csv
 import glob
 import math
 import os
+import pickle
+import re
 import time
 from dataclasses import FrozenInstanceError, replace
 from types import SimpleNamespace
@@ -246,6 +248,42 @@ class TestSpecValidation:
         with pytest.raises(ConfigError, match="c1 and c2"):
             replace(self._spec(tmp_path), c1=-1.0)
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("source, given", [
+        (dict(), "none"),
+        (dict(path="inst.txt", instance_type="UCI", n=5),
+         "instance.path, instance.type, instance.n"),
+        (dict(instance_type="UCI", n=10, r=100, s=0.5),
+         "instance.type, instance.n, instance.r, instance.s"),
+    ])
+    def test_instance_source_is_a_path_or_all_generation_keys(
+            self, tmp_path, source, given):
+        with pytest.raises(ConfigError, match=re.escape(
+                "needs instance.path alone or all of instance.type, "
+                f"instance.n, instance.r, instance.s, instance.seed; "
+                f"got {given}")):
+            self._spec(tmp_path, instance=InstanceSource(**source))
+        assert not (tmp_path / "out").exists()
+
+
+def test_task_arguments_survive_pickling(tmp_path):
+    """The worker pool pickles the spec and the objective into each task;
+    the copies must evaluate a swarm exactly as the originals, through
+    the instance's cached drop order and sums matrix."""
+    spec = parse_config(good_config(tmp_path))
+    objective = knapsack.KnapsackObjective(spec.instance.load())
+    spec_copy, objective_copy = pickle.loads(pickle.dumps((spec, objective)))
+    assert spec_copy == spec
+    inst = objective.instance
+    rng = np.random.Generator(np.random.PCG64(3))
+    batch = rng.integers(0, 2, size=(40, inst.n), dtype=np.uint8)
+    infeasible = batch @ inst.weights > inst.capacity
+    assert 0 < infeasible.sum() < len(batch)
+    fitness, stored = objective.evaluate_swarm(batch)
+    fitness_copy, stored_copy = objective_copy.evaluate_swarm(batch)
+    np.testing.assert_array_equal(fitness_copy, fitness)
+    np.testing.assert_array_equal(stored_copy, stored)
+    assert not (stored[infeasible] == batch[infeasible]).all()
 
 
 class TestShippedConfigs:

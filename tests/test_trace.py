@@ -192,6 +192,30 @@ class TestRunTrace:
         with pytest.raises(ValueError, match=r"t\.txt: the second line"):
             RunTrace.load(path)
 
+    @pytest.mark.parametrize("d, bit", [(10, 10), (10, 63), (100, 100),
+                                        (100, 127)])
+    def test_load_rejects_a_set_padding_bit(self, tmp_path, d, bit):
+        """A bit past d would count in every Hamming distance of its
+        particle, so a trace that carries one is refused."""
+        trace = build_trace([np.zeros((2, d), np.uint8)] * 3)
+        positions = trace.positions.copy()
+        positions[2, 1, -1] |= np.uint64(1 << (bit % 64))
+        path = tmp_path / "t.txt"
+        RunTrace(d, trace.gbest_fitness, trace.flip_counts,
+                 positions).save(path)
+        with pytest.raises(ValueError,
+                           match=rf"t\.txt: record 2: bits set past d={d}"):
+            RunTrace.load(path)
+
+    def test_load_keeps_the_last_bit_of_a_full_word(self, tmp_path):
+        bits = np.zeros((2, 64), np.uint8)
+        bits[1, 63] = 1
+        trace = build_trace([np.zeros_like(bits), bits])
+        path = tmp_path / "t.txt"
+        trace.save(path)
+        np.testing.assert_array_equal(RunTrace.load(path).positions,
+                                      trace.positions)
+
     @pytest.mark.parametrize("bad", BAD_RECORDS)
     def test_load_names_a_bad_record(self, tmp_path, bad):
         path = tmp_path / "t.txt"
