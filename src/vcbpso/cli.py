@@ -4,11 +4,9 @@ execution, metric extraction and report consolidation."""
 from __future__ import annotations
 
 import argparse
-import csv
-import os
 import sys
 
-from . import harness, knapsack, metrics
+from . import harness, knapsack, metrics, results
 from .errors import ConfigError, ResourceError
 from .trace import RunTrace
 
@@ -38,7 +36,7 @@ def _cmd_run(args) -> int:
     for agg in aggregates:
         print(f"{agg.variant.label}: mean profit {agg.mean_best_profit:.2f} "
               f"({100 * agg.ratio:.1f}% of optimum {agg.optimum})")
-    pairs = harness.paired(aggregates)
+    pairs = results.paired(aggregates)
     if pairs:
         gaps = [corr.ratio - plain.ratio for _, corr, plain in pairs]
         print(f"mean corrected-vs-uncorrected gap: "
@@ -54,36 +52,15 @@ def _cmd_metrics(args) -> int:
     base = args.trace.removesuffix(".gz").removesuffix(".txt")
     d = metrics.dist_matrix(trace)
     e = metrics.dist_eff_matrix(trace)
-    metrics.write_particle_metrics_csv(d, e, base + "_particle_metrics.csv")
-    metrics.write_aggregate_metrics_csv(*metrics.aggregate_curves(d, e),
+    results.write_particle_metrics_csv(d, e, base + "_particle_metrics.csv")
+    results.write_aggregate_metrics_csv(*metrics.aggregate_curves(d, e),
                                         base + "_aggregate_metrics.csv")
     print(metrics.pujv_of(d, e, lo, hi))
     return 0
 
 
-_REPORT_COLUMNS = ["variant", "ratio", "mean_convergence_round",
-                   "mean_first_discovery_round", "mean_pujv"]
-
-
 def _cmd_report(args) -> int:
-    path = os.path.join(args.results_dir, "aggregate.csv")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        rows = []
-        for cells in filter(None, reader):      # blank lines are skipped
-            if len(cells) != len(header):
-                raise ConfigError(f"{path}: line {reader.line_num} has "
-                                  f"{len(cells)} cells, the header {len(header)}")
-            rows.append(dict(zip(header, cells)))
-    missing = [c for c in _REPORT_COLUMNS if c not in header]
-    if missing:
-        raise ConfigError(f"{path}: no column {', '.join(missing)}")
-    if not rows:
-        raise ConfigError(f"{path}: no variant rows")
-    out = csv.writer(sys.stdout)
-    out.writerow(_REPORT_COLUMNS)
-    out.writerows([row[c] for c in _REPORT_COLUMNS] for row in rows)
+    results.print_report(args.results_dir)
     return 0
 
 

@@ -1,36 +1,26 @@
-"""Batch experiment orchestration.
-
-An experiment fixes one knapsack instance, computes its exact optimum
-once, then runs every (variant, repetition) pair with a seed derived from
-the base seed. Results land in an output directory as CSV files:
-
-- ``runs.csv``: one row per run
-- ``aggregate.csv``: one row per variant (means over repetitions)
-- ``curve_<variant>.csv``: per-iteration mean gbest profit
-- ``metrics_<variant>.csv``: per-iteration mean dist / dist_eff and the
-  cumulative useless jump volume, averaged over repetitions
-- ``trace_<variant>_rep<k>.txt.gz``: full traces (optional)
+"""Batch experiment orchestration: an experiment fixes one knapsack
+instance, computes its exact optimum once, runs every (variant,
+repetition) pair with a seed derived from the base seed and writes the
+files of :mod:`vcbpso.results`.
 
 Seed derivation uses numpy's SeedSequence with the (variant index,
 repetition) spawn key, so every run owns an independent, reproducible
 PCG64 stream. The runs are therefore stepped in groups, one engine
 block each (:func:`group_size`), on one forked worker per CPU the
 process may run on; each task carries all it reads as arguments. The
-parent writes every CSV in spec order through :func:`_write_csv`, so
-the outputs are the same bytes as when each run executes alone and
-in-process (``taskset -c 0`` gives the in-process path).
+parent writes every CSV in spec order, so the outputs are the same
+bytes as when each run executes alone and in-process (``taskset -c 0``
+gives the in-process path).
 """
 
 from __future__ import annotations
 
-import csv
 import os
-import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import knapsack, metrics
+from . import knapsack, metrics, results
 from .engine import RunConfig, WSchedule, check_run_settings, run_block
 # not called here: perfbench/spans.py rebinds ``harness.run`` in its traced
 # pass, which fails on a missing name
@@ -115,37 +105,6 @@ class ExperimentSpec:
                                    self.swarm_size, self.iterations)
             except ConfigError as exc:
                 raise ConfigError(f"variant {variant.label}: {exc}") from None
-
-
-@dataclass
-class RunResult:
-    variant: Variant
-    repetition: int
-    seed: int
-    best_profit: float
-    ratio: float
-    convergence_round: int
-    first_discovery_round: int
-    pujv: int | None
-    gbest_curve: np.ndarray
-    dist_curve: np.ndarray | None
-    dist_eff_curve: np.ndarray | None
-    cum_pujv_curve: np.ndarray | None
-
-
-@dataclass
-class AggregateResult:
-    variant: Variant
-    optimum: int
-    mean_best_profit: float
-    ratio: float
-    mean_convergence_round: float
-    mean_first_discovery_round: float
-    mean_pujv: float | None
-    mean_gbest_curve: np.ndarray
-    mean_dist_curve: np.ndarray | None
-    mean_dist_eff_curve: np.ndarray | None
-    mean_cum_pujv_curve: np.ndarray | None
 
 
 def derive_seed(base_seed: int, variant_index: int, repetition: int) -> int:
@@ -269,10 +228,6 @@ def parse_config(text: str) -> ExperimentSpec:
 
 # -- execution -----------------------------------------------------------
 
-def _safe_label(label: str) -> str:
-    return re.sub(r"[^A-Za-z0-9._-]", "_", label)
-
-
 def _run_config(spec: ExperimentSpec, variant_index: int, repetition: int,
                 dimensions: int) -> RunConfig:
     variant = spec.variants[variant_index]
@@ -292,7 +247,7 @@ def _run_config(spec: ExperimentSpec, variant_index: int, repetition: int,
 
 def _execute_group(spec: ExperimentSpec, pairs: list[tuple[int, int]],
                    objective: KnapsackObjective,
-                   optimum: int) -> list[RunResult]:
+                   optimum: int) -> list[results.RunResult]:
     """The (variant index, repetition) runs of one group, stepped as one
     block, in the order of ``pairs``."""
     configs = [_run_config(spec, vi, rep, objective.dimensions)
@@ -306,54 +261,24 @@ def _execute_group(spec: ExperimentSpec, pairs: list[tuple[int, int]],
 
 
 def _run_result(spec: ExperimentSpec, variant: Variant, repetition: int,
-                seed: int, trace: RunTrace, optimum: int) -> RunResult:
+                seed: int, trace: RunTrace, optimum: int) -> results.RunResult:
     if spec.save_traces:
-        name = f"trace_{_safe_label(variant.label)}_rep{repetition}.txt.gz"
+        name = (f"trace_{results.safe_label(variant.label)}"
+                f"_rep{repetition}.txt.gz")
         trace.save(os.path.join(spec.output_dir, name))
     best = float(trace.gbest_fitness[-1])
     dist_curve = dist_eff_curve = cum_curve = None
     if spec.compute_metrics and spec.iterations >= 1:
         dist_curve, dist_eff_curve, cum_curve = metrics.aggregate_curves(
             metrics.dist_matrix(trace), metrics.dist_eff_matrix(trace))
-    return RunResult(
-        variant=variant,
-        repetition=repetition,
-        seed=seed,
-        best_profit=best,
+    return results.RunResult(
+        variant=variant, repetition=repetition, seed=seed, best_profit=best,
         ratio=best / optimum,
         convergence_round=metrics.convergence_round(trace),
         first_discovery_round=metrics.first_discovery_round(trace),
         pujv=None if cum_curve is None else int(cum_curve[-1]),
-        gbest_curve=trace.gbest_fitness.copy(),
-        dist_curve=dist_curve,
-        dist_eff_curve=dist_eff_curve,
-        cum_pujv_curve=cum_curve,
-    )
-
-
-def _aggregate(variant: Variant, runs: list[RunResult],
-               optimum: int) -> AggregateResult:
-    def mean(name, axis=None):
-        values = [getattr(r, name) for r in runs]
-        if values[0] is None:
-            return None
-        m = np.mean(values, axis=axis)
-        return float(m) if axis is None else m
-
-    mean_best = mean("best_profit")
-    return AggregateResult(
-        variant=variant,
-        optimum=optimum,
-        mean_best_profit=mean_best,
-        ratio=mean_best / optimum,
-        mean_convergence_round=mean("convergence_round"),
-        mean_first_discovery_round=mean("first_discovery_round"),
-        mean_pujv=mean("pujv"),
-        mean_gbest_curve=mean("gbest_curve", 0),
-        mean_dist_curve=mean("dist_curve", 0),
-        mean_dist_eff_curve=mean("dist_eff_curve", 0),
-        mean_cum_pujv_curve=mean("cum_pujv_curve", 0),
-    )
+        gbest_curve=trace.gbest_fitness.copy(), dist_curve=dist_curve,
+        dist_eff_curve=dist_eff_curve, cum_pujv_curve=cum_curve)
 
 
 def _worker_count(runs: int) -> int:
@@ -382,7 +307,7 @@ def group_size(runs: int, workers: int, swarm_size: int,
 
 
 def _execute_runs(spec: ExperimentSpec, objective: KnapsackObjective,
-                  optimum: int) -> list[RunResult]:
+                  optimum: int) -> list[results.RunResult]:
     """Every (variant, repetition) run, in spec order.
 
     Each run owns its seed, so neither the order in which they execute
@@ -406,13 +331,13 @@ def _execute_runs(spec: ExperimentSpec, objective: KnapsackObjective,
     else:
         done = _run_on_pool(workers, tasks, spec, objective, optimum)
     # the tasks cut ``order`` in sequence, and so do their results
-    results = dict(zip(order, (r for task in done for r in task)))
-    return [results[pair] for pair in pairs]
+    by_pair = dict(zip(order, (r for task in done for r in task)))
+    return [by_pair[pair] for pair in pairs]
 
 
 def _run_on_pool(workers: int, tasks: list[list[tuple[int, int]]],
                  spec: ExperimentSpec, objective: KnapsackObjective,
-                 optimum: int) -> list[list[RunResult]]:
+                 optimum: int) -> list[list[results.RunResult]]:
     """Each task's results, from a pool of ``workers`` forked workers."""
     # imported here, so that `import vcbpso` does not pay for them
     import multiprocessing
@@ -436,7 +361,7 @@ def _run_on_pool(workers: int, tasks: list[list[tuple[int, int]]],
             raise
 
 
-def run_experiment(spec: ExperimentSpec) -> list[AggregateResult]:
+def run_experiment(spec: ExperimentSpec) -> list[results.AggregateResult]:
     """Execute all variants x repetitions, write CSV artifacts, return
     per-variant aggregates. Deterministic given the spec."""
     instance = spec.instance.load()
@@ -448,60 +373,8 @@ def run_experiment(spec: ExperimentSpec) -> list[AggregateResult]:
 
     all_runs = _execute_runs(spec, objective, optimum)
     reps = spec.repetitions
-    aggregates = [_aggregate(v, all_runs[vi * reps:(vi + 1) * reps], optimum)
+    aggregates = [results.aggregate(v, all_runs[vi * reps:(vi + 1) * reps],
+                                    optimum)
                   for vi, v in enumerate(spec.variants)]
-
-    out = spec.output_dir
-    _write_csv(os.path.join(out, "runs.csv"), RUNS_HEADER,
-               ([r.variant.label, r.repetition, r.seed, r.best_profit,
-                 r.ratio, r.convergence_round, r.first_discovery_round,
-                 r.pujv] for r in all_runs))
-    _write_csv(os.path.join(out, "aggregate.csv"), AGGREGATE_HEADER,
-               ([a.variant.label, a.mean_best_profit, a.ratio,
-                 a.mean_convergence_round, a.mean_first_discovery_round,
-                 a.mean_pujv] for a in aggregates))
-    for agg in aggregates:
-        label = _safe_label(agg.variant.label)
-        _write_csv(os.path.join(out, f"curve_{label}.csv"),
-                   ["iteration", "mean_gbest"],
-                   enumerate(agg.mean_gbest_curve.tolist()))
-        if agg.mean_dist_curve is not None:
-            metrics.write_aggregate_metrics_csv(
-                agg.mean_dist_curve, agg.mean_dist_eff_curve,
-                agg.mean_cum_pujv_curve,
-                os.path.join(out, f"metrics_{label}.csv"))
+    results.write_experiment(spec.output_dir, all_runs, aggregates)
     return aggregates
-
-
-def paired(aggregates: list[AggregateResult]
-           ) -> list[tuple[TransferKind, AggregateResult, AggregateResult]]:
-    """(kind, corrected, uncorrected) per transfer kind, in the order the
-    kinds first appear, when each listed kind has exactly one corrected
-    and one uncorrected variant; otherwise []."""
-    by_kind: dict[TransferKind, list[AggregateResult]] = {}
-    for agg in aggregates:
-        by_kind.setdefault(agg.variant.kind, []).append(agg)
-    out = []
-    for kind, aggs in by_kind.items():
-        corrected = [a for a in aggs if a.variant.correction]
-        uncorrected = [a for a in aggs if not a.variant.correction]
-        if len(corrected) != 1 or len(uncorrected) != 1:
-            return []
-        out.append((kind, corrected[0], uncorrected[0]))
-    return out
-
-
-RUNS_HEADER = ["variant", "repetition", "seed", "best_profit", "ratio",
-               "convergence_round", "first_discovery_round", "pujv"]
-AGGREGATE_HEADER = ["variant", "mean_best_profit", "ratio",
-                    "mean_convergence_round", "mean_first_discovery_round",
-                    "mean_pujv"]
-
-
-def _write_csv(path, header: list[str], rows) -> None:
-    """The harness's one CSV writer: a Python float as its repr, None as an
-    empty cell. Rows hold Python values; a numpy float's repr differs."""
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(header)
-        out.writerows(rows)

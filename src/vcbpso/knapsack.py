@@ -29,7 +29,7 @@ DP_MEMORY_LIMIT = 2 << 30
 FLOAT_EXACT_LIMIT = 2**53
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # by identity: arrays have no plain ==
 class KnapsackInstance:
     weights: np.ndarray
     profits: np.ndarray
@@ -37,12 +37,12 @@ class KnapsackInstance:
     instance_type: str = "EXTERNAL"
     # items sorted by increasing profit/weight ratio, ties by index;
     # this is the order in which repair drops items
-    _drop_order: np.ndarray = field(init=False, repr=False, compare=False)
+    _drop_order: np.ndarray = field(init=False, repr=False)
     # the weights in drop order, and each item's position in that order
-    _drop_weights: np.ndarray = field(init=False, repr=False, compare=False)
-    _drop_rank: np.ndarray = field(init=False, repr=False, compare=False)
+    _drop_weights: np.ndarray = field(init=False, repr=False)
+    _drop_rank: np.ndarray = field(init=False, repr=False)
     # (2, n) float64 rows [weights, profits] for the fitness product
-    _sums_matrix: np.ndarray = field(init=False, repr=False, compare=False)
+    _sums_matrix: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         w = np.ascontiguousarray(self.weights, dtype=np.int64)

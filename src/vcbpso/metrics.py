@@ -1,5 +1,6 @@
 """Post-hoc trace analysis: Hamming activity, effective exploration gain,
-useless jump volume, convergence statistics.
+useless jump volume, convergence statistics; :mod:`vcbpso.results` writes
+them to CSV.
 
 Per iteration and particle, ``dist`` is the Hamming distance to the
 previous position (raw activity) and ``dist_eff`` the Hamming distance to
@@ -9,8 +10,6 @@ useless jump volume (PUJV): movement spent revisiting known space.
 """
 
 from __future__ import annotations
-
-import csv
 
 import numpy as np
 
@@ -127,7 +126,7 @@ def aggregate_curves(d: np.ndarray, e: np.ndarray
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-iteration mean ``dist``, mean ``dist_eff`` and cumulative PUJV
     over the swarm, from a trace's ``dist`` and ``dist_eff`` matrices:
-    the columns of :func:`write_aggregate_metrics_csv`."""
+    the columns of ``results.METRICS_HEADER``."""
     return d.mean(axis=1), e.mean(axis=1), np.cumsum((d - e).sum(axis=1))
 
 
@@ -142,39 +141,3 @@ def first_discovery_round(trace: RunTrace) -> int:
     """First iteration at which gbest reaches its final value."""
     g = trace.gbest_fitness
     return int(np.argmax(g == g[-1]))
-
-
-# Rows per write of write_particle_metrics_csv; one string per chunk
-# keeps its temporaries small whatever the trace length.
-_CSV_CHUNK_ROWS = 4096
-
-
-def write_particle_metrics_csv(d: np.ndarray, e: np.ndarray, path) -> None:
-    """Schema: iteration,particle,dist,dist_eff (one row per pair), from
-    the ``dist`` and ``dist_eff`` matrices of one trace. The bytes are
-    those of ``csv.writer``: integer cells, ``\\r\\n`` line ends."""
-    iterations, m = d.shape
-    rows = np.empty((iterations * m, 4), dtype=np.int64)
-    rows[:, 0] = np.repeat(np.arange(1, iterations + 1), m)
-    rows[:, 1] = np.tile(np.arange(m), iterations)
-    rows[:, 2] = d.ravel()
-    rows[:, 3] = e.ravel()
-    with open(path, "w", newline="") as fh:
-        fh.write("iteration,particle,dist,dist_eff\r\n")
-        for start in range(0, len(rows), _CSV_CHUNK_ROWS):
-            chunk = rows[start:start + _CSV_CHUNK_ROWS]
-            fh.write("%d,%d,%d,%d\r\n" * len(chunk)
-                     % tuple(chunk.ravel().tolist()))
-
-
-def write_aggregate_metrics_csv(mean_dist: np.ndarray,
-                                mean_dist_eff: np.ndarray,
-                                cum_pujv: np.ndarray, path) -> None:
-    """Schema: iteration,mean_dist,mean_dist_eff,cum_pujv, one row per
-    iteration from 1. Cells keep their Python type: floats print as
-    ``repr`` and integer ``cum_pujv`` values as integers."""
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["iteration", "mean_dist", "mean_dist_eff", "cum_pujv"])
-        out.writerows(zip(range(1, len(mean_dist) + 1), mean_dist.tolist(),
-                          mean_dist_eff.tolist(), cum_pujv.tolist()))

@@ -1,0 +1,193 @@
+"""The output format: every CSV schema, the aggregation, the one CSV
+writer and the reader behind ``vcbpso report``. An experiment writes:
+
+- ``runs.csv``: one row per run
+- ``aggregate.csv``: one row per variant (means over repetitions)
+- ``curve_<variant>.csv``: per-iteration mean gbest profit
+- ``metrics_<variant>.csv``: per-iteration mean dist / dist_eff and the
+  cumulative useless jump volume, averaged over repetitions
+- ``trace_<variant>_rep<k>.txt.gz``: full traces (optional)
+
+``vcbpso metrics`` writes ``<trace>_particle_metrics.csv`` and
+``<trace>_aggregate_metrics.csv`` beside a trace. Every CSV goes through
+:func:`write_csv`, except the particle file (m·T rows), whose writer
+formats the same bytes faster.
+"""
+
+from __future__ import annotations
+
+import csv
+import os
+import re
+import sys
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
+
+import numpy as np
+
+from .errors import ConfigError
+
+if TYPE_CHECKING:
+    from .harness import Variant
+    from .transfer import TransferKind
+
+RUNS_HEADER = ["variant", "repetition", "seed", "best_profit", "ratio",
+               "convergence_round", "first_discovery_round", "pujv"]
+AGGREGATE_HEADER = ["variant", "mean_best_profit", "ratio",
+                    "mean_convergence_round", "mean_first_discovery_round",
+                    "mean_pujv"]
+CURVE_HEADER = ["iteration", "mean_gbest"]
+METRICS_HEADER = ["iteration", "mean_dist", "mean_dist_eff", "cum_pujv"]
+PARTICLE_HEADER = ["iteration", "particle", "dist", "dist_eff"]
+REPORT_COLUMNS = [c for c in AGGREGATE_HEADER if c != "mean_best_profit"]
+
+
+@dataclass
+class RunResult:
+    variant: Variant
+    repetition: int
+    seed: int
+    best_profit: float
+    ratio: float
+    convergence_round: int
+    first_discovery_round: int
+    pujv: int | None
+    gbest_curve: np.ndarray
+    dist_curve: np.ndarray | None
+    dist_eff_curve: np.ndarray | None
+    cum_pujv_curve: np.ndarray | None
+
+
+@dataclass
+class AggregateResult:
+    variant: Variant
+    optimum: int
+    mean_best_profit: float
+    ratio: float
+    mean_convergence_round: float
+    mean_first_discovery_round: float
+    mean_pujv: float | None
+    runs: list[RunResult]
+
+    def mean_curve(self, name: str) -> np.ndarray:
+        return np.mean([getattr(r, name) for r in self.runs], axis=0)
+
+
+def aggregate(variant: Variant, runs: list[RunResult],
+              optimum: int) -> AggregateResult:
+    def mean(name):
+        values = [getattr(r, name) for r in runs]
+        return None if values[0] is None else float(np.mean(values))
+
+    best = mean("best_profit")
+    return AggregateResult(variant, optimum, best, best / optimum,
+                           mean("convergence_round"),
+                           mean("first_discovery_round"), mean("pujv"), runs)
+
+
+def paired(aggregates: list[AggregateResult]
+           ) -> list[tuple[TransferKind, AggregateResult, AggregateResult]]:
+    """(kind, corrected, uncorrected) per transfer kind, in the order the
+    kinds first appear, when each listed kind has exactly one corrected
+    and one uncorrected variant; otherwise []."""
+    by_kind: dict[TransferKind, list[AggregateResult]] = {}
+    for agg in aggregates:
+        by_kind.setdefault(agg.variant.kind, []).append(agg)
+    out = []
+    for kind, aggs in by_kind.items():
+        corrected = [a for a in aggs if a.variant.correction]
+        uncorrected = [a for a in aggs if not a.variant.correction]
+        if len(corrected) != 1 or len(uncorrected) != 1:
+            return []
+        out.append((kind, corrected[0], uncorrected[0]))
+    return out
+
+
+def safe_label(label: str) -> str:
+    return re.sub(r"[^A-Za-z0-9._-]", "_", label)
+
+
+def write_csv(path, header: list[str], rows) -> None:
+    """The one CSV writer: a Python float as its repr, None as an empty
+    cell. Rows hold Python values; a numpy float's repr differs."""
+    with open(path, "w", newline="") as fh:
+        out = csv.writer(fh)
+        out.writerow(header)
+        out.writerows(rows)
+
+
+def write_experiment(out_dir, runs: list[RunResult],
+                     aggregates: list[AggregateResult]) -> None:
+    """Every CSV of an experiment, runs and variants in spec order; each
+    ``runs.csv`` / ``aggregate.csv`` cell is the field its column names."""
+    for name, header, items in (("runs.csv", RUNS_HEADER, runs),
+                                ("aggregate.csv", AGGREGATE_HEADER, aggregates)):
+        write_csv(os.path.join(out_dir, name), header,
+                  ([r.variant.label] + [getattr(r, c) for c in header[1:]]
+                   for r in items))
+    for agg in aggregates:
+        label = safe_label(agg.variant.label)
+        write_csv(os.path.join(out_dir, f"curve_{label}.csv"), CURVE_HEADER,
+                  enumerate(agg.mean_curve("gbest_curve").tolist()))
+        if agg.runs[0].dist_curve is not None:
+            write_aggregate_metrics_csv(
+                agg.mean_curve("dist_curve"), agg.mean_curve("dist_eff_curve"),
+                agg.mean_curve("cum_pujv_curve"),
+                os.path.join(out_dir, f"metrics_{label}.csv"))
+
+
+def write_aggregate_metrics_csv(mean_dist: np.ndarray,
+                                mean_dist_eff: np.ndarray,
+                                cum_pujv: np.ndarray, path) -> None:
+    """``METRICS_HEADER`` rows, one per iteration from 1. Cells keep their
+    Python type: floats print as ``repr``, integer ``cum_pujv`` values
+    (one trace's) as integers."""
+    write_csv(path, METRICS_HEADER,
+              zip(range(1, len(mean_dist) + 1), mean_dist.tolist(),
+                  mean_dist_eff.tolist(), cum_pujv.tolist()))
+
+
+# Rows per write of write_particle_metrics_csv; one string per chunk
+# keeps its temporaries small whatever the trace length.
+_CSV_CHUNK_ROWS = 4096
+
+
+def write_particle_metrics_csv(d: np.ndarray, e: np.ndarray, path) -> None:
+    """``PARTICLE_HEADER`` rows, one per (iteration, particle), from one
+    trace's ``dist`` and ``dist_eff`` matrices: the bytes of
+    :func:`write_csv`, formatted ``_CSV_CHUNK_ROWS`` rows per string."""
+    iterations, m = d.shape
+    rows = np.empty((iterations * m, 4), dtype=np.int64)
+    rows[:, 0] = np.repeat(np.arange(1, iterations + 1), m)
+    rows[:, 1] = np.tile(np.arange(m), iterations)
+    rows[:, 2] = d.ravel()
+    rows[:, 3] = e.ravel()
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(PARTICLE_HEADER) + "\r\n")
+        for start in range(0, len(rows), _CSV_CHUNK_ROWS):
+            chunk = rows[start:start + _CSV_CHUNK_ROWS]
+            fh.write("%d,%d,%d,%d\r\n" * len(chunk)
+                     % tuple(chunk.ravel().tolist()))
+
+
+def print_report(results_dir) -> None:
+    """The ``REPORT_COLUMNS`` of ``aggregate.csv`` in ``results_dir`` on
+    stdout, once every row is checked; blank lines are skipped."""
+    path = os.path.join(results_dir, "aggregate.csv")
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        rows = []
+        for cells in filter(None, reader):
+            if len(cells) != len(header):
+                raise ConfigError(f"{path}: line {reader.line_num} has "
+                                  f"{len(cells)} cells, the header {len(header)}")
+            rows.append(dict(zip(header, cells)))
+    missing = [c for c in REPORT_COLUMNS if c not in header]
+    if missing:
+        raise ConfigError(f"{path}: no column {', '.join(missing)}")
+    if not rows:
+        raise ConfigError(f"{path}: no variant rows")
+    out = csv.writer(sys.stdout)
+    out.writerow(REPORT_COLUMNS)
+    out.writerows([row[c] for c in REPORT_COLUMNS] for row in rows)

@@ -103,7 +103,11 @@ class RunTrace:
                              f"size, dimensions and record count, each >= 1")
         if len(lines) != records + 2:
             raise ValueError(f"{path}: expected {records} record lines")
+        # a record line holds m flip counts and 16·m·words hex digits
         words = (d + 63) // 64
+        if sum(map(len, lines[2:])) < records * m * (1 + 16 * words):
+            raise ValueError(f"{path}: {records} records of m={m}, d={d} "
+                             f"need more text than the file holds")
         gbest = np.empty(records, dtype=np.float64)
         flips = np.empty((records, m), dtype=np.int64)
         # each position is decoded into its own slot of raw; one of the

@@ -39,7 +39,8 @@ from conftest import (
     velocity_grid,
 )
 from vcbpso import knapsack, metrics
-from vcbpso.harness import paired, run_experiment
+from vcbpso.harness import run_experiment
+from vcbpso.results import paired
 from vcbpso.trace import TraceBuilder
 from vcbpso.transfer import TransferKind, correct, sigm
 

@@ -5,7 +5,7 @@ import csv
 import numpy as np
 import pytest
 
-from test_trace import BAD_RECORDS, save_bad_trace
+from test_trace import BAD_RECORDS, OVERSIZED_HEADER, save_bad_trace
 from vcbpso import knapsack
 from vcbpso.cli import main
 from vcbpso.knapsack import load_instance
@@ -203,6 +203,17 @@ class TestMetrics:
                                        str(path))
         assert code == 2 and stdout == ""
         assert stderr.startswith("error:") and "record 1" in stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.txt"]
+
+    def test_oversized_header_fails_with_one_error_line(self, capsys,
+                                                        tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_text(OVERSIZED_HEADER)
+        code, stdout, stderr = run_cli(capsys, "metrics", "--trace",
+                                       str(path))
+        assert code == 2 and stdout == ""
+        assert stderr.startswith("error:") and len(stderr.splitlines()) == 1
+        assert "m=1000000, d=100" in stderr
         assert sorted(p.name for p in tmp_path.iterdir()) == ["t.txt"]
 
 

@@ -26,10 +26,10 @@ from vcbpso.harness import (
     Variant,
     derive_seed,
     group_size,
-    paired,
     parse_config,
     run_experiment,
 )
+from vcbpso.results import paired
 from vcbpso.transfer import TransferKind
 
 GOOD_CONFIG = """

@@ -109,6 +109,13 @@ class TestInstance:
         with pytest.raises(ValueError):
             KnapsackInstance(np.array([1]), np.array([1]), 5, "XXX")
 
+    def test_compares_and_hashes_by_identity(self):
+        a = generate("UCI", 5, 100, 0.5, 1)
+        b = generate("UCI", 5, 100, 0.5, 1)
+        assert a == a
+        assert a != b
+        assert len({a, b}) == 2
+
     @pytest.mark.parametrize("weights, profits", [
         ([2**52, 2**52], [1, 1]),
         ([1, 1], [2**52, 2**52]),

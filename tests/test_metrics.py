@@ -17,7 +17,7 @@ from conftest import (
     unpack_bits,
 )
 from test_trace import build_trace
-from vcbpso import metrics
+from vcbpso import metrics, results
 from vcbpso.metrics import (
     convergence_round,
     dist_eff_matrix,
@@ -304,7 +304,7 @@ class TestCsvWriters:
     def test_particle_csv_schema(self, tmp_path):
         t = single_particle_trace("0000", "1100", "0011")
         path = tmp_path / "particle.csv"
-        metrics.write_particle_metrics_csv(dist_matrix(t), dist_eff_matrix(t),
+        results.write_particle_metrics_csv(dist_matrix(t), dist_eff_matrix(t),
                                            path)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
@@ -321,21 +321,18 @@ class TestCsvWriters:
         d = rng.integers(0, 10**6, size=(iterations, m))
         e = rng.integers(0, 10**6, size=(iterations, m))
         path = tmp_path / "particle.csv"
-        metrics.write_particle_metrics_csv(d, e, path)
+        results.write_particle_metrics_csv(d, e, path)
         want = tmp_path / "want.csv"
-        with open(want, "w", newline="") as fh:
-            out = csv.writer(fh)
-            out.writerow(["iteration", "particle", "dist", "dist_eff"])
-            for k in range(iterations):
-                for i in range(m):
-                    out.writerow([k + 1, i, int(d[k, i]), int(e[k, i])])
+        results.write_csv(want, ["iteration", "particle", "dist", "dist_eff"],
+                          ([k + 1, i, int(d[k, i]), int(e[k, i])]
+                           for k in range(iterations) for i in range(m)))
         assert path.read_bytes() == want.read_bytes()
 
     def test_aggregate_csv_schema(self, tmp_path):
         t = single_particle_trace("0000", "1100", "0011")
         path = tmp_path / "agg.csv"
         d, e = dist_matrix(t), dist_eff_matrix(t)
-        metrics.write_aggregate_metrics_csv(*metrics.aggregate_curves(d, e),
+        results.write_aggregate_metrics_csv(*metrics.aggregate_curves(d, e),
                                             path)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))

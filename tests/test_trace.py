@@ -1,6 +1,7 @@
 """Bit packing and trace persistence."""
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,11 @@ from hypothesis import given, strategies as st
 from conftest import position_bits, unpack_bits
 from vcbpso.trace import RunTrace, TraceBuilder, pack_bits
 
+
+# 51 bytes whose header claims 10**6 particles: 16 MB of flip counts and
+# 16 MB of positions that the two short record lines cannot hold
+OVERSIZED_HEADER = ("vcbpso-trace 1\n1000000 100 2\n"
+                    "0 1.0 0 00\n1 1.0 0 00\n")
 
 # (record, field, edit) of the lines to spoil; fields are index, gbest,
 # flip counts and position hex. The first edited record is named.
@@ -191,6 +197,19 @@ class TestRunTrace:
                         + ("" if header is None else header + "\n"))
         with pytest.raises(ValueError, match=r"t\.txt: the second line"):
             RunTrace.load(path)
+
+    def test_load_refuses_a_header_the_text_cannot_hold(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_text(OVERSIZED_HEADER)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"t\.txt: 2 records of "
+                                                 r"m=1000000, d=100 need"):
+                RunTrace.load(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     @pytest.mark.parametrize("d, bit", [(10, 10), (10, 63), (100, 100),
                                         (100, 127)])
