@@ -109,6 +109,11 @@ def main(argv=None) -> int:
     except (ConfigError, ResourceError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # what no memory count foresaw, numpy's _ArrayMemoryError among it
+        print(f"error: out of memory{': ' if str(exc) else ''}{exc}",
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

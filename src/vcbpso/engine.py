@@ -161,6 +161,13 @@ def _segments(rows: list[slice], keys: list) -> list[tuple[slice, object]]:
     return out
 
 
+# Bytes per particle bit of a block while it steps: 20 of state
+# (positions, pbest, the int8 pull and the flip mask, 1 each; velocities
+# and draws, 8 each) and the step's temporaries, which peak at about 50
+# (VT2's ``sigm``; tracemalloc, d=100 and 500).
+STEP_BYTES = 72
+
+
 class Block:
     """R runs that share swarm size, dimensions, iterations, c1 and c2,
     stepped in lockstep as one (R*m, d) swarm; run r owns rows

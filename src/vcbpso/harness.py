@@ -21,13 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import knapsack, metrics, results
-from .engine import RunConfig, WSchedule, check_run_settings, run_block
+from .engine import (STEP_BYTES, RunConfig, WSchedule, check_run_settings,
+                     run_block)
 # not called here: perfbench/spans.py rebinds ``harness.run`` in its traced
 # pass, which fails on a missing name
 from .engine import run  # noqa: F401
 from .errors import ConfigError, ParseError, ResourceError
 from .knapsack import KnapsackInstance, KnapsackObjective
-from .trace import RunTrace
+from .trace import RunTrace, TraceBuilder, save_memory
 from .transfer import TransferKind
 
 
@@ -66,6 +67,8 @@ class InstanceSource:
             raise ConfigError(f"the instance needs instance.path alone or all "
                               f"of {', '.join(keys[1:])}; got "
                               f"{', '.join(given) or 'none'}")
+        if self.seed is not None and self.seed < 0:
+            raise ConfigError(f"instance.seed must be >= 0, got {self.seed}")
 
     def load(self) -> KnapsackInstance:
         if self.path is not None:
@@ -98,6 +101,9 @@ class ExperimentSpec:
             raise ConfigError("at least one variant is required")
         if self.repetitions < 1:
             raise ConfigError("repetitions must be >= 1")
+        if self.base_seed < 0:
+            raise ConfigError(f"run.base_seed must be >= 0, got "
+                              f"{self.base_seed}")
         for variant in self.variants:
             try:
                 check_run_settings(variant.correction, variant.vmax,
@@ -307,22 +313,20 @@ def group_size(runs: int, workers: int, swarm_size: int,
 
 
 def _execute_runs(spec: ExperimentSpec, objective: KnapsackObjective,
-                  optimum: int) -> list[results.RunResult]:
+                  optimum: int, workers: int,
+                  size: int) -> list[results.RunResult]:
     """Every (variant, repetition) run, in spec order.
 
     Each run owns its seed, so neither the order in which they execute
     nor the block they are stepped in changes a result. The runs are
     sorted by transfer kind (so that a group's runs share ``sigm`` calls)
-    and cut into groups of :func:`group_size`. With more than one CPU
-    available the groups run on a pool of forked workers; the error of
-    the first group, in that order, that raises is raised here, and a
-    worker that dies becomes a :class:`ResourceError`.
+    and cut into groups of ``size``. With more than one worker the groups
+    run on a pool of forked workers; the error of the first group, in
+    that order, that raises is raised here, and a worker that dies
+    becomes a :class:`ResourceError`.
     """
     pairs = [(vi, rep) for vi in range(len(spec.variants))
              for rep in range(spec.repetitions)]
-    workers = _worker_count(len(pairs))
-    size = group_size(len(pairs), workers, spec.swarm_size,
-                      objective.dimensions)
     order = sorted(pairs, key=lambda pair: spec.variants[pair[0]].kind.value)
     tasks = [order[k:k + size] for k in range(0, len(order), size)]
     if workers == 1:
@@ -361,17 +365,68 @@ def _run_on_pool(workers: int, tasks: list[list[tuple[int, int]]],
             raise
 
 
+# The most bytes an experiment may hold at once, as the DP alone may.
+MEMORY_LIMIT = knapsack.DP_MEMORY_LIMIT
+
+
+def group_memory(runs: int, iterations: int, swarm_size: int,
+                 dimensions: int, save_traces: bool,
+                 compute_metrics: bool) -> dict[str, int]:
+    """An upper bound on the peak bytes of :func:`_execute_group` for a
+    group of ``runs`` runs, by term; the terms add up to the bound.
+
+    The trace slabs and the runs' curves are held throughout. The swarm
+    while it steps, a trace file while it is written and one run's
+    metric matrices and workspace follow one another, so only the
+    largest of those counts.
+    """
+    records = iterations + 1
+    held = {"trace slabs": TraceBuilder.nbytes(
+                dimensions, runs, swarm_size, records,
+                save_traces or compute_metrics),
+            # gbest, and mean dist, mean dist_eff and cumulative PUJV
+            "curves": 8 * runs * (records + 3 * iterations * compute_metrics)}
+    phases = [{"swarm": STEP_BYTES * runs * swarm_size * dimensions}]
+    if save_traces:
+        phases.append({"trace file": save_memory(records, swarm_size,
+                                                 dimensions)})
+    if compute_metrics and iterations >= 1:
+        phases.append({"metric matrices": 16 * iterations * swarm_size,
+                       "metric workspace": metrics.dist_eff_workspace(
+                           iterations, swarm_size, dimensions)})
+    return held | max(phases, key=lambda terms: sum(terms.values()))
+
+
 def run_experiment(spec: ExperimentSpec) -> list[results.AggregateResult]:
     """Execute all variants x repetitions, write CSV artifacts, return
-    per-variant aggregates. Deterministic given the spec."""
+    per-variant aggregates. Deterministic given the spec.
+
+    Before the DP and before the output directory is made, the bytes of
+    the profit-only DP and of one run group (:func:`group_memory`, whose
+    curves are counted for every run, as this process collects them all)
+    are checked against ``MEMORY_LIMIT``.
+    """
     instance = spec.instance.load()
-    optimum, _ = knapsack.dp_optimal(instance)
+    runs = len(spec.variants) * spec.repetitions
+    workers = _worker_count(runs)
+    size = group_size(runs, workers, spec.swarm_size, instance.n)
+    terms = group_memory(size, spec.iterations, spec.swarm_size, instance.n,
+                         spec.save_traces, spec.compute_metrics)
+    terms["curves"] = terms["curves"] // size * runs
+    terms["DP"] = knapsack.dp_need(instance, selection=False)
+    need = sum(terms.values())
+    if need > MEMORY_LIMIT:
+        raise ResourceError(
+            f"the experiment needs {need} bytes ("
+            + ", ".join(f"{name} {count}" for name, count in terms.items())
+            + f"), limit is {MEMORY_LIMIT}")
+    optimum, _ = knapsack.dp_optimal(instance, selection=False)
     if optimum <= 0:
         raise ConfigError("instance optimum is 0; ratios are undefined")
     objective = KnapsackObjective(instance)
     os.makedirs(spec.output_dir, exist_ok=True)
 
-    all_runs = _execute_runs(spec, objective, optimum)
+    all_runs = _execute_runs(spec, objective, optimum, workers, size)
     reps = spec.repetitions
     aggregates = [results.aggregate(v, all_runs[vi * reps:(vi + 1) * reps],
                                     optimum)

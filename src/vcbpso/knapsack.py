@@ -110,12 +110,15 @@ def generate(instance_type: str, n: int, r: int, s: float,
 
 
 def dp_optimal(instance: KnapsackInstance,
-               memory_limit: int = DP_MEMORY_LIMIT) -> tuple[int, np.ndarray]:
+               memory_limit: int = DP_MEMORY_LIMIT, *,
+               selection: bool = True) -> tuple[int, np.ndarray | None]:
     """Exact optimum by dynamic programming over capacity.
 
     Returns (profit, selection) where the selection is a 0/1 vector that is
     feasible and achieves the profit. One value row over capacity, updated
-    in place item by item, plus packed choice bits for backtracking.
+    in place item by item, plus packed choice bits for backtracking. With
+    ``selection`` false only the value row is swept: no choice bits are
+    kept, and the selection returned is None.
 
     Item i (of those that fit, weight w_i) updates only the capacities in
     its band [lo_i, hi_i). With S_i the weight of the fitting items after
@@ -127,41 +130,21 @@ def dp_optimal(instance: KnapsackInstance,
     below 2**31, int64 otherwise. Selection and profit are those of the
     full table, bit for bit.
     """
+    plan, need = _plan(instance, selection)
     n, c = instance.n, instance.capacity
-    fit = np.flatnonzero(instance.weights <= c)
-    if fit.size == 0:
-        return 0, np.zeros(n, dtype=np.uint8)
-    w = instance.weights[fit]
-    p = instance.profits[fit]
-    upto = np.cumsum(w)
-    # capacities from the total fitting weight up give the same (empty)
-    # bands, and this keeps capacities beyond int64 out of the arithmetic
-    cap = min(c, int(upto[-1]))
-    lo = np.maximum(w, cap - (upto[-1] - upto))
-    hi = np.minimum(upto, cap + 1)
-    del upto
-    band = np.maximum(hi - lo, 0)
-    longest = int(band.max())
-    # item i's packed bits are bits[off[i]:off[i + 1]]
-    off = np.zeros(fit.size + 1, dtype=np.int64)
-    np.cumsum((band + 7) // 8, out=off[1:])
-    del band
-    value = np.int32 if int(p.sum()) < 2**31 else np.int64
-    size = np.dtype(value).itemsize
-    # the value row, the candidate and choice rows of the longest band,
-    # the packed bands and one packed band, the selection, and the six
-    # per-item arrays (fit, w, p, lo, hi, off) already allocated
-    need = (size * (c + 1) + (size + 1) * longest + int(off[-1])
-            + (longest + 7) // 8 + n + 6 * 8 * fit.size)
     if need > memory_limit:
         raise ResourceError(
             f"DP needs {need} bytes "
             f"(n={n}, capacity={c}), limit is {memory_limit}"
         )
+    if plan is None:
+        return 0, np.zeros(n, dtype=np.uint8) if selection else None
+    fit, w, p, lo, hi, longest, off, value = plan
     dp = np.empty(c + 1, dtype=value)
     cand = np.empty(longest, dtype=value)
-    chose = np.empty(longest, dtype=bool)
-    bits = np.empty(int(off[-1]), dtype=np.uint8)
+    if selection:
+        chose = np.empty(longest, dtype=bool)
+        bits = np.empty(int(off[-1]), dtype=np.uint8)
     # dp[:top] is written; every capacity from top up holds all items so
     # far, worth their profit sum `total`, written once a band reaches it
     top = total = 0
@@ -172,12 +155,15 @@ def dp_optimal(instance: KnapsackInstance,
         if a < b:
             k = b - a
             np.add(dp[a - wi:b - wi], int(p[i]), out=cand[:k])
-            np.greater(cand[:k], dp[a:b], out=chose[:k])
+            if selection:
+                np.greater(cand[:k], dp[a:b], out=chose[:k])
+                bits[int(off[i]):int(off[i + 1])] = np.packbits(
+                    chose[:k], bitorder="little")
             np.maximum(dp[a:b], cand[:k], out=dp[a:b])
-            bits[int(off[i]):int(off[i + 1])] = np.packbits(
-                chose[:k], bitorder="little")
     dp[top:] = total
-    selection = np.zeros(n, dtype=np.uint8)
+    if not selection:
+        return int(dp[c]), None
+    chosen = np.zeros(n, dtype=np.uint8)
     cc = c
     for i in range(fit.size - 1, -1, -1):
         a, b = int(lo[i]), int(hi[i])
@@ -189,9 +175,53 @@ def dp_optimal(instance: KnapsackInstance,
             k = cc - a
             take = bits[int(off[i]) + (k >> 3)] >> (k & 7) & 1
         if take:
-            selection[fit[i]] = 1
+            chosen[fit[i]] = 1
             cc -= int(w[i])
-    return int(dp[c]), selection
+    return int(dp[c]), chosen
+
+
+def dp_need(instance: KnapsackInstance, *, selection: bool = True) -> int:
+    """The bytes :func:`dp_optimal` allocates for ``instance``: the count
+    its memory guard checks."""
+    return _plan(instance, selection)[1]
+
+
+def _plan(instance: KnapsackInstance, selection: bool):
+    """The bands of :func:`dp_optimal` and the bytes it allocates.
+
+    Returns ((fit, w, p, lo, hi, longest, off, value), need), or
+    (None, need) when no item fits. ``off`` (item i's packed bits are
+    bits[off[i]:off[i + 1]]) is None without the selection.
+    """
+    n, c = instance.n, instance.capacity
+    fit = np.flatnonzero(instance.weights <= c)
+    if fit.size == 0:
+        return None, n if selection else 0
+    w = instance.weights[fit]
+    p = instance.profits[fit]
+    upto = np.cumsum(w)
+    # capacities from the total fitting weight up give the same (empty)
+    # bands, and this keeps capacities beyond int64 out of the arithmetic
+    cap = min(c, int(upto[-1]))
+    lo = np.maximum(w, cap - (upto[-1] - upto))
+    hi = np.minimum(upto, cap + 1)
+    del upto
+    band = np.maximum(hi - lo, 0)
+    longest = int(band.max())
+    value = np.int32 if int(p.sum()) < 2**31 else np.int64
+    size = np.dtype(value).itemsize
+    # the value row, the candidate row of the longest band and the five
+    # per-item arrays (fit, w, p, lo, hi) already allocated
+    need = size * (c + 1) + size * longest + 5 * 8 * fit.size
+    off = None
+    if selection:
+        off = np.zeros(fit.size + 1, dtype=np.int64)
+        np.cumsum((band + 7) // 8, out=off[1:])
+        # the choice row of the longest band, the packed bands and one
+        # packed band, the selection, and off
+        need += (longest + int(off[-1]) + (longest + 7) // 8 + n
+                 + 8 * fit.size)
+    return (fit, w, p, lo, hi, longest, off, value), need
 
 
 def repair(instance: KnapsackInstance, selection, *,

@@ -82,6 +82,25 @@ def dist_eff_matrix(trace: RunTrace) -> np.ndarray:
     return out
 
 
+def dist_eff_workspace(iterations: int, swarm_size: int,
+                       dimensions: int) -> int:
+    """Bytes of the temporaries beside the ``dist`` and ``dist_eff``
+    matrices (8 bytes per iteration and particle each) at their peak:
+    those of :func:`dist_matrix`, of :func:`dist_eff_matrix` (its block
+    rows and one particle's distinct-position sort) or the difference in
+    :func:`aggregate_curves`, whichever is largest, plus numpy's ufunc
+    buffers (two float64 operands of ``np.getbufsize()`` elements)."""
+    cells, records = iterations * swarm_size, iterations + 1
+    words = (dimensions + 63) // 64
+    acc = np.min_scalar_type(64 * words).itemsize
+    rows = min(_BLOCK, iterations)
+    block = (rows * iterations * (9 + acc) + 2 * iterations * acc
+             + rows * rows + 8 * records * (2 * words + 7))
+    # dist_matrix holds the XOR words, their bit counts and its result
+    return (max(9 * cells * words - 8 * cells, block, 8 * cells)
+            + 16 * np.getbufsize())
+
+
 def _first_visits(pos: np.ndarray) -> np.ndarray:
     """Increasing record indices of the first visit of each distinct
     position in one particle's (words, records) packed positions."""

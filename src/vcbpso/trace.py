@@ -143,6 +143,17 @@ class RunTrace:
         return cls(d, gbest, flips, positions)
 
 
+def save_memory(records: int, swarm_size: int, dimensions: int) -> int:
+    """An upper bound on the bytes :meth:`RunTrace.save` allocates: the
+    compressor's state and buffers (340-410 KiB by tracemalloc), the
+    records' gbest values and flip counts as Python lists (a count above
+    256 is an int object of its own) and one record line."""
+    words = (dimensions + 63) // 64
+    per_count = 8 + 32 * (dimensions > 256)
+    return ((416 << 10) + records * (96 + per_count * swarm_size)
+            + 48 * swarm_size * words)
+
+
 class TraceBuilder:
     """Accumulates the records of a block of runs, one record per call to
     :meth:`record`; produces one RunTrace per run."""
@@ -157,6 +168,13 @@ class TraceBuilder:
         self._positions = (
             np.empty((runs, records, swarm_size, (dimensions + 63) // 64),
                      dtype="<u8") if keep_positions else None)
+
+    @staticmethod
+    def nbytes(dimensions: int, runs: int, swarm_size: int, records: int,
+               keep_positions: bool = True) -> int:
+        """The bytes of the slabs a builder of these arguments allocates."""
+        words = (dimensions + 63) // 64 if keep_positions else 0
+        return runs * records * 8 * (1 + swarm_size * (1 + words))
 
     def record(self, gbest_fitness: np.ndarray, flip_counts: np.ndarray,
                position_bits: np.ndarray) -> None:

@@ -1,12 +1,14 @@
 """Command line surface: gen, solve, run, metrics, report."""
 
 import csv
+import os
 
 import numpy as np
 import pytest
 
+from conftest import CONFIGS_DIR
 from test_trace import BAD_RECORDS, OVERSIZED_HEADER, save_bad_trace
-from vcbpso import knapsack
+from vcbpso import harness, knapsack
 from vcbpso.cli import main
 from vcbpso.knapsack import load_instance
 
@@ -155,6 +157,55 @@ output.dir = {out}
         code, _, stderr = run_cli(capsys, "run", "--config", str(cfg))
         assert code == 2 and "w ramp needs at least 2 iterations" in stderr
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("line, key", [
+        ("run.base_seed = -1", "run.base_seed"),
+        ("instance.seed = -1", "instance.seed"),
+    ])
+    def test_negative_seed_names_its_key(self, capsys, config_file, line,
+                                         key):
+        path, out = config_file
+        with open(path) as fh:
+            text = fh.read()
+        with open(path, "w") as fh:
+            fh.write(text.replace(key + " = ", "# ") + line + "\n")
+        code, stdout, stderr = run_cli(capsys, "run", "--config", path)
+        assert code == 2 and stdout == ""
+        assert stderr == f"error: {key} must be >= 0, got -1\n"
+        assert not out.exists()
+
+    def test_trillion_iterations_refused_before_any_work(self, capsys,
+                                                         tmp_path):
+        with open(os.path.join(CONFIGS_DIR, "low_dim.cfg")) as fh:
+            lines = fh.read().splitlines()
+        out = tmp_path / "results"
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text("\n".join(
+            "run.iterations = 1000000000000" if ln.startswith("run.iterations")
+            else f"output.dir = {out}" if ln.startswith("output.dir")
+            else ln for ln in lines) + "\n")
+        code, stdout, stderr = run_cli(capsys, "run", "--config", str(cfg))
+        assert code == 2 and stdout == ""
+        assert stderr.startswith("error: the experiment needs ")
+        assert len(stderr.splitlines()) == 1 and "trace slabs" in stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}],
+                             ids=["in-process", "worker pool"])
+    def test_memory_error_is_an_error_line(self, capsys, config_file,
+                                           monkeypatch, cpus):
+        def exhausted_run_block(configs, objective, **kw):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus,
+                            raising=False)
+        monkeypatch.setattr(harness, "run_block", exhausted_run_block)
+        path, out = config_file
+        code, stdout, stderr = run_cli(capsys, "run", "--config", path)
+        assert code == 2 and stdout == ""
+        assert stderr == ("error: out of memory: Unable to allocate 7.28 TiB "
+                          "for an array\n")
+        assert not (out / "runs.csv").exists()
 
 
 class TestMetrics:

@@ -7,6 +7,7 @@ import os
 import pickle
 import re
 import time
+import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 from types import SimpleNamespace
 
@@ -18,13 +19,14 @@ import vcbpso
 from vcbpso import harness, knapsack
 from vcbpso.cli import main
 from vcbpso.engine import WSchedule
-from vcbpso.errors import ConfigError, ParseError
+from vcbpso.errors import ConfigError, ParseError, ResourceError
 from vcbpso.harness import (
     GROUP_ELEMENTS,
     ExperimentSpec,
     InstanceSource,
     Variant,
     derive_seed,
+    group_memory,
     group_size,
     parse_config,
     run_experiment,
@@ -265,6 +267,17 @@ class TestSpecValidation:
             self._spec(tmp_path, instance=InstanceSource(**source))
         assert not (tmp_path / "out").exists()
 
+    def test_negative_base_seed(self, tmp_path):
+        with pytest.raises(ConfigError,
+                           match="run.base_seed must be >= 0, got -1"):
+            self._spec(tmp_path, base_seed=-1)
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_instance_seed(self):
+        with pytest.raises(ConfigError,
+                           match="instance.seed must be >= 0, got -3"):
+            InstanceSource(instance_type="UCI", n=10, r=100, s=0.5, seed=-3)
+
 
 def test_task_arguments_survive_pickling(tmp_path):
     """The worker pool pickles the spec and the objective into each task;
@@ -440,6 +453,82 @@ class TestRunExperiment:
         assert rows[0] == ["iteration", "mean_gbest"]
         assert len(rows) == 27  # header + initial record + 25 iterations
         assert rows[1][0] == "0"
+
+
+class TestMemoryCheck:
+    """The bytes of a run group and of the DP, checked before either."""
+
+    @pytest.mark.parametrize("config, runs, save_traces, compute_metrics", [
+        ("low_dim.cfg", 4, False, False),
+        ("low_dim.cfg", 4, True, True),
+        ("low_dim.cfg", 1, True, False),
+        ("low_dim.cfg", 1, False, True),
+        ("scaling.cfg", 1, False, False),
+        ("scaling.cfg", 1, True, True),
+    ])
+    def test_group_memory_bounds_the_traced_peak(
+            self, tmp_path, config, runs, save_traces, compute_metrics):
+        spec = replace(load_config(config), iterations=25,
+                       save_traces=save_traces,
+                       compute_metrics=compute_metrics,
+                       output_dir=str(tmp_path))
+        objective = knapsack.KnapsackObjective(spec.instance.load())
+        need = sum(group_memory(runs, spec.iterations, spec.swarm_size,
+                                objective.dimensions, save_traces,
+                                compute_metrics).values())
+        # every variant, since the step's temporaries differ by kind
+        peaks = []
+        for vi in range(len(spec.variants)):
+            tracemalloc.start()
+            try:
+                harness._execute_group(
+                    spec, [(vi, rep) for rep in range(runs)], objective, 1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) <= need <= 1.35 * max(peaks), (need, peaks)
+
+    def test_terms(self):
+        # d=100, m=20, T=1000: two 64-bit words per position
+        terms = group_memory(4, 1000, 20, 100, True, True)
+        assert terms["trace slabs"] == 4 * 1001 * 8 * (1 + 20 * 3)
+        assert terms["curves"] == 4 * 8 * (1001 + 3 * 1000)
+        assert terms["metric matrices"] == 2 * 8 * 1000 * 20
+        assert "swarm" not in terms
+        # no positions kept, nothing but the swarm steps
+        terms = group_memory(1, 10, 20, 500, False, False)
+        assert terms == {"trace slabs": 1 * 11 * 8 * (1 + 20),
+                         "curves": 8 * 11, "swarm": 72 * 20 * 500}
+
+    def test_refusal_names_the_terms(self, tmp_path, monkeypatch):
+        def no_dp(*args, **kw):
+            raise AssertionError("the DP ran before the check")
+
+        monkeypatch.setattr(harness, "MEMORY_LIMIT", 10**5)
+        monkeypatch.setattr(knapsack, "dp_optimal", no_dp)
+        spec = parse_config(good_config(tmp_path / "out"))
+        with pytest.raises(ResourceError) as info:
+            run_experiment(spec)
+        message = str(info.value)
+        assert message.startswith("the experiment needs ")
+        assert message.endswith("limit is 100000")
+        for term in ("trace slabs", "curves", "DP"):
+            assert re.search(term + r" \d+", message), message
+        assert not (tmp_path / "out").exists()
+
+    def test_run_asks_the_dp_for_no_selection(self, tmp_path, monkeypatch):
+        calls = []
+        real_dp_optimal = knapsack.dp_optimal
+
+        def recording_dp_optimal(instance, *args, **kw):
+            calls.append((args, kw))
+            return real_dp_optimal(instance, *args, **kw)
+
+        monkeypatch.setattr(knapsack, "dp_optimal", recording_dp_optimal)
+        aggregates = run_experiment(parse_config(good_config(tmp_path)))
+        assert calls == [((), {"selection": False})]
+        instance = parse_config(good_config(tmp_path)).instance.load()
+        assert aggregates[0].optimum == real_dp_optimal(instance)[0]
 
 
 class TestGroupSize:

@@ -17,9 +17,11 @@ from conftest import (
 )
 from vcbpso.errors import ConfigError, ParseError, ResourceError
 from vcbpso.knapsack import (
+    DP_MEMORY_LIMIT,
     FLOAT_EXACT_LIMIT,
     KnapsackInstance,
     KnapsackObjective,
+    dp_need,
     dp_optimal,
     generate,
     load_instance,
@@ -71,10 +73,10 @@ def dp_instances(draw):
     return KnapsackInstance(np.array(weights), np.array(profits), capacity)
 
 
-def dp_need(inst) -> int:
+def guard_need(inst, selection=True) -> int:
     """The byte count the memory guard of ``dp_optimal`` reports."""
     with pytest.raises(ResourceError) as exc:
-        dp_optimal(inst, memory_limit=0)
+        dp_optimal(inst, memory_limit=0, selection=selection)
     return int(re.search(r"needs (\d+) bytes", str(exc.value)).group(1))
 
 
@@ -278,7 +280,7 @@ class TestSolvers:
         KnapsackInstance(np.array([1]), np.array([1]), 10**6),
     ], ids=["scaling.cfg", "n=1,c=10**6"])
     def test_dp_memory_guard_counts_what_is_allocated(self, inst):
-        need = dp_need(inst)
+        need = guard_need(inst)
         tracemalloc.start()
         try:
             dp_optimal(inst)
@@ -286,6 +288,69 @@ class TestSolvers:
         finally:
             tracemalloc.stop()
         assert abs(peak - need) <= 16 * 1024, (need, peak)
+
+
+class TestProfitOnly:
+    """``dp_optimal(..., selection=False)``: the same value sweep with no
+    choice bits, for callers that read only the profit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(dp_instances())
+    # nothing fits, c = 0, and fitting profits summing to 2**31 - 1
+    # (int32 value row) and to 2**31 (int64)
+    @example(KnapsackInstance(np.array([7, 8]), np.array([1, 1]), 5))
+    @example(KnapsackInstance(np.array([5]), np.array([3]), 0))
+    @example(KnapsackInstance(np.array([1, 1]),
+                              np.array([2**30, 2**30 - 1]), 2))
+    @example(KnapsackInstance(np.array([1, 1]), np.array([2**30, 2**30]), 2))
+    def test_matches_the_oracles(self, inst):
+        profit, selection = dp_optimal(inst, selection=False)
+        assert selection is None
+        assert profit == dp_full_oracle(inst)[0] == dp_optimal(inst)[0]
+        if inst.n <= 20:
+            assert profit == brute_force_optimal(inst)
+
+    @pytest.mark.parametrize("capacity", [2**63 - 1, 2**63 + 5, 10**400])
+    def test_refuses_capacities_beyond_int64(self, capacity):
+        # the value row has capacity + 1 cells either way
+        inst = KnapsackInstance(np.array([3, 5]), np.array([1, 2]), capacity)
+        assert dp_need(inst, selection=False) > DP_MEMORY_LIMIT
+        with pytest.raises(ResourceError):
+            dp_optimal(inst, selection=False)
+
+    @pytest.mark.parametrize("inst", [
+        load_config("scaling.cfg").instance.load(),
+        KnapsackInstance(np.array([1]), np.array([1]), 10**6),
+    ], ids=["scaling.cfg", "n=1,c=10**6"])
+    def test_guard_counts_what_is_allocated(self, inst):
+        need = guard_need(inst, selection=False)
+        assert need == dp_need(inst, selection=False)
+        assert need < dp_need(inst)
+        tracemalloc.start()
+        try:
+            dp_optimal(inst, selection=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert abs(peak - need) <= 16 * 1024, (need, peak)
+
+    def test_guard_counts_the_value_rows(self):
+        # the int32 value row (4 MB) does not fit the limit, and nothing
+        # is allocated
+        inst = KnapsackInstance(np.array([1]), np.array([1]), 10**6)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceError):
+                dp_optimal(inst, memory_limit=10**6, selection=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**5
+
+    def test_equals_the_selection_profit_on_the_protocol_instances(self):
+        for name in ("low_dim.cfg", "scaling.cfg", "curves_vt2.cfg"):
+            inst = load_config(name).instance.load()
+            assert dp_optimal(inst, selection=False)[0] == dp_optimal(inst)[0]
 
 
 class TestRepairAndEvaluate:
