@@ -402,22 +402,25 @@ def run_experiment(spec: ExperimentSpec) -> list[results.AggregateResult]:
     per-variant aggregates. Deterministic given the spec.
 
     Before the DP and before the output directory is made, the bytes of
-    the profit-only DP and of one run group (:func:`group_memory`, whose
-    curves are counted for every run, as this process collects them all)
-    are checked against ``MEMORY_LIMIT``.
+    the profit-only DP and of one run group per worker
+    (:func:`group_memory`; each worker holds a group at the same time,
+    and the curves are counted once for every run, as this process
+    collects them all) are checked against ``MEMORY_LIMIT``.
     """
     instance = spec.instance.load()
     runs = len(spec.variants) * spec.repetitions
     workers = _worker_count(runs)
     size = group_size(runs, workers, spec.swarm_size, instance.n)
-    terms = group_memory(size, spec.iterations, spec.swarm_size, instance.n,
+    group = group_memory(size, spec.iterations, spec.swarm_size, instance.n,
                          spec.save_traces, spec.compute_metrics)
-    terms["curves"] = terms["curves"] // size * runs
+    terms = {name: workers * count for name, count in group.items()}
+    terms["curves"] = group["curves"] // size * runs
     terms["DP"] = knapsack.dp_need(instance, selection=False)
     need = sum(terms.values())
     if need > MEMORY_LIMIT:
         raise ResourceError(
-            f"the experiment needs {need} bytes ("
+            f"the experiment needs {need} bytes for {workers} worker"
+            f"{'s' if workers > 1 else ''} ("
             + ", ".join(f"{name} {count}" for name, count in terms.items())
             + f"), limit is {MEMORY_LIMIT}")
     optimum, _ = knapsack.dp_optimal(instance, selection=False)

@@ -12,6 +12,7 @@ particle's own bits are never mutated.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -94,6 +95,8 @@ def generate(instance_type: str, n: int, r: int, s: float,
         raise ConfigError("R must be >= 10")
     if not 0.0 < s < 1.0:
         raise ConfigError("S must be in (0, 1)")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.Generator(np.random.PCG64(seed))
     weights = rng.integers(1, r + 1, size=n, dtype=np.int64)
     if instance_type == "UCI":
@@ -116,9 +119,9 @@ def dp_optimal(instance: KnapsackInstance,
 
     Returns (profit, selection) where the selection is a 0/1 vector that is
     feasible and achieves the profit. One value row over capacity, updated
-    in place item by item, plus packed choice bits for backtracking. With
-    ``selection`` false only the value row is swept: no choice bits are
-    kept, and the selection returned is None.
+    in place item by item, plus the choices for backtracking. With
+    ``selection`` false only the value row is swept: no choices are kept,
+    and the selection returned is None.
 
     Item i (of those that fit, weight w_i) updates only the capacities in
     its band [lo_i, hi_i). With S_i the weight of the fitting items after
@@ -126,9 +129,12 @@ def dp_optimal(instance: KnapsackInstance,
     c - S_i at item i. With P_i the weight of the fitting items up to and
     including i, hi_i = min(P_i, c + 1): from P_i up all of them fit, the
     choice is "take" and the value is their profit sum. Only the bands'
-    bits are stored. The value row is int32 when the fitting profits sum
-    below 2**31, int64 otherwise. Selection and profit are those of the
-    full table, bit for bit.
+    choices are stored, each band's as its packed bits or as the cells
+    where its choice changes, whichever is shorter (few cells change, so
+    most of the room kept for the packed bands is never written, and
+    never becomes resident). The value row is int32 when the fitting
+    profits sum below 2**31, int64 otherwise. Selection and profit are
+    those of the full table, bit for bit.
     """
     plan, need = _plan(instance, selection)
     n, c = instance.n, instance.capacity
@@ -144,7 +150,12 @@ def dp_optimal(instance: KnapsackInstance,
     cand = np.empty(longest, dtype=value)
     if selection:
         chose = np.empty(longest, dtype=bool)
+        # room for every band packed; each band is written compactly from
+        # the front, and the pages of the room left over are never touched
         bits = np.empty(int(off[-1]), dtype=np.uint8)
+        # cand's bytes, free once a band's maximum is taken
+        scratch = cand.view(bool)
+        end = 0
     # dp[:top] is written; every capacity from top up holds all items so
     # far, worth their profit sum `total`, written once a band reaches it
     top = total = 0
@@ -152,17 +163,21 @@ def dp_optimal(instance: KnapsackInstance,
         wi, a, b = int(w[i]), int(lo[i]), int(hi[i])
         dp[top:b] = total
         top, total = b, total + int(p[i])
+        if selection:
+            off[i] = end
         if a < b:
             k = b - a
             np.add(dp[a - wi:b - wi], int(p[i]), out=cand[:k])
             if selection:
                 np.greater(cand[:k], dp[a:b], out=chose[:k])
-                bits[int(off[i]):int(off[i + 1])] = np.packbits(
-                    chose[:k], bitorder="little")
             np.maximum(dp[a:b], cand[:k], out=dp[a:b])
+            if selection:
+                end += _store_choices(chose[:k], scratch, bits[end:])
     dp[top:] = total
     if not selection:
         return int(dp[c]), None
+    off[fit.size] = end
+    store = memoryview(bits)
     chosen = np.zeros(n, dtype=np.uint8)
     cc = c
     for i in range(fit.size - 1, -1, -1):
@@ -172,12 +187,46 @@ def dp_optimal(instance: KnapsackInstance,
         elif cc < a:
             take = False
         else:
-            k = cc - a
-            take = bits[int(off[i]) + (k >> 3)] >> (k & 7) & 1
+            take = _choice(store[off[i]:off[i + 1]], b - a, cc - a)
         if take:
             chosen[fit[i]] = 1
             cc -= int(w[i])
     return int(dp[c]), chosen
+
+
+def _store_choices(chose: np.ndarray, scratch: np.ndarray,
+                   out: np.ndarray) -> int:
+    """Write the choices of one band of k cells to the front of ``out``,
+    in the shorter of two encodings, and return its length in bytes.
+
+    Packed, the encoding is the band's bits, (k + 7) // 8 bytes. Otherwise
+    it is the int64 cells where the choice changes, a "take" at cell 0
+    counting as a change; it is used only when shorter, so an encoding is
+    packed exactly when its length is (k + 7) // 8. ``scratch`` is at
+    least k bytes of free memory. The only array allocated, the packed
+    bits or the changes, is at most (k + 7) // 8 bytes: the changes are
+    counted before they are listed.
+    """
+    k = chose.size
+    packed = (k + 7) // 8
+    change = scratch[:k]
+    change[0] = chose[0]
+    np.not_equal(chose[1:], chose[:-1], out=change[1:])
+    count = np.count_nonzero(change)
+    if 8 * count < packed:
+        out[:8 * count] = change.nonzero()[0].view(np.uint8)
+        return 8 * count
+    out[:packed] = np.packbits(chose, bitorder="little")
+    return packed
+
+
+def _choice(store: memoryview, k: int, j: int) -> bool:
+    """The choice at cell ``j`` of a band of ``k`` cells, from the bytes
+    :func:`_store_choices` wrote: an odd count of changes up to cell j
+    means "take"."""
+    if len(store) == (k + 7) // 8:
+        return bool(store[j >> 3] >> (j & 7) & 1)
+    return bool(bisect.bisect_right(store.cast("q"), j) & 1)
 
 
 def dp_need(instance: KnapsackInstance, *, selection: bool = True) -> int:
@@ -190,8 +239,10 @@ def _plan(instance: KnapsackInstance, selection: bool):
     """The bands of :func:`dp_optimal` and the bytes it allocates.
 
     Returns ((fit, w, p, lo, hi, longest, off, value), need), or
-    (None, need) when no item fits. ``off`` (item i's packed bits are
-    bits[off[i]:off[i + 1]]) is None without the selection.
+    (None, need) when no item fits. ``off`` holds where each band's packed
+    bits would start in a buffer of every band packed, and its end; it is
+    None without the selection. :func:`dp_optimal` rewrites it to where
+    each band's compact store starts.
     """
     n, c = instance.n, instance.capacity
     fit = np.flatnonzero(instance.weights <= c)
@@ -217,8 +268,8 @@ def _plan(instance: KnapsackInstance, selection: bool):
     if selection:
         off = np.zeros(fit.size + 1, dtype=np.int64)
         np.cumsum((band + 7) // 8, out=off[1:])
-        # the choice row of the longest band, the packed bands and one
-        # packed band, the selection, and off
+        # the choice row of the longest band, room for every band packed
+        # and one packed band, the selection, and off
         need += (longest + int(off[-1]) + (longest + 7) // 8 + n
                  + 8 * fit.size)
     return (fit, w, p, lo, hi, longest, off, value), need

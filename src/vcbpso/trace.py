@@ -24,6 +24,9 @@ _MAGIC = "vcbpso-trace 1"
 # about 4 % smaller at about 5x the compression time
 GZIP_LEVEL = 6
 
+# records that RunTrace.save turns into Python objects at once
+SAVE_CHUNK = 64
+
 
 def open_text(path, mode: str = "r"):
     """Open ``path`` as text to read ("r") or write ("w"). A ``.gz`` path
@@ -82,11 +85,16 @@ class RunTrace:
         with open_text(path, "w") as fh:
             fh.write(f"{_MAGIC}\n")
             fh.write(f"{self.swarm_size} {self.dimensions} {self.n_records}\n")
-            rows = zip(self.gbest_fitness.tolist(), self.flip_counts.tolist(),
-                       self.positions)
-            for k, (g, flips, words) in enumerate(rows):
-                fh.write(f"{k} {g!r} {','.join(map(str, flips))} "
-                         f"{words.tobytes().hex()}\n")
+            # a chunk of records at a time, so that the Python lists of
+            # gbest values and flip counts do not grow with the trace
+            for start in range(0, self.n_records, SAVE_CHUNK):
+                stop = start + SAVE_CHUNK
+                rows = zip(self.gbest_fitness[start:stop].tolist(),
+                           self.flip_counts[start:stop].tolist(),
+                           self.positions[start:stop])
+                for k, (g, flips, words) in enumerate(rows, start):
+                    fh.write(f"{k} {g!r} {','.join(map(str, flips))} "
+                             f"{words.tobytes().hex()}\n")
 
     @classmethod
     def load(cls, path) -> "RunTrace":
@@ -145,12 +153,14 @@ class RunTrace:
 
 def save_memory(records: int, swarm_size: int, dimensions: int) -> int:
     """An upper bound on the bytes :meth:`RunTrace.save` allocates: the
-    compressor's state and buffers (340-410 KiB by tracemalloc), the
-    records' gbest values and flip counts as Python lists (a count above
-    256 is an int object of its own) and one record line."""
+    compressor's state and buffers (340-410 KiB by tracemalloc), one
+    chunk of at most ``SAVE_CHUNK`` records' gbest values and flip counts
+    as Python lists (a count above 256 is an int object of its own) and
+    one record line."""
     words = (dimensions + 63) // 64
     per_count = 8 + 32 * (dimensions > 256)
-    return ((416 << 10) + records * (96 + per_count * swarm_size)
+    return ((416 << 10)
+            + min(records, SAVE_CHUNK) * (96 + per_count * swarm_size)
             + 48 * swarm_size * words)
 
 

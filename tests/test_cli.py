@@ -72,6 +72,15 @@ class TestGen:
         assert code == 2
         assert "error:" in stderr
 
+    def test_negative_seed_names_the_seed(self, capsys, tmp_path):
+        out = tmp_path / "x"
+        code, stdout, stderr = run_cli(
+            capsys, "gen", "--type", "uci", "--n", "10", "--r", "100",
+            "--s", "0.5", "--seed", "-1", "--out", str(out))
+        assert code == 2 and stdout == ""
+        assert stderr == "error: seed must be >= 0, got -1\n"
+        assert not out.exists()
+
 
 class TestSolve:
     def test_prints_optimum(self, capsys, three_item_file):

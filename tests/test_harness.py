@@ -516,6 +516,34 @@ class TestMemoryCheck:
             assert re.search(term + r" \d+", message), message
         assert not (tmp_path / "out").exists()
 
+    def test_counts_a_run_group_per_worker(self, tmp_path, monkeypatch):
+        def no_dp(*args, **kw):
+            raise AssertionError("the DP ran before the check")
+
+        def need(workers):
+            monkeypatch.setattr(harness, "_worker_count",
+                                lambda runs: workers)
+            with pytest.raises(ResourceError) as info:
+                run_experiment(spec)
+            message = str(info.value)
+            assert f" bytes for {workers} worker" in message, message
+            return int(re.search(r"needs (\d+) bytes", message).group(1))
+
+        out = tmp_path / "out"
+        spec = parse_config(good_config(out))
+        monkeypatch.setattr(harness, "MEMORY_LIMIT", 0)
+        one, two = need(1), need(2)
+        assert one < two
+        monkeypatch.setattr(harness, "MEMORY_LIMIT", (one + two) // 2)
+        monkeypatch.setattr(knapsack, "dp_optimal", no_dp)
+        assert need(2) == two
+        assert not out.exists()
+        monkeypatch.undo()
+        monkeypatch.setattr(harness, "MEMORY_LIMIT", (one + two) // 2)
+        monkeypatch.setattr(harness, "_worker_count", lambda runs: 1)
+        run_experiment(spec)
+        assert (out / "runs.csv").exists()
+
     def test_run_asks_the_dp_for_no_selection(self, tmp_path, monkeypatch):
         calls = []
         real_dp_optimal = knapsack.dp_optimal

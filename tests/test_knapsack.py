@@ -15,6 +15,7 @@ from conftest import (
     load_config,
     repair_oracle,
 )
+from vcbpso import knapsack
 from vcbpso.errors import ConfigError, ParseError, ResourceError
 from vcbpso.knapsack import (
     DP_MEMORY_LIMIT,
@@ -351,6 +352,69 @@ class TestProfitOnly:
         for name in ("low_dim.cfg", "scaling.cfg", "curves_vt2.cfg"):
             inst = load_config(name).instance.load()
             assert dp_optimal(inst, selection=False)[0] == dp_optimal(inst)[0]
+
+
+@st.composite
+def choice_bands(draw):
+    """The choices of one DP band, 1 to 3000 cells: runs of "take" and of
+    "skip", long ones (whose changes are the shorter encoding) and
+    stretches of alternating cells (whose packed bits are)."""
+    parts = [np.arange(length) % 2 == int(start) if alternate
+             else np.full(length, start)
+             for length, start, alternate in draw(st.lists(
+                 st.tuples(st.integers(1, 800), st.booleans(),
+                           st.booleans()), min_size=1, max_size=12))]
+    return np.concatenate(parts)[:3000]
+
+
+def band(*runs):
+    """A band from (length, choice) runs."""
+    return np.concatenate([np.full(n, bool(v)) for n, v in runs])
+
+
+class TestChoiceStore:
+    """The compact store of one band's choices in ``dp_optimal``: packed
+    bits, or the cells where the choice changes, whichever is shorter."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(choice_bands())
+    # one cell, skipped (no changes, 0 bytes) and taken (packed); one
+    # change in a long band; alternating cells
+    @example(band((1, 0)))
+    @example(band((1, 1)))
+    @example(band((2000, 0), (1000, 1)))
+    @example(np.arange(3000) % 2 == 1)
+    def test_round_trip(self, chose):
+        k = chose.size
+        packed = (k + 7) // 8
+        changes = int(chose[0]) + int(np.count_nonzero(chose[1:]
+                                                       != chose[:-1]))
+        # stale bytes in the scratch and past the encoding must not matter
+        scratch = np.ones(k, dtype=bool)
+        out = np.full(packed + 16, 0xA5, dtype=np.uint8)
+        length = knapsack._store_choices(chose, scratch, out)
+        assert length == (8 * changes if 8 * changes < packed else packed)
+        assert (out[length:] == 0xA5).all()
+        store = memoryview(out[:length])
+        decoded = [knapsack._choice(store, k, j) for j in range(k)]
+        assert decoded == chose.tolist()
+
+    def test_matches_the_full_table_with_both_encodings(self, monkeypatch):
+        store_choices = knapsack._store_choices
+        encodings = set()
+
+        def recording(chose, scratch, out):
+            length = store_choices(chose, scratch, out)
+            encodings.add(length == (chose.size + 7) // 8)
+            return length
+
+        monkeypatch.setattr(knapsack, "_store_choices", recording)
+        inst = generate("WCI", 40, 1000, 0.5, 1)
+        profit, selection = dp_optimal(inst)
+        assert encodings == {True, False}
+        want_profit, want_selection = dp_full_oracle(inst)
+        assert profit == want_profit
+        assert np.array_equal(selection, want_selection)
 
 
 class TestRepairAndEvaluate:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import position_bits, unpack_bits
-from vcbpso.trace import RunTrace, TraceBuilder, pack_bits
+from vcbpso.trace import RunTrace, TraceBuilder, pack_bits, save_memory
 
 
 # 51 bytes whose header claims 10**6 particles: 16 MB of flip counts and
@@ -173,6 +173,25 @@ class TestRunTrace:
             trace.save(tmp_path / "t.txt.gz")
             saved.append((tmp_path / "t.txt.gz").read_bytes())
         assert saved[0] == saved[1]
+
+    def test_save_memory_does_not_grow_with_the_records(self, tmp_path):
+        # d=100, m=20 at T=1000 and T=4000
+        rng = np.random.Generator(np.random.PCG64(3))
+        peaks = []
+        for records in (1001, 4001):
+            trace = RunTrace(
+                100, rng.random(records) * 1e4,
+                rng.integers(0, 101, size=(records, 20)),
+                rng.integers(0, 2**64, size=(records, 20, 2),
+                             dtype=np.uint64))
+            tracemalloc.start()
+            try:
+                trace.save(tmp_path / "t.txt.gz")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert peaks[-1] <= save_memory(records, 20, 100)
+        assert peaks[1] - peaks[0] <= 64 * 1024, peaks
 
     def test_load_rejects_wrong_magic(self, tmp_path):
         path = tmp_path / "t.txt"
