@@ -6,9 +6,11 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from . import harness, knapsack, metrics, results
 from .errors import ConfigError, ResourceError
-from .trace import RunTrace
+from .trace import RunTrace, TraceBuilder, load_memory, read_header
 
 
 def _cmd_gen(args) -> int:
@@ -44,7 +46,45 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def metrics_memory(records: int, swarm_size: int,
+                   dimensions: int) -> dict[str, int]:
+    """An upper bound on the peak bytes of ``vcbpso metrics`` on a trace
+    whose header gives these values, by term; the terms add up to the
+    bound.
+
+    The trace's arrays are held throughout. Its load, the metric
+    matrices with their workspace, the particle CSV and the curves with
+    their CSV rows follow one another, so only the largest counts.
+    """
+    iterations = records - 1
+    held = {"trace": TraceBuilder.nbytes(dimensions, 1, swarm_size, records)}
+    phases = [{"load workspace": load_memory(swarm_size, dimensions)}]
+    if iterations >= 1:
+        matrices = 16 * iterations * swarm_size
+        phases += [
+            {"metric matrices": matrices,
+             "metric workspace": metrics.dist_eff_workspace(
+                 iterations, swarm_size, dimensions)},
+            {"metric matrices": matrices,
+             "particle CSV": results.particle_csv_memory(
+                 iterations, swarm_size, dimensions)},
+            # three curves, then their CSV rows as Python lists of floats
+            # and ints; numpy's ufunc buffers (two float64 operands of
+            # np.getbufsize() elements) and the open file's buffers
+            {"metric matrices": matrices,
+             "curves": 128 * iterations + 16 * np.getbufsize() + (24 << 10)}]
+    return held | max(phases, key=lambda terms: sum(terms.values()))
+
+
 def _cmd_metrics(args) -> int:
+    m, dimensions, records = read_header(args.trace)
+    terms = metrics_memory(records, m, dimensions)
+    need = sum(terms.values())
+    if need > harness.MEMORY_LIMIT:
+        raise ResourceError(
+            f"{args.trace}: the metrics need {need} bytes ("
+            + ", ".join(f"{name} {count}" for name, count in terms.items())
+            + f"), limit is {harness.MEMORY_LIMIT}")
     trace = RunTrace.load(args.trace)
     lo = args.from_iteration if args.from_iteration is not None else 1
     hi = args.to_iteration if args.to_iteration is not None else trace.iterations

@@ -15,18 +15,39 @@ import numpy as np
 
 from .trace import RunTrace
 
-# History records per block of dist_eff_matrix; 128 measured best at d=100.
+# A tile of dist_eff_matrix compares _BLOCK history positions with _TILE
+# later ones, 256 KiB of XOR words; dist_matrix's tiles hold as many.
 _BLOCK = 128
+_TILE = 256
 
-# Odd multiplier that mixes a position's words into one sort key.
+# Odd multiplier and shift that mix a position's words into one sort key.
 _MIX = np.uint64(0x9E3779B97F4A7C15)
+_FOLD = np.uint64(32)
 
 
 def dist_matrix(trace: RunTrace) -> np.ndarray:
     """(iterations, swarm_size) matrix of consecutive Hamming distances;
-    row k-1 holds iteration k."""
-    x = trace.positions[1:] ^ trace.positions[:-1]
-    return np.bitwise_count(x).sum(axis=-1, dtype=np.int64)
+    row k-1 holds iteration k. Consecutive records are compared in tiles
+    of about ``_BLOCK * _TILE`` words."""
+    positions = trace.positions
+    records, m, words = positions.shape
+    out = np.empty((records - 1, m), dtype=np.int64)
+    rows = _dist_rows(records - 1, m, words)
+    xor = np.empty((rows, m, words), dtype=np.uint64)
+    count = np.empty((rows, m, words), dtype=np.uint8)
+    for r0 in range(0, records - 1, rows):
+        n = min(rows, records - 1 - r0)
+        x, c = xor[:n], count[:n]
+        np.bitwise_xor(positions[r0 + 1:r0 + 1 + n], positions[r0:r0 + n],
+                       out=x)
+        np.bitwise_count(x, out=c)
+        c.sum(axis=-1, dtype=np.int64, out=out[r0:r0 + n])
+    return out
+
+
+def _dist_rows(iterations: int, m: int, words: int) -> int:
+    """Records per tile of :func:`dist_matrix`, at least 1."""
+    return max(1, min(iterations, _BLOCK * _TILE // (m * words)))
 
 
 def dist_eff_matrix(trace: RunTrace) -> np.ndarray:
@@ -35,50 +56,59 @@ def dist_eff_matrix(trace: RunTrace) -> np.ndarray:
     A revisit has gain 0, so only each particle's first visits of its
     distinct positions are compared, in visit order: the history of a
     first visit is exactly the distinct positions visited before it.
-    Only the upper triangle of their pairwise distances is computed: a
-    block of ``_BLOCK`` history positions r is compared with the later
-    positions k > r, and the block's column minimum is folded into a
-    running minimum per position. The cost per particle is about U**2 / 2
-    word comparisons for U distinct positions, and the temporaries take
-    about 12 * _BLOCK * records bytes, whatever the trace length.
+    Only the upper triangle of their pairwise distances is computed, a
+    tile at a time: ``_BLOCK`` history positions r against ``_TILE``
+    later positions k > r, whose column minimum is folded into a running
+    minimum per position. The cost per particle is about U**2 / 2 word
+    comparisons for U distinct positions. The tiles take a fixed
+    workspace; finding one particle's first visits takes a sort key and
+    a sort order (16 bytes per record), and its U positions are copied.
     """
-    records, m, words = trace.positions.shape
+    positions = trace.positions
+    records, m, words = positions.shape
     out = np.zeros((records - 1, m), dtype=np.int64)
     # narrowest unsigned type that holds the largest distance of the words
     acc_type = np.min_scalar_type(64 * words)
     top = np.iinfo(acc_type).max
-    # workspace for the worst case, a particle that never revisits
-    rows = min(_BLOCK, records - 1)
-    xor = np.empty((rows, records - 1), dtype=np.uint64)
-    count = np.empty((rows, records - 1), dtype=np.uint8)
-    acc = np.empty((rows, records - 1), dtype=acc_type)
-    block_min = np.empty(records - 1, dtype=acc_type)
-    best = np.empty(records - 1, dtype=acc_type)
+    # one tile, the largest that the trace can fill
+    rows, cols = min(_BLOCK, records - 1), min(_TILE, records - 1)
+    xor = np.empty((rows, cols), dtype=np.uint64)
+    count = np.empty((rows, cols), dtype=np.uint8)
+    acc = np.empty((rows, cols), dtype=acc_type)
+    tile_min = np.empty(cols, dtype=acc_type)
     # upper[j, l]: history position r0 + j lies before position r0 + 1 + l
-    upper = np.triu(np.ones((rows, rows), dtype=bool))
+    upper = np.less_equal.outer(np.arange(rows), np.arange(cols))
     for i in range(m):
-        pos = np.ascontiguousarray(trace.positions[:, i].T)  # (words, records)
-        first = _first_visits(pos)
-        pos = pos.take(first, axis=1)  # (words, U)
-        cols = first.size - 1
-        gain = best[:cols]
-        gain.fill(top)
-        for r0 in range(0, cols, _BLOCK):
-            later = cols - r0
-            n = min(_BLOCK, later)
-            a, x, c = acc[:n, :later], xor[:n, :later], count[:n, :later]
-            for w in range(words):
-                np.bitwise_xor(pos[w, r0:r0 + n, None], pos[w, r0 + 1:], out=x)
-                if w == 0:
-                    np.bitwise_count(x, out=a)
-                else:
-                    a += np.bitwise_count(x, out=c)
-            # the first n columns (the diagonal block) also pair r >= k
-            np.minimum.reduce(a[:, :n], axis=0, where=upper[:n, :n],
-                              initial=top, out=block_min[:n])
-            np.minimum.reduce(a[:, n:], axis=0, out=block_min[n:later])
-            np.minimum(gain[r0:], block_min[:later], out=gain[r0:])
+        first = _first_visits(positions[:, i])
+        pos = np.empty((words, first.size), dtype=np.uint64)
+        for word in range(words):
+            np.take(positions[:, i, word], first, out=pos[word])
+        later = first.size - 1
+        gain = np.full(later, top, dtype=acc_type)
+        for r0 in range(0, later, _BLOCK):
+            n = min(_BLOCK, later - r0)
+            # gain[c0 + l] is the gain of position c0 + 1 + l
+            for c0 in range(r0, later, _TILE):
+                width = min(_TILE, later - c0)
+                a, x = acc[:n, :width], xor[:n, :width]
+                c = count[:n, :width]
+                for word in range(words):
+                    np.bitwise_xor(pos[word, r0:r0 + n, None],
+                                   pos[word, c0 + 1:c0 + 1 + width], out=x)
+                    if word == 0:
+                        np.bitwise_count(x, out=a)
+                    else:
+                        a += np.bitwise_count(x, out=c)
+                # only the first tile of a block also pairs r >= k
+                low = tile_min[:width]
+                np.minimum.reduce(a, axis=0, out=low, initial=top,
+                                  where=upper[:n, :width] if c0 == r0
+                                  else True)
+                np.minimum(gain[c0:c0 + width], low,
+                           out=gain[c0:c0 + width])
         out[first[1:] - 1, i] = gain
+        # freed before the next particle's arrays are made
+        del first, pos, gain
     return out
 
 
@@ -86,45 +116,92 @@ def dist_eff_workspace(iterations: int, swarm_size: int,
                        dimensions: int) -> int:
     """Bytes of the temporaries beside the ``dist`` and ``dist_eff``
     matrices (8 bytes per iteration and particle each) at their peak:
-    those of :func:`dist_matrix`, of :func:`dist_eff_matrix` (its block
-    rows and one particle's distinct-position sort) or the difference in
-    :func:`aggregate_curves`, whichever is largest, plus numpy's ufunc
-    buffers (two float64 operands of ``np.getbufsize()`` elements)."""
-    cells, records = iterations * swarm_size, iterations + 1
+    those of :func:`dist_matrix` (one tile), of :func:`dist_eff_matrix`
+    or of :func:`aggregate_curves`, whichever is largest, plus numpy's
+    ufunc buffers."""
+    records = iterations + 1
     words = (dimensions + 63) // 64
     acc = np.min_scalar_type(64 * words).itemsize
-    rows = min(_BLOCK, iterations)
-    block = (rows * iterations * (9 + acc) + 2 * iterations * acc
-             + rows * rows + 8 * records * (2 * words + 7))
-    # dist_matrix holds the XOR words, their bit counts and its result
-    return (max(9 * cells * words - 8 * cells, block, 8 * cells)
-            + 16 * np.getbufsize())
+    rows, cols = min(_BLOCK, iterations), min(_TILE, iterations)
+    # the tile's XOR words, bit counts, mask and sums, its column minima
+    # and the running minima
+    tile = rows * cols * (10 + acc) + (cols + iterations) * acc
+    # one particle's sort key and order, or, should two positions share
+    # a key, the exact sort of whole positions; then its distinct
+    # positions, at most one per record
+    particle = 8 * records * (words + 6)
+    dist = 9 * _dist_rows(iterations, swarm_size, words) * swarm_size * words
+    # three 8-byte operands, of at most np.getbufsize() elements each,
+    # and 4 KiB of array headers and small index arrays
+    buffers = 24 * min(np.getbufsize(),
+                       max(iterations * swarm_size, rows * cols, records))
+    return max(dist, tile + particle, 32 * iterations) + buffers + (4 << 10)
 
 
-def _first_visits(pos: np.ndarray) -> np.ndarray:
+def _sort_key(column: np.ndarray) -> np.ndarray:
+    """One uint64 key per record of one particle's (records, words)
+    packed positions, the words folded in one by one. A product's bits
+    depend only on the bits at or below them, so the key is folded down
+    after each product: without that, positions that differ only in the
+    top bit of two neighbouring words share a key, which in d=500 traces
+    sent 17 of 20 particles to the exact sort."""
+    key = column[:, 0].copy()
+    for j in range(1, column.shape[1]):
+        key *= _MIX
+        key ^= key >> _FOLD
+        key ^= column[:, j]
+    return key
+
+
+def _first_visits(column: np.ndarray) -> np.ndarray:
     """Increasing record indices of the first visit of each distinct
-    position in one particle's (words, records) packed positions."""
+    position in one particle's (records, words) packed positions."""
     # Records are grouped by one 64-bit key that mixes the words, which
     # sorts several times faster than whole positions. Equal positions
     # share a key; if different ones do too (possible only with two or
     # more words), the exact sort of whole positions is used instead.
-    key = pos[0].copy()
-    for word in pos[1:]:
-        key *= _MIX
-        key ^= word
+    key = _sort_key(column)
     order = np.argsort(key)
-    sorted_key = key[order]
-    starts = np.flatnonzero(sorted_key[1:] != sorted_key[:-1]) + 1
-    starts = np.concatenate(([0], starts))
+    key.sort()
+    starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    del key
     first = np.minimum.reduceat(order, starts)
-    # each record's group and the group's earliest record
-    earliest = np.empty_like(order)
-    earliest[order] = np.repeat(first, np.diff(starts, append=key.size))
-    if not np.array_equal(pos.take(earliest, axis=1), pos):
-        rows = np.ascontiguousarray(pos.T).view(f"V{pos.itemsize * len(pos)}")
-        first = np.unique(rows[:, 0], return_index=True)[1]
+    if column.shape[1] > 1 and not _groups_agree(column, order, starts,
+                                                 first):
+        del order, starts
+        first = _exact_first_visits(column)
     first.sort()
     return first
+
+
+def _exact_first_visits(column: np.ndarray) -> np.ndarray:
+    """The first visits of _first_visits by a stable sort of the records
+    on each word, the last word first: equal positions end up next to
+    each other in record order, and each run's first is its first visit.
+    Its temporaries are a few index arrays, whatever the words."""
+    records, words = column.shape
+    order = np.arange(records)
+    for j in reversed(range(words)):
+        order = order[np.argsort(column[order, j], kind="stable")]
+    new = np.zeros(records, dtype=bool)
+    new[0] = True
+    for j in range(words):
+        word = column[order, j]
+        new[1:] |= word[1:] != word[:-1]
+    return order[new]
+
+
+def _groups_agree(column: np.ndarray, order: np.ndarray, starts: np.ndarray,
+                  first: np.ndarray) -> bool:
+    """Whether each record holds the position of its key group's first
+    visit; ``order`` sorts the records by key, and the groups begin at
+    ``starts`` in it. Checked ``_TILE`` records at a time."""
+    for s0 in range(0, order.size, _TILE):
+        s = np.arange(s0, min(s0 + _TILE, order.size))
+        earliest = first[np.searchsorted(starts, s, side="right") - 1]
+        if not np.array_equal(column[order[s]], column[earliest]):
+            return False
+    return True
 
 
 def check_range(iterations: int, m: int, n: int) -> None:
@@ -138,7 +215,8 @@ def pujv_of(d: np.ndarray, e: np.ndarray, m: int, n: int) -> int:
     """Total useless jump volume over iterations m..n inclusive, from a
     trace's ``dist`` and ``dist_eff`` matrices."""
     check_range(len(d), m, n)
-    return int((d[m - 1:n] - e[m - 1:n]).sum())
+    # the sums' difference, so that no matrix-sized temporary is made
+    return int(d[m - 1:n].sum() - e[m - 1:n].sum())
 
 
 def aggregate_curves(d: np.ndarray, e: np.ndarray
@@ -146,7 +224,9 @@ def aggregate_curves(d: np.ndarray, e: np.ndarray
     """Per-iteration mean ``dist``, mean ``dist_eff`` and cumulative PUJV
     over the swarm, from a trace's ``dist`` and ``dist_eff`` matrices:
     the columns of ``results.METRICS_HEADER``."""
-    return d.mean(axis=1), e.mean(axis=1), np.cumsum((d - e).sum(axis=1))
+    # the row sums' difference, so that no matrix-sized temporary is made
+    return (d.mean(axis=1), e.mean(axis=1),
+            np.cumsum(d.sum(axis=1) - e.sum(axis=1)))
 
 
 def convergence_round(trace: RunTrace) -> int:

@@ -147,8 +147,9 @@ def write_aggregate_metrics_csv(mean_dist: np.ndarray,
                   mean_dist_eff.tolist(), cum_pujv.tolist()))
 
 
-# Rows per write of write_particle_metrics_csv; one string per chunk
-# keeps its temporaries small whatever the trace length.
+# Rows per write of write_particle_metrics_csv. A chunk is formatted from
+# one (rows, 4) int64 matrix and a tuple of its Python ints, so the
+# writer's temporaries do not grow with the trace.
 _CSV_CHUNK_ROWS = 4096
 
 
@@ -157,17 +158,36 @@ def write_particle_metrics_csv(d: np.ndarray, e: np.ndarray, path) -> None:
     trace's ``dist`` and ``dist_eff`` matrices: the bytes of
     :func:`write_csv`, formatted ``_CSV_CHUNK_ROWS`` rows per string."""
     iterations, m = d.shape
-    rows = np.empty((iterations * m, 4), dtype=np.int64)
-    rows[:, 0] = np.repeat(np.arange(1, iterations + 1), m)
-    rows[:, 1] = np.tile(np.arange(m), iterations)
-    rows[:, 2] = d.ravel()
-    rows[:, 3] = e.ravel()
+    d, e = d.reshape(-1), e.reshape(-1)
+    rows = np.empty((min(_CSV_CHUNK_ROWS, d.size), 4), dtype=np.int64)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(PARTICLE_HEADER) + "\r\n")
-        for start in range(0, len(rows), _CSV_CHUNK_ROWS):
-            chunk = rows[start:start + _CSV_CHUNK_ROWS]
+        for start in range(0, d.size, _CSV_CHUNK_ROWS):
+            stop = min(start + _CSV_CHUNK_ROWS, d.size)
+            chunk = rows[:stop - start]
+            # row start + j holds iteration (start + j) // m + 1
+            np.divmod(np.arange(start, stop), m, out=(chunk[:, 0],
+                                                      chunk[:, 1]))
+            chunk[:, 0] += 1
+            chunk[:, 2] = d[start:stop]
+            chunk[:, 3] = e[start:stop]
             fh.write("%d,%d,%d,%d\r\n" * len(chunk)
                      % tuple(chunk.ravel().tolist()))
+
+
+def particle_csv_memory(iterations: int, swarm_size: int,
+                        dimensions: int) -> int:
+    """An upper bound on the bytes :func:`write_particle_metrics_csv`
+    allocates for a (iterations, swarm_size) pair of matrices whose
+    values lie in [0, dimensions]. Per row of a chunk: its int64 row and
+    record index, a list and a tuple of its four values and an int object
+    for each that CPython does not cache (above 256), the format string,
+    and the text with its encoded copy."""
+    rows = min(_CSV_CHUNK_ROWS, iterations * swarm_size)
+    big = (iterations > 256) + (swarm_size > 257) + 2 * (dimensions > 256)
+    text = (len(str(iterations)) + len(str(swarm_size))
+            + 2 * len(str(dimensions)) + 5)
+    return rows * (40 + 4 * 16 + 32 * big + 13 + 2 * text)
 
 
 def print_report(results_dir) -> None:

@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import gzip
 import io
+import zlib
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -24,7 +26,8 @@ _MAGIC = "vcbpso-trace 1"
 # about 4 % smaller at about 5x the compression time
 GZIP_LEVEL = 6
 
-# records that RunTrace.save turns into Python objects at once
+# records that RunTrace.save turns into Python objects at once, and that
+# RunTrace.load checks for padding bits at once
 SAVE_CHUNK = 64
 
 
@@ -98,31 +101,27 @@ class RunTrace:
 
     @classmethod
     def load(cls, path) -> "RunTrace":
-        with open_text(path) as fh:
-            lines = fh.read().splitlines()
-        if not lines or lines[0] != _MAGIC:
-            raise ValueError(f"{path}: not a trace file")
-        try:
-            m, d, records = (int(x) for x in lines[1].split())
-        except (IndexError, ValueError):
-            m = d = records = 0
-        if min(m, d, records) < 1:
-            raise ValueError(f"{path}: the second line must give the swarm "
-                             f"size, dimensions and record count, each >= 1")
-        if len(lines) != records + 2:
-            raise ValueError(f"{path}: expected {records} record lines")
-        # a record line holds m flip counts and 16·m·words hex digits
+        """Read a trace file in one pass that holds one buffer of its text
+        at a time. The record arrays grow as records pass their checks,
+        doubling up to the header's count, so a header that claims more
+        than the text holds allocates at most twice what the text does,
+        and a whole file leaves no slack. A faulty record is named only
+        once the whole text is read, so that a wrong line count, or a text
+        too short for the header, is named first."""
+        m, d, records = read_header(path)
         words = (d + 63) // 64
-        if sum(map(len, lines[2:])) < records * m * (1 + 16 * words):
-            raise ValueError(f"{path}: {records} records of m={m}, d={d} "
-                             f"need more text than the file holds")
-        gbest = np.empty(records, dtype=np.float64)
-        flips = np.empty((records, m), dtype=np.int64)
-        # each position is decoded into its own slot of raw; one of the
-        # wrong length would resize raw and shift every later record
         row_bytes = 8 * m * words
-        raw = bytearray(records * row_bytes)
-        for k, line in enumerate(lines[2:]):
+        gbest = np.empty(0)
+        flips = np.empty((0, m), dtype=np.int64)
+        raw = np.empty(0, dtype=np.uint8)
+        view = memoryview(raw)
+        fault = None
+        count = length = 0
+        for k, line in enumerate(islice(_lines(path), 2, None)):
+            count += 1
+            length += len(line)
+            if fault is not None or k >= records:
+                continue
             fields = line.split()
             try:
                 if len(fields) != 4:
@@ -137,18 +136,83 @@ class RunTrace:
                 if len(blob) != 2 * row_bytes:
                     raise ValueError(f"position of {len(blob)} hex digits, "
                                      f"expected {2 * row_bytes}")
+                if k == len(gbest):
+                    # in place, past nothing but the released view; a
+                    # reference count check would fail under a tracer
+                    size = min(records, 2 * k or 1)
+                    view.release()
+                    gbest.resize(size, refcheck=False)
+                    flips.resize((size, m), refcheck=False)
+                    raw.resize(size * row_bytes, refcheck=False)
+                    view = memoryview(raw)
                 gbest[k] = float(g)
                 flips[k] = counts
-                raw[k * row_bytes:(k + 1) * row_bytes] = bytes.fromhex(blob)
+                view[k * row_bytes:(k + 1) * row_bytes] = bytes.fromhex(blob)
             except (ValueError, OverflowError) as exc:
-                raise ValueError(f"{path}: record {k}: {exc}") from None
-        positions = np.frombuffer(raw, dtype="<u8").reshape(records, m, words)
+                fault = f"{path}: record {k}: {exc}"
+        if count != records:
+            raise ValueError(f"{path}: expected {records} record lines")
+        # a record line holds m flip counts and 16·m·words hex digits
+        if length < records * m * (1 + 16 * words):
+            raise ValueError(f"{path}: {records} records of m={m}, d={d} "
+                             f"need more text than the file holds")
+        if fault is not None:
+            raise ValueError(fault)
+        view.release()
+        positions = raw.view("<u8").reshape(records, m, words)
         # the bits past d in each last word are padding and must be zero
         padding = np.uint64((1 << 64) - (1 << (d - 64 * (words - 1))))
-        bad = np.flatnonzero((positions[:, :, -1] & padding).any(axis=1))
-        if bad.size:
-            raise ValueError(f"{path}: record {bad[0]}: bits set past d={d}")
+        for start in range(0, records, SAVE_CHUNK):
+            last = positions[start:start + SAVE_CHUNK, :, -1]
+            bad = np.flatnonzero((last & padding).any(axis=1))
+            if bad.size:
+                raise ValueError(f"{path}: record {start + bad[0]}: "
+                                 f"bits set past d={d}")
         return cls(d, gbest, flips, positions)
+
+
+# characters of trace text read and cut into lines at once
+_READ_CHARS = 1 << 13
+
+# the line breaks of str.splitlines; "\r" never reaches it, as reading in
+# text mode turns it into "\n"
+_BREAKS = "\n\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def _lines(path):
+    """The lines of a trace file's text as ``str.splitlines`` cuts the
+    whole text, read ``_READ_CHARS`` at a time; a damaged ``.gz`` stream
+    or text that is not UTF-8 is a ValueError that names the path."""
+    try:
+        with open_text(path) as fh:
+            part = ""
+            # a line longer than a read doubles the next one, so that
+            # joining its parts stays linear in its length
+            while chunk := fh.read(max(_READ_CHARS, len(part))):
+                lines = (part + chunk).splitlines()
+                part = "" if chunk[-1] in _BREAKS else lines.pop()
+                yield from lines
+            if part:
+                yield part
+    except (EOFError, zlib.error, UnicodeDecodeError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def read_header(path) -> tuple[int, int, int]:
+    """The swarm size, dimensions and record count a trace file's first
+    two lines give, each checked to be >= 1."""
+    lines = _lines(path)
+    if next(lines, None) != _MAGIC:
+        raise ValueError(f"{path}: not a trace file")
+    try:
+        m, d, records = (int(x) for x in next(lines).split())
+    except (StopIteration, ValueError):
+        m = d = records = 0
+    lines.close()
+    if min(m, d, records) < 1:
+        raise ValueError(f"{path}: the second line must give the swarm "
+                         f"size, dimensions and record count, each >= 1")
+    return m, d, records
 
 
 def save_memory(records: int, swarm_size: int, dimensions: int) -> int:
@@ -162,6 +226,17 @@ def save_memory(records: int, swarm_size: int, dimensions: int) -> int:
     return ((416 << 10)
             + min(records, SAVE_CHUNK) * (96 + per_count * swarm_size)
             + 48 * swarm_size * words)
+
+
+def load_memory(swarm_size: int, dimensions: int) -> int:
+    """An upper bound on the bytes :meth:`RunTrace.load` allocates beside
+    the arrays it returns: the decompressor's state and buffers (at most
+    72 KiB by tracemalloc), a read of text with its line list and the
+    line carried over (six reads' worth), and one record line cut into
+    its fields, flip counts and decoded position."""
+    words = (dimensions + 63) // 64
+    line = swarm_size * (16 * words + 21) + 48
+    return (80 << 10) + 6 * max(_READ_CHARS, line) + 4 * line + 64 * swarm_size
 
 
 class TraceBuilder:

@@ -3,8 +3,9 @@ checks, the cancellation-free complement of ``sigm`` and the bisection
 oracle of ``correct``, a small reference knapsack instance, the
 full-table and brute-force knapsack solvers, the scalar repair and
 evaluation, the whole-array VT2 transfer, the scalar exploration metrics
-and bit unpacking, a function objective for the engine and the
-experiment protocols of ``configs/``."""
+and bit unpacking, a function objective for the engine, the
+experiment protocols of ``configs/`` and large random traces for memory
+checks."""
 
 import math
 import os
@@ -279,6 +280,24 @@ def unpack_bits(words, dimensions: int) -> np.ndarray:
     as_bytes = w.view(np.uint8)
     bits = np.unpackbits(as_bytes, axis=-1, bitorder="little")
     return bits[..., :dimensions]
+
+
+def pool_trace(records: int, swarm_size: int, dimensions: int,
+               pool: int = 300, seed: int = 0) -> RunTrace:
+    """A random trace whose particles each pick every record's position
+    from their own ``pool`` random positions, so that the distinct
+    positions (and the work of ``dist_eff_matrix``) do not grow with the
+    records; gbest values and flip counts are random too."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    words = (dimensions + 63) // 64
+    positions = rng.integers(0, 2**64, size=(swarm_size, pool, words),
+                             dtype=np.uint64)
+    positions[..., -1] >>= np.uint64(64 * words - dimensions)
+    picks = rng.integers(0, pool, size=(records, swarm_size))
+    return RunTrace(dimensions, rng.random(records) * 1e4,
+                    rng.integers(0, dimensions + 1,
+                                 size=(records, swarm_size)),
+                    positions[np.arange(swarm_size), picks])
 
 
 def position_bits(trace: RunTrace, k: int,

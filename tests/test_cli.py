@@ -1,16 +1,29 @@
 """Command line surface: gen, solve, run, metrics, report."""
 
+import contextlib
 import csv
+import gzip
+import io
 import os
+import re
+import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import CONFIGS_DIR
-from test_trace import BAD_RECORDS, OVERSIZED_HEADER, save_bad_trace
-from vcbpso import harness, knapsack
+from conftest import CONFIGS_DIR, pool_trace
+from test_trace import (
+    BAD_RECORDS,
+    OVERSIZED_HEADER,
+    build_trace,
+    save_bad_trace,
+)
+from vcbpso import cli, harness, knapsack
 from vcbpso.cli import main
 from vcbpso.knapsack import load_instance
+from vcbpso.trace import RunTrace
 
 
 def run_cli(capsys, *argv):
@@ -275,6 +288,149 @@ class TestMetrics:
         assert stderr.startswith("error:") and len(stderr.splitlines()) == 1
         assert "m=1000000, d=100" in stderr
         assert sorted(p.name for p in tmp_path.iterdir()) == ["t.txt"]
+
+
+def _base_trace_text() -> str:
+    """A 4-record trace of m=2, d=70: two words per position, 58 padding
+    bits in the last."""
+    rng = np.random.Generator(np.random.PCG64(12))
+    trace = build_trace(list(rng.integers(0, 2, size=(4, 2, 70))),
+                        gbest=[1.0, 2.5, 2.5, 3.0],
+                        flips=list(rng.integers(0, 9, size=(4, 2))))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.txt")
+        trace.save(path)
+        with open(path) as fh:
+            return fh.read()
+
+
+BASE_TRACE = _base_trace_text()
+
+# header tokens that are bad counts, huge counts or no numbers at all
+HEADER_TOKENS = st.one_of(st.integers(-2, 8).map(str),
+                          st.sampled_from(["1000000", "10" + "0" * 11,
+                                           "1" + "0" * 30, "x", "2.0", ""]))
+FLIP_TOKENS = st.sampled_from(["", "-1", "1.5", "x", "99999999999999999999",
+                               "+3", "1_0", "7"])
+
+
+@st.composite
+def mutated_traces(draw):
+    """(file name, file bytes): the base trace with one mutation, then
+    perhaps CRLF line ends and gzip, perhaps truncated."""
+    lines = BASE_TRACE.splitlines()
+    record = draw(st.integers(2, len(lines) - 1), label="record line")
+    fields = lines[record].split(" ")
+    kind = draw(st.sampled_from(["none", "header", "drop line", "extra line",
+                                 "fields", "flip counts", "hex length",
+                                 "non-hex", "padding"]), label="mutation")
+    if kind == "header":
+        header = lines[1].split(" ")
+        header[draw(st.integers(0, 2))] = draw(HEADER_TOKENS)
+        lines[1] = " ".join(header)
+    elif kind == "drop line":
+        del lines[draw(st.integers(0, len(lines) - 1))]
+    elif kind == "extra line":
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from([lines[record], "", "junk"])))
+    elif kind == "fields":
+        if draw(st.booleans()):
+            del fields[draw(st.integers(0, 3))]
+        else:
+            fields.insert(draw(st.integers(0, 4)), "0")
+    elif kind == "flip counts":
+        counts = fields[2].split(",")
+        where = draw(st.integers(0, len(counts)))
+        if draw(st.booleans()) and where < len(counts):
+            del counts[where]
+        else:
+            counts.insert(where, draw(FLIP_TOKENS))
+        fields[2] = ",".join(counts)
+    elif kind == "hex length":
+        cut = draw(st.integers(1, 3))
+        fields[3] = (fields[3][:-cut] if draw(st.booleans())
+                     else fields[3] + "0" * cut)
+    elif kind == "non-hex":
+        at = draw(st.integers(0, len(fields[3]) - 1))
+        fields[3] = (fields[3][:at] + draw(st.sampled_from("gxz-\u00e9 "))
+                     + fields[3][at + 1:])
+    elif kind == "padding":
+        # a bit past d=70 in the last word of one particle
+        raw = bytearray(bytes.fromhex(fields[3]))
+        bit = 64 * draw(st.integers(0, 1)) + 64 + draw(st.integers(6, 63))
+        raw[bit // 8] |= 1 << (bit % 8)
+        fields[3] = raw.hex()
+    if kind in ("fields", "flip counts", "hex length", "non-hex", "padding"):
+        lines[record] = " ".join(fields)
+    newline = draw(st.sampled_from(["\n", "\r\n"]), label="line end")
+    data = "".join(line + newline for line in lines).encode()
+    if not draw(st.booleans(), label="gzip"):
+        return "t.txt", data
+    data = gzip.compress(data, mtime=0)
+    if draw(st.booleans(), label="truncate"):
+        data = data[:draw(st.integers(0, len(data) - 1))]
+    return "t.txt.gz", data
+
+
+class TestMetricsInput:
+    @given(mutated_traces())
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_trace_exits_0_or_names_the_fault(self, case):
+        name, data = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, name)
+            with open(path, "wb") as fh:
+                fh.write(data)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = main(["metrics", "--trace", path])
+            written = os.path.exists(os.path.join(tmp,
+                                                  "t_particle_metrics.csv"))
+        stderr = err.getvalue()
+        if code == 0:
+            assert written and int(out.getvalue()) >= 0
+        else:
+            assert code == 2 and out.getvalue() == "" and not written
+            assert stderr.startswith("error: ") and stderr.count("\n") == 1
+            assert "Traceback" not in stderr
+
+    @pytest.mark.parametrize("records", [1001, 4001])
+    @pytest.mark.parametrize("d", [100, 500])
+    def test_memory_count_bounds_the_traced_peak(self, tmp_path, d, records):
+        # m=10 at T=1000 and T=4000, 300 distinct positions per particle
+        path = tmp_path / "t.txt.gz"
+        pool_trace(records, 10, d).save(path)
+        args = cli.build_parser().parse_args(["metrics", "--trace",
+                                              str(path)])
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli._cmd_metrics(args) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        need = sum(cli.metrics_memory(records, 10, d).values())
+        assert peak <= need <= 1.35 * peak, (need, peak)
+
+    def test_refused_before_the_trace_is_read(self, capsys, tmp_path,
+                                              monkeypatch):
+        def no_load(path):
+            raise AssertionError("the trace was read before the check")
+
+        path = tmp_path / "t.txt.gz"
+        pool_trace(101, 4, 100).save(path)
+        monkeypatch.setattr(harness, "MEMORY_LIMIT", 10**5)
+        monkeypatch.setattr(RunTrace, "load", no_load)
+        code, stdout, stderr = run_cli(capsys, "metrics", "--trace",
+                                       str(path))
+        assert code == 2 and stdout == ""
+        assert stderr.startswith(f"error: {path}: the metrics need ")
+        assert stderr.endswith("limit is 100000\n")
+        assert len(stderr.splitlines()) == 1
+        for term in ("trace", "metric matrices"):
+            assert re.search(term + r" \d+", stderr), stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.txt.gz"]
 
 
 class TestReport:

@@ -12,6 +12,7 @@ from conftest import (
     dist_eff_iteration,
     dist_iteration,
     hamming,
+    pool_trace,
     position_bits,
     pujv,
     unpack_bits,
@@ -120,6 +121,17 @@ class TestDist:
         t = single_particle_trace("0000", "1100")
         assert dist_iteration(t, 0, 1) == 2
 
+    @pytest.mark.parametrize("iterations", [0, 1, 511, 512, 513, 1025])
+    def test_tile_edges_match_whole_trace_xor(self, iterations):
+        # m=8, d=512: a tile of dist_matrix holds 512 records
+        assert metrics._dist_rows(10**6, 8, 8) == 512
+        rng = np.random.Generator(np.random.PCG64(iterations))
+        t = random_trace(rng, iterations + 1, 8, 512)
+        x = t.positions[1:] ^ t.positions[:-1]
+        d = dist_matrix(t)
+        assert d.dtype == np.int64
+        assert np.array_equal(d, np.bitwise_count(x).sum(axis=-1))
+
     def test_out_of_range(self):
         t = single_particle_trace("0000", "1100")
         for k in (0, 2, -1):
@@ -196,18 +208,26 @@ class TestDistEff:
         assert e[-1].tolist() == [0, 0]
 
     def test_different_positions_with_one_sort_key(self):
-        # _first_visits groups records by the key (w0 * _MIX) ^ w1; b is
-        # built to share a's key, so only the exact fallback tells them
-        # apart
+        # b is built to share a's sort key, so only the exact fallback of
+        # _first_visits tells them apart
         w0 = np.array([3, 4, 9], dtype=np.uint64)
-        mixed = w0 * metrics._MIX
+        mixed = metrics._sort_key(np.stack([w0, np.zeros_like(w0)], axis=1))
         w1 = np.array([5, 5 ^ mixed[0] ^ mixed[1], 6], dtype=np.uint64)
-        assert mixed[0] ^ w1[0] == mixed[1] ^ w1[1]
+        key = metrics._sort_key(np.stack([w0, w1], axis=1))
+        assert key[0] == key[1]
         a, b, c = (unpack_bits(np.array([x, y]), 128) for x, y in zip(w0, w1))
         t = build_trace([[p] for p in (a, b, a, c, b, a)])
         e = dist_eff_matrix(t)
         assert np.array_equal(e, dist_eff_bruteforce(t))
         assert e[0, 0] > 0 and e[3, 0] == 0
+
+    def test_top_bits_of_neighbouring_words_change_the_key(self):
+        # flipping bit 63 commutes with a product by an odd number, so
+        # without the fold these two positions would share a key
+        top = np.uint64(1 << 63)
+        pos = np.array([[1, 2, 7], [1 ^ top, 2 ^ top, 7]], dtype=np.uint64)
+        key = metrics._sort_key(pos)
+        assert key[0] != key[1]
 
     @given(st.data())
     @settings(max_examples=50, deadline=None)
@@ -226,6 +246,42 @@ class TestDistEff:
         e = dist_eff_matrix(t)
         assert e.shape == (records - 1, m) and e.dtype == np.int64
         assert np.array_equal(e, dist_eff_bruteforce(t))
+
+    @pytest.mark.parametrize("cols", [255, 256, 257, 511, 513])
+    @pytest.mark.parametrize("d", [64, 100, 500])
+    def test_tile_edges_match_bruteforce_oracle(self, cols, d):
+        # a particle with cols + 1 distinct positions compares cols later
+        # positions, just below, at and above the edges of _TILE columns,
+        # with 1, 2 and 8 words
+        assert metrics._TILE == 256
+        rng = np.random.Generator(np.random.PCG64(cols + d))
+        t = pooled_trace(rng, cols + 40, 1, d, cols + 1)
+        assert len(np.unique(t.positions[:, 0], axis=0)) == cols + 1
+        assert np.array_equal(dist_eff_matrix(t), dist_eff_bruteforce(t))
+
+    @pytest.mark.parametrize("d", [100, 500])
+    def test_temporaries_do_not_grow_with_the_records(self, d):
+        # m=20 and 300 distinct positions per particle, at T=1000 and
+        # T=4000: the tiles are fixed, and finding first visits takes 16
+        # bytes per record
+        temps = []
+        for records in (1001, 4001):
+            t = pool_trace(records, 20, d)
+            row = []
+            for kernel in (dist_matrix, dist_eff_matrix):
+                tracemalloc.start()
+                try:
+                    matrix = kernel(t)
+                    held, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert held >= matrix.nbytes
+                row.append(peak - held)
+                assert row[-1] <= metrics.dist_eff_workspace(records - 1,
+                                                              20, d)
+            temps.append(row)
+        for before, after in zip(*temps):
+            assert abs(after - before) <= 64 * 1024, temps
 
     def test_memory_is_bounded_by_the_block(self):
         rng = np.random.Generator(np.random.PCG64(7))
@@ -327,6 +383,24 @@ class TestCsvWriters:
                           ([k + 1, i, int(d[k, i]), int(e[k, i])]
                            for k in range(iterations) for i in range(m)))
         assert path.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("dimensions", [100, 500])
+    def test_particle_csv_memory_does_not_grow_with_the_rows(
+            self, tmp_path, dimensions):
+        # m=5, so that tracing the rows' int objects stays quick
+        rng = np.random.Generator(np.random.PCG64(dimensions))
+        peaks = []
+        for iterations in (1000, 4000):
+            d, e = rng.integers(0, dimensions + 1, size=(2, iterations, 5))
+            tracemalloc.start()
+            try:
+                results.write_particle_metrics_csv(d, e, tmp_path / "p.csv")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert peaks[-1] <= results.particle_csv_memory(iterations, 5,
+                                                            dimensions)
+        assert abs(peaks[1] - peaks[0]) <= 64 * 1024, peaks
 
     def test_aggregate_csv_schema(self, tmp_path):
         t = single_particle_trace("0000", "1100", "0011")

@@ -1,5 +1,6 @@
 """Bit packing and trace persistence."""
 
+import sys
 import time
 import tracemalloc
 
@@ -7,8 +8,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import position_bits, unpack_bits
-from vcbpso.trace import RunTrace, TraceBuilder, pack_bits, save_memory
+from conftest import pool_trace, position_bits, unpack_bits
+from vcbpso.trace import (
+    RunTrace,
+    TraceBuilder,
+    load_memory,
+    pack_bits,
+    read_header,
+    save_memory,
+)
 
 
 # 51 bytes whose header claims 10**6 particles: 16 MB of flip counts and
@@ -260,3 +268,74 @@ class TestRunTrace:
         save_bad_trace(path, BAD_RECORDS[bad])
         with pytest.raises(ValueError, match=r"t\.txt: record 1: "):
             RunTrace.load(path)
+
+    @pytest.mark.parametrize("d", [100, 500])
+    def test_load_memory_does_not_grow_with_the_records(self, tmp_path, d):
+        # m=20 at T=1000 and T=4000: beside the arrays it returns, which
+        # are allocated to their size, load holds one buffer of text
+        workspace = []
+        for records in (1001, 4001):
+            path = tmp_path / "t.txt.gz"
+            pool_trace(records, 20, d).save(path)
+            tracemalloc.start()
+            try:
+                trace = RunTrace.load(path)
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            arrays = TraceBuilder.nbytes(d, 1, 20, records)
+            assert trace.flip_counts.nbytes + trace.positions.nbytes \
+                + trace.gbest_fitness.nbytes == arrays
+            assert arrays <= held <= arrays + 4096
+            workspace.append(peak - held)
+            assert workspace[-1] <= load_memory(20, d)
+        assert abs(workspace[1] - workspace[0]) <= 64 * 1024, workspace
+
+    def test_load_under_a_tracer_that_reads_locals(self, tmp_path):
+        # a debugger's view of the frame holds extra references to the
+        # arrays that load grows in place
+        def tracer(frame, event, arg):
+            frame.f_locals
+            return tracer
+
+        rng = np.random.Generator(np.random.PCG64(6))
+        trace = build_trace(list(rng.integers(0, 2, size=(9, 2, 70))))
+        trace.save(tmp_path / "t.txt")
+        previous = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            back = RunTrace.load(tmp_path / "t.txt")
+        finally:
+            sys.settrace(previous)
+        np.testing.assert_array_equal(back.positions, trace.positions)
+
+    def test_load_reads_crlf_line_ends(self, tmp_path):
+        rng = np.random.Generator(np.random.PCG64(4))
+        trace = build_trace(list(rng.integers(0, 2, size=(3, 2, 70))))
+        path = tmp_path / "t.txt"
+        trace.save(path)
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        back = RunTrace.load(path)
+        np.testing.assert_array_equal(back.positions, trace.positions)
+
+    def test_load_cuts_lines_as_splitlines(self, tmp_path):
+        # a form feed ends a line for str.splitlines, so the record is
+        # two lines and the count is wrong, as when the whole text was
+        # read and split at once
+        path = tmp_path / "t.txt"
+        save_bad_trace(path, [(1, 1, lambda f: f + "\f")])
+        with pytest.raises(ValueError, match=r"t\.txt: expected 3 record"):
+            RunTrace.load(path)
+
+    def test_load_names_a_truncated_gz(self, tmp_path):
+        path = tmp_path / "t.txt.gz"
+        rng = np.random.Generator(np.random.PCG64(8))
+        build_trace(list(rng.integers(0, 2, size=(40, 2, 100)))).save(path)
+        path.write_bytes(path.read_bytes()[:-20])
+        with pytest.raises(ValueError, match=r"t\.txt\.gz: "):
+            RunTrace.load(path)
+
+    def test_read_header(self, tmp_path):
+        path = tmp_path / "t.txt.gz"
+        build_trace([np.zeros((3, 70), np.uint8)] * 2).save(path)
+        assert read_header(path) == (3, 70, 2)
