@@ -6,10 +6,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from . import harness, knapsack, metrics, results
-from .errors import ConfigError, ResourceError
+from .errors import ConfigError, ResourceError, check_memory
 from .trace import RunTrace, TraceBuilder, load_memory, read_header
 
 
@@ -47,15 +45,11 @@ def _cmd_run(args) -> int:
 
 
 def metrics_memory(records: int, swarm_size: int,
-                   dimensions: int) -> dict[str, int]:
-    """An upper bound on the peak bytes of ``vcbpso metrics`` on a trace
-    whose header gives these values, by term; the terms add up to the
-    bound.
-
-    The trace's arrays are held throughout. Its load, the metric
-    matrices with their workspace, the particle CSV and the curves with
-    their CSV rows follow one another, so only the largest counts.
-    """
+                   dimensions: int) -> tuple[dict, list[dict]]:
+    """The bytes ``vcbpso metrics`` holds on a trace whose header gives
+    these values, for ``errors.check_memory``: the trace's arrays
+    throughout, and as phases its load, the metric matrices with their
+    workspace, the particle CSV, and the curves with their CSV."""
     iterations = records - 1
     held = {"trace": TraceBuilder.nbytes(dimensions, 1, swarm_size, records)}
     phases = [{"load workspace": load_memory(swarm_size, dimensions)}]
@@ -68,23 +62,16 @@ def metrics_memory(records: int, swarm_size: int,
             {"metric matrices": matrices,
              "particle CSV": results.particle_csv_memory(
                  iterations, swarm_size, dimensions)},
-            # three curves, then their CSV rows as Python lists of floats
-            # and ints; numpy's ufunc buffers (two float64 operands of
-            # np.getbufsize() elements) and the open file's buffers
-            {"metric matrices": matrices,
-             "curves": 128 * iterations + 16 * np.getbufsize() + (24 << 10)}]
-    return held | max(phases, key=lambda terms: sum(terms.values()))
+            # computing the curves counts in the metric workspace
+            {"metric matrices": matrices, "curves": 24 * iterations,
+             "aggregate CSV": results.aggregate_csv_memory(iterations)}]
+    return held, phases
 
 
 def _cmd_metrics(args) -> int:
     m, dimensions, records = read_header(args.trace)
-    terms = metrics_memory(records, m, dimensions)
-    need = sum(terms.values())
-    if need > harness.MEMORY_LIMIT:
-        raise ResourceError(
-            f"{args.trace}: the metrics need {need} bytes ("
-            + ", ".join(f"{name} {count}" for name, count in terms.items())
-            + f"), limit is {harness.MEMORY_LIMIT}")
+    check_memory(f"{args.trace}: vcbpso metrics",
+                 *metrics_memory(records, m, dimensions))
     trace = RunTrace.load(args.trace)
     lo = args.from_iteration if args.from_iteration is not None else 1
     hi = args.to_iteration if args.to_iteration is not None else trace.iterations

@@ -26,7 +26,7 @@ from .engine import (STEP_BYTES, RunConfig, WSchedule, check_run_settings,
 # not called here: perfbench/spans.py rebinds ``harness.run`` in its traced
 # pass, which fails on a missing name
 from .engine import run  # noqa: F401
-from .errors import ConfigError, ParseError, ResourceError
+from .errors import ConfigError, ParseError, ResourceError, check_memory
 from .knapsack import KnapsackInstance, KnapsackObjective
 from .trace import RunTrace, TraceBuilder, save_memory
 from .transfer import TransferKind
@@ -365,21 +365,13 @@ def _run_on_pool(workers: int, tasks: list[list[tuple[int, int]]],
             raise
 
 
-# The most bytes an experiment may hold at once, as the DP alone may.
-MEMORY_LIMIT = knapsack.DP_MEMORY_LIMIT
-
-
 def group_memory(runs: int, iterations: int, swarm_size: int,
                  dimensions: int, save_traces: bool,
-                 compute_metrics: bool) -> dict[str, int]:
-    """An upper bound on the peak bytes of :func:`_execute_group` for a
-    group of ``runs`` runs, by term; the terms add up to the bound.
-
-    The trace slabs and the runs' curves are held throughout. The swarm
-    while it steps, a trace file while it is written and one run's
-    metric matrices and workspace follow one another, so only the
-    largest of those counts.
-    """
+                 compute_metrics: bool) -> tuple[dict, list[dict]]:
+    """The bytes :func:`_execute_group` holds for a group of ``runs``
+    runs, for ``errors.check_memory``: the trace slabs and the runs'
+    curves throughout, and as phases the stepping swarm, a trace file
+    being written and one run's metric matrices with their workspace."""
     records = iterations + 1
     held = {"trace slabs": TraceBuilder.nbytes(
                 dimensions, runs, swarm_size, records,
@@ -394,35 +386,31 @@ def group_memory(runs: int, iterations: int, swarm_size: int,
         phases.append({"metric matrices": 16 * iterations * swarm_size,
                        "metric workspace": metrics.dist_eff_workspace(
                            iterations, swarm_size, dimensions)})
-    return held | max(phases, key=lambda terms: sum(terms.values()))
+    return held, phases
 
 
 def run_experiment(spec: ExperimentSpec) -> list[results.AggregateResult]:
     """Execute all variants x repetitions, write CSV artifacts, return
-    per-variant aggregates. Deterministic given the spec.
-
-    Before the DP and before the output directory is made, the bytes of
-    the profit-only DP and of one run group per worker
-    (:func:`group_memory`; each worker holds a group at the same time,
-    and the curves are counted once for every run, as this process
-    collects them all) are checked against ``MEMORY_LIMIT``.
-    """
+    per-variant aggregates. Deterministic given the spec. Before the DP
+    and the output directory, ``errors.check_memory`` counts the
+    profit-only DP, every run's curves (collected here) and one
+    :func:`group_memory` per worker, as each holds a group at once."""
     instance = spec.instance.load()
     runs = len(spec.variants) * spec.repetitions
     workers = _worker_count(runs)
     size = group_size(runs, workers, spec.swarm_size, instance.n)
-    group = group_memory(size, spec.iterations, spec.swarm_size, instance.n,
-                         spec.save_traces, spec.compute_metrics)
-    terms = {name: workers * count for name, count in group.items()}
-    terms["curves"] = group["curves"] // size * runs
-    terms["DP"] = knapsack.dp_need(instance, selection=False)
-    need = sum(terms.values())
-    if need > MEMORY_LIMIT:
-        raise ResourceError(
-            f"the experiment needs {need} bytes for {workers} worker"
-            f"{'s' if workers > 1 else ''} ("
-            + ", ".join(f"{name} {count}" for name, count in terms.items())
-            + f"), limit is {MEMORY_LIMIT}")
+    held, phases = group_memory(size, spec.iterations, spec.swarm_size,
+                                instance.n, spec.save_traces,
+                                spec.compute_metrics)
+    # each worker holds a group at once; this process keeps all curves
+    curves = held["curves"] // size * runs
+    held, *phases = ({name: workers * count for name, count in terms.items()}
+                     for terms in (held, *phases))
+    check_memory(f"the experiment with {workers} worker"
+                 f"{'s' if workers > 1 else ''}",
+                 held | {"curves": curves,
+                         "DP": knapsack.dp_need(instance, selection=False)},
+                 phases)
     optimum, _ = knapsack.dp_optimal(instance, selection=False)
     if optimum <= 0:
         raise ConfigError("instance optimum is 0; ratios are undefined")

@@ -18,13 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, ResourceError
-from .trace import open_text
+from .errors import ConfigError, ParseError, check_memory
+from .trace import open_text, read_lines
 
 INSTANCE_TYPES = ("UCI", "WCI", "SCI", "EXTERNAL")
-
-# Refuse a DP whose value row and choice bits need more bytes than this.
-DP_MEMORY_LIMIT = 2 << 30
 
 # Fitness sums are float64 products, exact for integer totals below this.
 FLOAT_EXACT_LIMIT = 2**53
@@ -112,8 +109,7 @@ def generate(instance_type: str, n: int, r: int, s: float,
     return KnapsackInstance(weights, profits, capacity, instance_type)
 
 
-def dp_optimal(instance: KnapsackInstance,
-               memory_limit: int = DP_MEMORY_LIMIT, *,
+def dp_optimal(instance: KnapsackInstance, *,
                selection: bool = True) -> tuple[int, np.ndarray | None]:
     """Exact optimum by dynamic programming over capacity.
 
@@ -136,13 +132,9 @@ def dp_optimal(instance: KnapsackInstance,
     profits sum below 2**31, int64 otherwise. Selection and profit are
     those of the full table, bit for bit.
     """
-    plan, need = _plan(instance, selection)
+    plan, terms = _plan(instance, selection)
     n, c = instance.n, instance.capacity
-    if need > memory_limit:
-        raise ResourceError(
-            f"DP needs {need} bytes "
-            f"(n={n}, capacity={c}), limit is {memory_limit}"
-        )
+    check_memory(f"the DP (n={n}, capacity={c})", terms)
     if plan is None:
         return 0, np.zeros(n, dtype=np.uint8) if selection else None
     fit, w, p, lo, hi, longest, off, value = plan
@@ -230,24 +222,23 @@ def _choice(store: memoryview, k: int, j: int) -> bool:
 
 
 def dp_need(instance: KnapsackInstance, *, selection: bool = True) -> int:
-    """The bytes :func:`dp_optimal` allocates for ``instance``: the count
-    its memory guard checks."""
-    return _plan(instance, selection)[1]
+    """The bytes :func:`dp_optimal` allocates for ``instance``."""
+    return sum(_plan(instance, selection)[1].values())
 
 
 def _plan(instance: KnapsackInstance, selection: bool):
     """The bands of :func:`dp_optimal` and the bytes it allocates.
 
-    Returns ((fit, w, p, lo, hi, longest, off, value), need), or
-    (None, need) when no item fits. ``off`` holds where each band's packed
-    bits would start in a buffer of every band packed, and its end; it is
-    None without the selection. :func:`dp_optimal` rewrites it to where
-    each band's compact store starts.
+    Returns ((fit, w, p, lo, hi, longest, off, value), terms), or
+    (None, terms) when no item fits. ``off`` holds where each band's
+    packed bits would start in a buffer of every band packed, and its
+    end; it is None without the selection. :func:`dp_optimal` rewrites it
+    to where each band's compact store starts.
     """
     n, c = instance.n, instance.capacity
     fit = np.flatnonzero(instance.weights <= c)
     if fit.size == 0:
-        return None, n if selection else 0
+        return None, {"selection": n} if selection else {}
     w = instance.weights[fit]
     p = instance.profits[fit]
     upto = np.cumsum(w)
@@ -263,16 +254,17 @@ def _plan(instance: KnapsackInstance, selection: bool):
     size = np.dtype(value).itemsize
     # the value row, the candidate row of the longest band and the five
     # per-item arrays (fit, w, p, lo, hi) already allocated
-    need = size * (c + 1) + size * longest + 5 * 8 * fit.size
+    terms = {"value rows": size * (c + 1 + longest),
+             "item arrays": 5 * 8 * fit.size}
     off = None
     if selection:
         off = np.zeros(fit.size + 1, dtype=np.int64)
         np.cumsum((band + 7) // 8, out=off[1:])
-        # the choice row of the longest band, room for every band packed
-        # and one packed band, the selection, and off
-        need += (longest + int(off[-1]) + (longest + 7) // 8 + n
-                 + 8 * fit.size)
-    return (fit, w, p, lo, hi, longest, off, value), need
+        # off; the choice row of the longest band, room for every band
+        # packed and one packed band, and the selection
+        terms["item arrays"] += 8 * fit.size
+        terms["choices"] = longest + int(off[-1]) + (longest + 7) // 8 + n
+    return (fit, w, p, lo, hi, longest, off, value), terms
 
 
 def repair(instance: KnapsackInstance, selection, *,
@@ -354,8 +346,7 @@ def save_instance(instance: KnapsackInstance, path) -> None:
 
 
 def load_instance(path) -> KnapsackInstance:
-    with open_text(path) as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+    lines = [ln for ln in read_lines(path) if ln.strip()]
     if not lines:
         raise ParseError(f"{path}: empty instance file")
     head = lines[0].split()

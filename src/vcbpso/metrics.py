@@ -135,7 +135,7 @@ def dist_eff_workspace(iterations: int, swarm_size: int,
     # and 4 KiB of array headers and small index arrays
     buffers = 24 * min(np.getbufsize(),
                        max(iterations * swarm_size, rows * cols, records))
-    return max(dist, tile + particle, 32 * iterations) + buffers + (4 << 10)
+    return max(dist, tile + particle, 40 * iterations) + buffers + (4 << 10)
 
 
 def _sort_key(column: np.ndarray) -> np.ndarray:

@@ -21,6 +21,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass
+from itertools import chain
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -136,21 +137,30 @@ def write_experiment(out_dir, runs: list[RunResult],
                 os.path.join(out_dir, f"metrics_{label}.csv"))
 
 
+# Rows per chunk of the metric CSV writers, so that their temporaries do
+# not grow with the trace: three lists of curve values, or one (rows, 4)
+# int64 matrix of particle rows and a tuple of its Python ints.
+_CSV_CHUNK_ROWS = 4096
+
+
 def write_aggregate_metrics_csv(mean_dist: np.ndarray,
                                 mean_dist_eff: np.ndarray,
                                 cum_pujv: np.ndarray, path) -> None:
-    """``METRICS_HEADER`` rows, one per iteration from 1. Cells keep their
-    Python type: floats print as ``repr``, integer ``cum_pujv`` values
-    (one trace's) as integers."""
-    write_csv(path, METRICS_HEADER,
-              zip(range(1, len(mean_dist) + 1), mean_dist.tolist(),
-                  mean_dist_eff.tolist(), cum_pujv.tolist()))
+    """``METRICS_HEADER`` rows, one per iteration from 1, ``_CSV_CHUNK_ROWS``
+    at a time. Cells keep their Python type: floats print as ``repr``,
+    integer ``cum_pujv`` values (one trace's) as integers."""
+    chunks = (zip(range(start + 1, start + _CSV_CHUNK_ROWS + 1),
+                  *(curve[start:start + _CSV_CHUNK_ROWS].tolist()
+                    for curve in (mean_dist, mean_dist_eff, cum_pujv)))
+              for start in range(0, len(mean_dist), _CSV_CHUNK_ROWS))
+    write_csv(path, METRICS_HEADER, chain.from_iterable(chunks))
 
 
-# Rows per write of write_particle_metrics_csv. A chunk is formatted from
-# one (rows, 4) int64 matrix and a tuple of its Python ints, so the
-# writer's temporaries do not grow with the trace.
-_CSV_CHUNK_ROWS = 4096
+def aggregate_csv_memory(iterations: int) -> int:
+    """An upper bound on the bytes :func:`write_aggregate_metrics_csv`
+    allocates: one chunk of rows as Python lists (at most 137 bytes a row)
+    and the open file with its ``csv.writer`` (136 KiB)."""
+    return 144 * min(iterations, _CSV_CHUNK_ROWS) + (144 << 10)
 
 
 def write_particle_metrics_csv(d: np.ndarray, e: np.ndarray, path) -> None:

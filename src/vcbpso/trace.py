@@ -117,7 +117,7 @@ class RunTrace:
         view = memoryview(raw)
         fault = None
         count = length = 0
-        for k, line in enumerate(islice(_lines(path), 2, None)):
+        for k, line in enumerate(islice(read_lines(path), 2, None)):
             count += 1
             length += len(line)
             if fault is not None or k >= records:
@@ -171,7 +171,7 @@ class RunTrace:
         return cls(d, gbest, flips, positions)
 
 
-# characters of trace text read and cut into lines at once
+# characters of text read and cut into lines at once
 _READ_CHARS = 1 << 13
 
 # the line breaks of str.splitlines; "\r" never reaches it, as reading in
@@ -179,10 +179,10 @@ _READ_CHARS = 1 << 13
 _BREAKS = "\n\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
 
-def _lines(path):
-    """The lines of a trace file's text as ``str.splitlines`` cuts the
-    whole text, read ``_READ_CHARS`` at a time; a damaged ``.gz`` stream
-    or text that is not UTF-8 is a ValueError that names the path."""
+def read_lines(path):
+    """The lines of a trace's or instance's text as ``str.splitlines``
+    cuts the whole text, read ``_READ_CHARS`` at a time; a damaged ``.gz``
+    stream or text that is not UTF-8 is a ValueError naming the path."""
     try:
         with open_text(path) as fh:
             part = ""
@@ -201,7 +201,7 @@ def _lines(path):
 def read_header(path) -> tuple[int, int, int]:
     """The swarm size, dimensions and record count a trace file's first
     two lines give, each checked to be >= 1."""
-    lines = _lines(path)
+    lines = read_lines(path)
     if next(lines, None) != _MAGIC:
         raise ValueError(f"{path}: not a trace file")
     try:

@@ -4,11 +4,12 @@ oracle of ``correct``, a small reference knapsack instance, the
 full-table and brute-force knapsack solvers, the scalar repair and
 evaluation, the whole-array VT2 transfer, the scalar exploration metrics
 and bit unpacking, a function objective for the engine, the
-experiment protocols of ``configs/`` and large random traces for memory
-checks."""
+experiment protocols of ``configs/``, and large random traces and a
+tracemalloc call for memory checks."""
 
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -298,6 +299,18 @@ def pool_trace(records: int, swarm_size: int, dimensions: int,
                     rng.integers(0, dimensions + 1,
                                  size=(records, swarm_size)),
                     positions[np.arange(swarm_size), picks])
+
+
+def traced(fn, *args, **kwargs):
+    """Call ``fn`` under tracemalloc: (its result, the bytes still traced
+    once it returns, the traced peak)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held, peak
 
 
 def position_bits(trace: RunTrace, k: int,

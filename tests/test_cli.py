@@ -7,21 +7,21 @@ import io
 import os
 import re
 import tempfile
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import CONFIGS_DIR, pool_trace
+from conftest import CONFIGS_DIR, pool_trace, traced
 from test_trace import (
     BAD_RECORDS,
     OVERSIZED_HEADER,
     build_trace,
     save_bad_trace,
 )
-from vcbpso import cli, harness, knapsack
+from vcbpso import cli, errors, harness, knapsack
 from vcbpso.cli import main
+from vcbpso.errors import check_memory
 from vcbpso.knapsack import load_instance
 from vcbpso.trace import RunTrace
 
@@ -117,6 +117,40 @@ class TestSolve:
         code, _, stderr = run_cli(capsys, "solve", "--instance", "/nope.txt")
         assert code == 2 and "error:" in stderr
 
+    @pytest.mark.parametrize("damage", ["cut in half", "not UTF-8"])
+    def test_a_damaged_instance_names_the_file(self, capsys, tmp_path,
+                                               damage):
+        path = tmp_path / "cut.txt.gz"
+        knapsack.save_instance(knapsack.generate("UCI", 50, 100, 0.5, 1),
+                               path)
+        if damage == "cut in half":
+            data = path.read_bytes()
+            path.write_bytes(data[:len(data) // 2])
+        else:
+            with gzip.open(path, "ab") as fh:
+                fh.write(b"\xff\xfe 1\n")
+        code, stdout, stderr = run_cli(capsys, "solve", "--instance",
+                                       str(path))
+        assert code == 2 and stdout == ""
+        assert stderr.startswith(f"error: {path}: ")
+        assert len(stderr.splitlines()) == 1 and "Traceback" not in stderr
+        assert not os.path.exists(f"{path}.sol")
+
+    def test_a_dp_over_the_limit_is_refused(self, capsys, tmp_path):
+        path = tmp_path / "big.txt"
+        knapsack.save_instance(knapsack.KnapsackInstance(
+            np.array([10**9, 10**9 + 1]), np.array([1, 2]), 2 * 10**9), path)
+        code, stdout, stderr = run_cli(capsys, "solve", "--instance",
+                                       str(path))
+        assert code == 2 and stdout == ""
+        assert stderr.startswith(
+            "error: the DP (n=2, capacity=2000000000) needs ")
+        assert stderr.endswith(f"limit is {errors.MEMORY_LIMIT}\n")
+        assert len(stderr.splitlines()) == 1
+        for term in ("value rows", "item arrays", "choices"):
+            assert re.search(term + r" \d+", stderr), stderr
+        assert not os.path.exists(f"{path}.sol")
+
 
 class TestRun:
     def test_executes_config(self, capsys, config_file):
@@ -208,7 +242,8 @@ output.dir = {out}
             else ln for ln in lines) + "\n")
         code, stdout, stderr = run_cli(capsys, "run", "--config", str(cfg))
         assert code == 2 and stdout == ""
-        assert stderr.startswith("error: the experiment needs ")
+        assert re.match(r"error: the experiment with \d+ workers? needs ",
+                        stderr)
         assert len(stderr.splitlines()) == 1 and "trace slabs" in stderr
         assert not out.exists()
 
@@ -403,14 +438,11 @@ class TestMetricsInput:
         pool_trace(records, 10, d).save(path)
         args = cli.build_parser().parse_args(["metrics", "--trace",
                                               str(path)])
-        tracemalloc.start()
-        try:
-            with contextlib.redirect_stdout(io.StringIO()):
-                assert cli._cmd_metrics(args) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        need = sum(cli.metrics_memory(records, 10, d).values())
+        with contextlib.redirect_stdout(io.StringIO()):
+            code, _, peak = traced(cli._cmd_metrics, args)
+        assert code == 0
+        need = sum(check_memory("a trace",
+                                *cli.metrics_memory(records, 10, d)).values())
         assert peak <= need <= 1.35 * peak, (need, peak)
 
     def test_refused_before_the_trace_is_read(self, capsys, tmp_path,
@@ -420,12 +452,12 @@ class TestMetricsInput:
 
         path = tmp_path / "t.txt.gz"
         pool_trace(101, 4, 100).save(path)
-        monkeypatch.setattr(harness, "MEMORY_LIMIT", 10**5)
+        monkeypatch.setattr(errors, "MEMORY_LIMIT", 10**5)
         monkeypatch.setattr(RunTrace, "load", no_load)
         code, stdout, stderr = run_cli(capsys, "metrics", "--trace",
                                        str(path))
         assert code == 2 and stdout == ""
-        assert stderr.startswith(f"error: {path}: the metrics need ")
+        assert stderr.startswith(f"error: {path}: vcbpso metrics needs ")
         assert stderr.endswith("limit is 100000\n")
         assert len(stderr.splitlines()) == 1
         for term in ("trace", "metric matrices"):

@@ -7,16 +7,15 @@ import os
 import pickle
 import re
 import time
-import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from conftest import CONFIGS_DIR, evaluate, load_config
+from conftest import CONFIGS_DIR, evaluate, load_config, traced
 import vcbpso
-from vcbpso import harness, knapsack
+from vcbpso import errors, harness, knapsack
 from vcbpso.cli import main
 from vcbpso.engine import WSchedule
 from vcbpso.errors import ConfigError, ParseError, ResourceError
@@ -455,6 +454,11 @@ class TestRunExperiment:
         assert rows[1][0] == "0"
 
 
+def group_need(*args) -> dict[str, int]:
+    """The terms ``errors.check_memory`` counts for ``group_memory(*args)``."""
+    return errors.check_memory("a run group", *group_memory(*args))
+
+
 class TestMemoryCheck:
     """The bytes of a run group and of the DP, checked before either."""
 
@@ -473,30 +477,24 @@ class TestMemoryCheck:
                        compute_metrics=compute_metrics,
                        output_dir=str(tmp_path))
         objective = knapsack.KnapsackObjective(spec.instance.load())
-        need = sum(group_memory(runs, spec.iterations, spec.swarm_size,
-                                objective.dimensions, save_traces,
-                                compute_metrics).values())
+        need = sum(group_need(runs, spec.iterations, spec.swarm_size,
+                              objective.dimensions, save_traces,
+                              compute_metrics).values())
         # every variant, since the step's temporaries differ by kind
-        peaks = []
-        for vi in range(len(spec.variants)):
-            tracemalloc.start()
-            try:
-                harness._execute_group(
-                    spec, [(vi, rep) for rep in range(runs)], objective, 1)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+        peaks = [traced(harness._execute_group, spec,
+                        [(vi, rep) for rep in range(runs)], objective, 1)[2]
+                 for vi in range(len(spec.variants))]
         assert max(peaks) <= need <= 1.35 * max(peaks), (need, peaks)
 
     def test_terms(self):
         # d=100, m=20, T=1000: two 64-bit words per position
-        terms = group_memory(4, 1000, 20, 100, True, True)
+        terms = group_need(4, 1000, 20, 100, True, True)
         assert terms["trace slabs"] == 4 * 1001 * 8 * (1 + 20 * 3)
         assert terms["curves"] == 4 * 8 * (1001 + 3 * 1000)
         assert terms["metric matrices"] == 2 * 8 * 1000 * 20
         assert "swarm" not in terms
         # no positions kept, nothing but the swarm steps
-        terms = group_memory(1, 10, 20, 500, False, False)
+        terms = group_need(1, 10, 20, 500, False, False)
         assert terms == {"trace slabs": 1 * 11 * 8 * (1 + 20),
                          "curves": 8 * 11, "swarm": 72 * 20 * 500}
 
@@ -504,13 +502,13 @@ class TestMemoryCheck:
         def no_dp(*args, **kw):
             raise AssertionError("the DP ran before the check")
 
-        monkeypatch.setattr(harness, "MEMORY_LIMIT", 10**5)
+        monkeypatch.setattr(errors, "MEMORY_LIMIT", 10**5)
         monkeypatch.setattr(knapsack, "dp_optimal", no_dp)
         spec = parse_config(good_config(tmp_path / "out"))
         with pytest.raises(ResourceError) as info:
             run_experiment(spec)
         message = str(info.value)
-        assert message.startswith("the experiment needs ")
+        assert re.match(r"the experiment with \d+ workers? needs ", message)
         assert message.endswith("limit is 100000")
         for term in ("trace slabs", "curves", "DP"):
             assert re.search(term + r" \d+", message), message
@@ -526,20 +524,21 @@ class TestMemoryCheck:
             with pytest.raises(ResourceError) as info:
                 run_experiment(spec)
             message = str(info.value)
-            assert f" bytes for {workers} worker" in message, message
+            assert message.startswith(
+                f"the experiment with {workers} worker"), message
             return int(re.search(r"needs (\d+) bytes", message).group(1))
 
         out = tmp_path / "out"
         spec = parse_config(good_config(out))
-        monkeypatch.setattr(harness, "MEMORY_LIMIT", 0)
+        monkeypatch.setattr(errors, "MEMORY_LIMIT", 0)
         one, two = need(1), need(2)
         assert one < two
-        monkeypatch.setattr(harness, "MEMORY_LIMIT", (one + two) // 2)
+        monkeypatch.setattr(errors, "MEMORY_LIMIT", (one + two) // 2)
         monkeypatch.setattr(knapsack, "dp_optimal", no_dp)
         assert need(2) == two
         assert not out.exists()
         monkeypatch.undo()
-        monkeypatch.setattr(harness, "MEMORY_LIMIT", (one + two) // 2)
+        monkeypatch.setattr(errors, "MEMORY_LIMIT", (one + two) // 2)
         monkeypatch.setattr(harness, "_worker_count", lambda runs: 1)
         run_experiment(spec)
         assert (out / "runs.csv").exists()

@@ -2,7 +2,6 @@
 
 import re
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,11 +13,11 @@ from conftest import (
     evaluate,
     load_config,
     repair_oracle,
+    traced,
 )
-from vcbpso import knapsack
+from vcbpso import errors, knapsack
 from vcbpso.errors import ConfigError, ParseError, ResourceError
 from vcbpso.knapsack import (
-    DP_MEMORY_LIMIT,
     FLOAT_EXACT_LIMIT,
     KnapsackInstance,
     KnapsackObjective,
@@ -75,9 +74,11 @@ def dp_instances(draw):
 
 
 def guard_need(inst, selection=True) -> int:
-    """The byte count the memory guard of ``dp_optimal`` reports."""
-    with pytest.raises(ResourceError) as exc:
-        dp_optimal(inst, memory_limit=0, selection=selection)
+    """The byte count the memory check of ``dp_optimal`` reports."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(errors, "MEMORY_LIMIT", 0)
+        with pytest.raises(ResourceError) as exc:
+            dp_optimal(inst, selection=selection)
     return int(re.search(r"needs (\d+) bytes", str(exc.value)).group(1))
 
 
@@ -224,10 +225,11 @@ class TestSolvers:
         with pytest.raises(ValueError):
             brute_force_optimal(inst)
 
-    def test_dp_memory_guard(self):
+    def test_dp_memory_guard(self, monkeypatch):
         inst = KnapsackInstance(np.array([10**9]), np.array([1]), 10**9)
+        monkeypatch.setattr(errors, "MEMORY_LIMIT", 1000)
         with pytest.raises(ResourceError):
-            dp_optimal(inst, memory_limit=1000)
+            dp_optimal(inst)
 
     @pytest.mark.parametrize("capacity", [2**63 - 1, 2**63 + 5, 10**400])
     def test_dp_memory_guard_beyond_int64(self, capacity):
@@ -235,17 +237,12 @@ class TestSolvers:
         with pytest.raises(ResourceError):
             dp_optimal(inst)
 
-    def test_dp_memory_guard_counts_the_value_rows(self):
+    def test_dp_memory_guard_counts_the_value_rows(self, monkeypatch):
         # the item's band is empty, so there are no choice bits; the int32
         # value row (4 MB) does not fit the limit, and nothing is allocated
         inst = KnapsackInstance(np.array([1]), np.array([1]), 10**6)
-        tracemalloc.start()
-        try:
-            with pytest.raises(ResourceError):
-                dp_optimal(inst, memory_limit=10**6)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        monkeypatch.setattr(errors, "MEMORY_LIMIT", 10**6)
+        _, _, peak = traced(pytest.raises, ResourceError, dp_optimal, inst)
         assert peak < 10**5
 
     def test_dp_matches_brute_on_random_instances(self):
@@ -282,12 +279,7 @@ class TestSolvers:
     ], ids=["scaling.cfg", "n=1,c=10**6"])
     def test_dp_memory_guard_counts_what_is_allocated(self, inst):
         need = guard_need(inst)
-        tracemalloc.start()
-        try:
-            dp_optimal(inst)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, _, peak = traced(dp_optimal, inst)
         assert abs(peak - need) <= 16 * 1024, (need, peak)
 
 
@@ -315,7 +307,7 @@ class TestProfitOnly:
     def test_refuses_capacities_beyond_int64(self, capacity):
         # the value row has capacity + 1 cells either way
         inst = KnapsackInstance(np.array([3, 5]), np.array([1, 2]), capacity)
-        assert dp_need(inst, selection=False) > DP_MEMORY_LIMIT
+        assert dp_need(inst, selection=False) > errors.MEMORY_LIMIT
         with pytest.raises(ResourceError):
             dp_optimal(inst, selection=False)
 
@@ -327,25 +319,16 @@ class TestProfitOnly:
         need = guard_need(inst, selection=False)
         assert need == dp_need(inst, selection=False)
         assert need < dp_need(inst)
-        tracemalloc.start()
-        try:
-            dp_optimal(inst, selection=False)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, _, peak = traced(dp_optimal, inst, selection=False)
         assert abs(peak - need) <= 16 * 1024, (need, peak)
 
-    def test_guard_counts_the_value_rows(self):
+    def test_guard_counts_the_value_rows(self, monkeypatch):
         # the int32 value row (4 MB) does not fit the limit, and nothing
         # is allocated
         inst = KnapsackInstance(np.array([1]), np.array([1]), 10**6)
-        tracemalloc.start()
-        try:
-            with pytest.raises(ResourceError):
-                dp_optimal(inst, memory_limit=10**6, selection=False)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        monkeypatch.setattr(errors, "MEMORY_LIMIT", 10**6)
+        _, _, peak = traced(pytest.raises, ResourceError, dp_optimal, inst,
+                            selection=False)
         assert peak < 10**5
 
     def test_equals_the_selection_profit_on_the_protocol_instances(self):

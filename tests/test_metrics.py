@@ -2,7 +2,6 @@
 volume, convergence statistics."""
 
 import csv
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +14,7 @@ from conftest import (
     pool_trace,
     position_bits,
     pujv,
+    traced,
     unpack_bits,
 )
 from test_trace import build_trace
@@ -269,12 +269,7 @@ class TestDistEff:
             t = pool_trace(records, 20, d)
             row = []
             for kernel in (dist_matrix, dist_eff_matrix):
-                tracemalloc.start()
-                try:
-                    matrix = kernel(t)
-                    held, peak = tracemalloc.get_traced_memory()
-                finally:
-                    tracemalloc.stop()
+                matrix, held, peak = traced(kernel, t)
                 assert held >= matrix.nbytes
                 row.append(peak - held)
                 assert row[-1] <= metrics.dist_eff_workspace(records - 1,
@@ -286,12 +281,7 @@ class TestDistEff:
     def test_memory_is_bounded_by_the_block(self):
         rng = np.random.Generator(np.random.PCG64(7))
         t = random_trace(rng, 2001, 1, 100)
-        tracemalloc.start()
-        try:
-            dist_eff_matrix(t)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, _, peak = traced(dist_eff_matrix, t)
         assert peak < 8 * 2**20
 
 
@@ -392,14 +382,37 @@ class TestCsvWriters:
         peaks = []
         for iterations in (1000, 4000):
             d, e = rng.integers(0, dimensions + 1, size=(2, iterations, 5))
-            tracemalloc.start()
-            try:
-                results.write_particle_metrics_csv(d, e, tmp_path / "p.csv")
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+            peaks.append(traced(results.write_particle_metrics_csv, d, e,
+                                tmp_path / "p.csv")[2])
             assert peaks[-1] <= results.particle_csv_memory(iterations, 5,
                                                             dimensions)
+        assert abs(peaks[1] - peaks[0]) <= 64 * 1024, peaks
+
+    def test_aggregate_csv_bytes_are_write_csv_bytes(self, tmp_path):
+        # three of the writer's chunks, the last of one row
+        iterations = 2 * results._CSV_CHUNK_ROWS + 1
+        rng = np.random.Generator(np.random.PCG64(5))
+        curves = (rng.random(iterations) * 100, rng.random(iterations) * 100,
+                  np.cumsum(rng.integers(0, 10**6, size=iterations)))
+        path = tmp_path / "agg.csv"
+        results.write_aggregate_metrics_csv(*curves, path)
+        want = tmp_path / "want.csv"
+        results.write_csv(want, results.METRICS_HEADER,
+                          zip(range(1, iterations + 1),
+                              *(curve.tolist() for curve in curves)))
+        assert path.read_bytes() == want.read_bytes()
+
+    def test_aggregate_csv_memory_does_not_grow_with_the_rows(self,
+                                                              tmp_path):
+        rng = np.random.Generator(np.random.PCG64(6))
+        peaks = []
+        for iterations in (results._CSV_CHUNK_ROWS,
+                           3 * results._CSV_CHUNK_ROWS):
+            curves = (rng.random(iterations), rng.random(iterations),
+                      np.cumsum(rng.integers(0, 10**6, size=iterations)))
+            peaks.append(traced(results.write_aggregate_metrics_csv,
+                                *curves, tmp_path / "agg.csv")[2])
+            assert peaks[-1] <= results.aggregate_csv_memory(iterations)
         assert abs(peaks[1] - peaks[0]) <= 64 * 1024, peaks
 
     def test_aggregate_csv_schema(self, tmp_path):

@@ -2,13 +2,12 @@
 
 import sys
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import pool_trace, position_bits, unpack_bits
+from conftest import pool_trace, position_bits, traced, unpack_bits
 from vcbpso.trace import (
     RunTrace,
     TraceBuilder,
@@ -192,12 +191,7 @@ class TestRunTrace:
                 rng.integers(0, 101, size=(records, 20)),
                 rng.integers(0, 2**64, size=(records, 20, 2),
                              dtype=np.uint64))
-            tracemalloc.start()
-            try:
-                trace.save(tmp_path / "t.txt.gz")
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+            peaks.append(traced(trace.save, tmp_path / "t.txt.gz")[2])
             assert peaks[-1] <= save_memory(records, 20, 100)
         assert peaks[1] - peaks[0] <= 64 * 1024, peaks
 
@@ -228,14 +222,9 @@ class TestRunTrace:
     def test_load_refuses_a_header_the_text_cannot_hold(self, tmp_path):
         path = tmp_path / "t.txt"
         path.write_text(OVERSIZED_HEADER)
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match=r"t\.txt: 2 records of "
-                                                 r"m=1000000, d=100 need"):
-                RunTrace.load(path)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        refusal, _, peak = traced(pytest.raises, ValueError, RunTrace.load,
+                                  path)
+        refusal.match(r"t\.txt: 2 records of m=1000000, d=100 need")
         assert peak < 2**20
 
     @pytest.mark.parametrize("d, bit", [(10, 10), (10, 63), (100, 100),
@@ -277,12 +266,7 @@ class TestRunTrace:
         for records in (1001, 4001):
             path = tmp_path / "t.txt.gz"
             pool_trace(records, 20, d).save(path)
-            tracemalloc.start()
-            try:
-                trace = RunTrace.load(path)
-                held, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
+            trace, held, peak = traced(RunTrace.load, path)
             arrays = TraceBuilder.nbytes(d, 1, 20, records)
             assert trace.flip_counts.nbytes + trace.positions.nbytes \
                 + trace.gbest_fitness.nbytes == arrays
