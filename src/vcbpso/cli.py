@@ -21,7 +21,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_solve(args) -> int:
     instance = knapsack.load_instance(args.instance)
-    profit, selection = knapsack.dp_optimal(instance)
+    profit, selection = knapsack.dp_optimal(instance, selection=True)
     out = args.out or args.instance + ".sol"
     with open(out, "w") as fh:
         fh.write("".join(str(int(b)) for b in selection) + "\n")

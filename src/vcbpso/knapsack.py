@@ -12,7 +12,6 @@ particle's own bits are never mutated.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -110,44 +109,36 @@ def generate(instance_type: str, n: int, r: int, s: float,
 
 
 def dp_optimal(instance: KnapsackInstance, *,
-               selection: bool = True) -> tuple[int, np.ndarray | None]:
+               selection: bool = False) -> tuple[int, np.ndarray | None]:
     """Exact optimum by dynamic programming over capacity.
 
-    Returns (profit, selection) where the selection is a 0/1 vector that is
-    feasible and achieves the profit. One value row over capacity, updated
-    in place item by item, plus the choices for backtracking. With
-    ``selection`` false only the value row is swept: no choices are kept,
-    and the selection returned is None.
+    Returns (profit, selection). By default only the value row is swept,
+    and the selection returned is None. With ``selection`` true the
+    bands' packed choice bits are kept for backtracking too, and the
+    selection is a 0/1 vector that is feasible and achieves the profit.
 
     Item i (of those that fit, weight w_i) updates only the capacities in
     its band [lo_i, hi_i). With S_i the weight of the fitting items after
     i, lo_i = max(w_i, c - S_i): backtracking from c never goes below
     c - S_i at item i. With P_i the weight of the fitting items up to and
     including i, hi_i = min(P_i, c + 1): from P_i up all of them fit, the
-    choice is "take" and the value is their profit sum. Only the bands'
-    choices are stored, each band's as its packed bits or as the cells
-    where its choice changes, whichever is shorter (few cells change, so
-    most of the room kept for the packed bands is never written, and
-    never becomes resident). The value row is int32 when the fitting
-    profits sum below 2**31, int64 otherwise. Selection and profit are
-    those of the full table, bit for bit.
+    choice is "take" and the value is their profit sum. Every capacity
+    from the total fitting weight up has the same value, so the row ends
+    there, and only the bands' bits are stored. The value row is int32
+    when the fitting profits sum below 2**31, int64 otherwise. Selection
+    and profit are those of the full table, bit for bit.
     """
     plan, terms = _plan(instance, selection)
     n, c = instance.n, instance.capacity
     check_memory(f"the DP (n={n}, capacity={c})", terms)
     if plan is None:
         return 0, np.zeros(n, dtype=np.uint8) if selection else None
-    fit, w, p, lo, hi, longest, off, value = plan
-    dp = np.empty(c + 1, dtype=value)
+    fit, w, p, lo, hi, cap, longest, off, value = plan
+    dp = np.empty(cap + 1, dtype=value)
     cand = np.empty(longest, dtype=value)
     if selection:
         chose = np.empty(longest, dtype=bool)
-        # room for every band packed; each band is written compactly from
-        # the front, and the pages of the room left over are never touched
         bits = np.empty(int(off[-1]), dtype=np.uint8)
-        # cand's bytes, free once a band's maximum is taken
-        scratch = cand.view(bool)
-        end = 0
     # dp[:top] is written; every capacity from top up holds all items so
     # far, worth their profit sum `total`, written once a band reaches it
     top = total = 0
@@ -155,23 +146,19 @@ def dp_optimal(instance: KnapsackInstance, *,
         wi, a, b = int(w[i]), int(lo[i]), int(hi[i])
         dp[top:b] = total
         top, total = b, total + int(p[i])
-        if selection:
-            off[i] = end
         if a < b:
             k = b - a
             np.add(dp[a - wi:b - wi], int(p[i]), out=cand[:k])
             if selection:
                 np.greater(cand[:k], dp[a:b], out=chose[:k])
+                bits[int(off[i]):int(off[i + 1])] = np.packbits(
+                    chose[:k], bitorder="little")
             np.maximum(dp[a:b], cand[:k], out=dp[a:b])
-            if selection:
-                end += _store_choices(chose[:k], scratch, bits[end:])
     dp[top:] = total
     if not selection:
-        return int(dp[c]), None
-    off[fit.size] = end
-    store = memoryview(bits)
+        return int(dp[cap]), None
     chosen = np.zeros(n, dtype=np.uint8)
-    cc = c
+    cc = cap
     for i in range(fit.size - 1, -1, -1):
         a, b = int(lo[i]), int(hi[i])
         if cc >= b:
@@ -179,49 +166,15 @@ def dp_optimal(instance: KnapsackInstance, *,
         elif cc < a:
             take = False
         else:
-            take = _choice(store[off[i]:off[i + 1]], b - a, cc - a)
+            k = cc - a
+            take = bits[int(off[i]) + (k >> 3)] >> (k & 7) & 1
         if take:
             chosen[fit[i]] = 1
             cc -= int(w[i])
-    return int(dp[c]), chosen
+    return int(dp[cap]), chosen
 
 
-def _store_choices(chose: np.ndarray, scratch: np.ndarray,
-                   out: np.ndarray) -> int:
-    """Write the choices of one band of k cells to the front of ``out``,
-    in the shorter of two encodings, and return its length in bytes.
-
-    Packed, the encoding is the band's bits, (k + 7) // 8 bytes. Otherwise
-    it is the int64 cells where the choice changes, a "take" at cell 0
-    counting as a change; it is used only when shorter, so an encoding is
-    packed exactly when its length is (k + 7) // 8. ``scratch`` is at
-    least k bytes of free memory. The only array allocated, the packed
-    bits or the changes, is at most (k + 7) // 8 bytes: the changes are
-    counted before they are listed.
-    """
-    k = chose.size
-    packed = (k + 7) // 8
-    change = scratch[:k]
-    change[0] = chose[0]
-    np.not_equal(chose[1:], chose[:-1], out=change[1:])
-    count = np.count_nonzero(change)
-    if 8 * count < packed:
-        out[:8 * count] = change.nonzero()[0].view(np.uint8)
-        return 8 * count
-    out[:packed] = np.packbits(chose, bitorder="little")
-    return packed
-
-
-def _choice(store: memoryview, k: int, j: int) -> bool:
-    """The choice at cell ``j`` of a band of ``k`` cells, from the bytes
-    :func:`_store_choices` wrote: an odd count of changes up to cell j
-    means "take"."""
-    if len(store) == (k + 7) // 8:
-        return bool(store[j >> 3] >> (j & 7) & 1)
-    return bool(bisect.bisect_right(store.cast("q"), j) & 1)
-
-
-def dp_need(instance: KnapsackInstance, *, selection: bool = True) -> int:
+def dp_need(instance: KnapsackInstance, *, selection: bool = False) -> int:
     """The bytes :func:`dp_optimal` allocates for ``instance``."""
     return sum(_plan(instance, selection)[1].values())
 
@@ -229,11 +182,10 @@ def dp_need(instance: KnapsackInstance, *, selection: bool = True) -> int:
 def _plan(instance: KnapsackInstance, selection: bool):
     """The bands of :func:`dp_optimal` and the bytes it allocates.
 
-    Returns ((fit, w, p, lo, hi, longest, off, value), terms), or
-    (None, terms) when no item fits. ``off`` holds where each band's
-    packed bits would start in a buffer of every band packed, and its
-    end; it is None without the selection. :func:`dp_optimal` rewrites it
-    to where each band's compact store starts.
+    Returns ((fit, w, p, lo, hi, cap, longest, off, value), terms), or
+    (None, terms) when no item fits. ``cap`` is the last capacity of the
+    value row. ``off`` (item i's packed bits are bits[off[i]:off[i + 1]])
+    is None without the selection.
     """
     n, c = instance.n, instance.capacity
     fit = np.flatnonzero(instance.weights <= c)
@@ -242,8 +194,9 @@ def _plan(instance: KnapsackInstance, selection: bool):
     w = instance.weights[fit]
     p = instance.profits[fit]
     upto = np.cumsum(w)
-    # capacities from the total fitting weight up give the same (empty)
-    # bands, and this keeps capacities beyond int64 out of the arithmetic
+    # capacities from the total fitting weight up give the same value and
+    # (empty) bands, and this keeps capacities beyond int64 out of the
+    # arithmetic
     cap = min(c, int(upto[-1]))
     lo = np.maximum(w, cap - (upto[-1] - upto))
     hi = np.minimum(upto, cap + 1)
@@ -254,17 +207,17 @@ def _plan(instance: KnapsackInstance, selection: bool):
     size = np.dtype(value).itemsize
     # the value row, the candidate row of the longest band and the five
     # per-item arrays (fit, w, p, lo, hi) already allocated
-    terms = {"value rows": size * (c + 1 + longest),
+    terms = {"value rows": size * (cap + 1 + longest),
              "item arrays": 5 * 8 * fit.size}
     off = None
     if selection:
         off = np.zeros(fit.size + 1, dtype=np.int64)
         np.cumsum((band + 7) // 8, out=off[1:])
-        # off; the choice row of the longest band, room for every band
-        # packed and one packed band, and the selection
+        # off; the choice row of the longest band, the packed bands and
+        # one packed band, and the selection
         terms["item arrays"] += 8 * fit.size
         terms["choices"] = longest + int(off[-1]) + (longest + 7) // 8 + n
-    return (fit, w, p, lo, hi, longest, off, value), terms
+    return (fit, w, p, lo, hi, cap, longest, off, value), terms
 
 
 def repair(instance: KnapsackInstance, selection, *,
@@ -366,7 +319,7 @@ def load_instance(path) -> KnapsackInstance:
             raise ParseError(f"{path}:{i + 2}: expected 'weight profit'")
         try:
             weights[i], profits[i] = int(parts[0]), int(parts[1])
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:  # beyond int64
             raise ParseError(f"{path}:{i + 2}: {exc}") from None
     try:
         return KnapsackInstance(weights, profits, capacity, head[2])

@@ -20,10 +20,6 @@ from .trace import RunTrace
 _BLOCK = 128
 _TILE = 256
 
-# Odd multiplier and shift that mix a position's words into one sort key.
-_MIX = np.uint64(0x9E3779B97F4A7C15)
-_FOLD = np.uint64(32)
-
 
 def dist_matrix(trace: RunTrace) -> np.ndarray:
     """(iterations, swarm_size) matrix of consecutive Hamming distances;
@@ -61,8 +57,8 @@ def dist_eff_matrix(trace: RunTrace) -> np.ndarray:
     later positions k > r, whose column minimum is folded into a running
     minimum per position. The cost per particle is about U**2 / 2 word
     comparisons for U distinct positions. The tiles take a fixed
-    workspace; finding one particle's first visits takes a sort key and
-    a sort order (16 bytes per record), and its U positions are copied.
+    workspace; finding one particle's first visits takes a few index
+    arrays (28 bytes per record), and its U positions are copied.
     """
     positions = trace.positions
     records, m, words = positions.shape
@@ -126,10 +122,10 @@ def dist_eff_workspace(iterations: int, swarm_size: int,
     # the tile's XOR words, bit counts, mask and sums, its column minima
     # and the running minima
     tile = rows * cols * (10 + acc) + (cols + iterations) * acc
-    # one particle's sort key and order, or, should two positions share
-    # a key, the exact sort of whole positions; then its distinct
-    # positions, at most one per record
-    particle = 8 * records * (words + 6)
+    # one particle's stable sort: the order, one gathered word, its sort
+    # order and the merge buffer of half as many indices; then its first
+    # visits and their positions, at most one per record
+    particle = records * max(28, 8 * (words + 1))
     dist = 9 * _dist_rows(iterations, swarm_size, words) * swarm_size * words
     # three 8-byte operands, of at most np.getbufsize() elements each,
     # and 4 KiB of array headers and small index arrays
@@ -138,47 +134,13 @@ def dist_eff_workspace(iterations: int, swarm_size: int,
     return max(dist, tile + particle, 40 * iterations) + buffers + (4 << 10)
 
 
-def _sort_key(column: np.ndarray) -> np.ndarray:
-    """One uint64 key per record of one particle's (records, words)
-    packed positions, the words folded in one by one. A product's bits
-    depend only on the bits at or below them, so the key is folded down
-    after each product: without that, positions that differ only in the
-    top bit of two neighbouring words share a key, which in d=500 traces
-    sent 17 of 20 particles to the exact sort."""
-    key = column[:, 0].copy()
-    for j in range(1, column.shape[1]):
-        key *= _MIX
-        key ^= key >> _FOLD
-        key ^= column[:, j]
-    return key
-
-
 def _first_visits(column: np.ndarray) -> np.ndarray:
     """Increasing record indices of the first visit of each distinct
-    position in one particle's (records, words) packed positions."""
-    # Records are grouped by one 64-bit key that mixes the words, which
-    # sorts several times faster than whole positions. Equal positions
-    # share a key; if different ones do too (possible only with two or
-    # more words), the exact sort of whole positions is used instead.
-    key = _sort_key(column)
-    order = np.argsort(key)
-    key.sort()
-    starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-    del key
-    first = np.minimum.reduceat(order, starts)
-    if column.shape[1] > 1 and not _groups_agree(column, order, starts,
-                                                 first):
-        del order, starts
-        first = _exact_first_visits(column)
-    first.sort()
-    return first
-
-
-def _exact_first_visits(column: np.ndarray) -> np.ndarray:
-    """The first visits of _first_visits by a stable sort of the records
-    on each word, the last word first: equal positions end up next to
-    each other in record order, and each run's first is its first visit.
-    Its temporaries are a few index arrays, whatever the words."""
+    position in one particle's (records, words) packed positions, by a
+    stable sort of the records on each word, the last word first: equal
+    positions end up next to each other in record order, and each run's
+    first is its first visit. Its temporaries are a few index arrays,
+    whatever the words."""
     records, words = column.shape
     order = np.arange(records)
     for j in reversed(range(words)):
@@ -188,20 +150,9 @@ def _exact_first_visits(column: np.ndarray) -> np.ndarray:
     for j in range(words):
         word = column[order, j]
         new[1:] |= word[1:] != word[:-1]
-    return order[new]
-
-
-def _groups_agree(column: np.ndarray, order: np.ndarray, starts: np.ndarray,
-                  first: np.ndarray) -> bool:
-    """Whether each record holds the position of its key group's first
-    visit; ``order`` sorts the records by key, and the groups begin at
-    ``starts`` in it. Checked ``_TILE`` records at a time."""
-    for s0 in range(0, order.size, _TILE):
-        s = np.arange(s0, min(s0 + _TILE, order.size))
-        earliest = first[np.searchsorted(starts, s, side="right") - 1]
-        if not np.array_equal(column[order[s]], column[earliest]):
-            return False
-    return True
+    first = order[new]
+    first.sort()
+    return first
 
 
 def check_range(iterations: int, m: int, n: int) -> None:

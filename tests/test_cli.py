@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import CONFIGS_DIR, pool_trace, traced
+from conftest import CONFIGS_DIR, brute_force_optimal, pool_trace, traced
 from test_trace import (
     BAD_RECORDS,
     OVERSIZED_HEADER,
@@ -150,6 +150,16 @@ class TestSolve:
         for term in ("value rows", "item arrays", "choices"):
             assert re.search(term + r" \d+", stderr), stderr
         assert not os.path.exists(f"{path}.sol")
+
+    def test_a_capacity_above_the_total_weight_is_solved(self, capsys,
+                                                         tmp_path):
+        # the value row ends at the total weight 8, not at the capacity
+        path = tmp_path / "loose.txt"
+        path.write_text(f"2 {10**12} EXTERNAL\n3 1\n5 2\n")
+        code, stdout, stderr = run_cli(capsys, "solve", "--instance",
+                                       str(path))
+        assert (code, stdout, stderr) == (0, "3\n", "")
+        assert (tmp_path / "loose.txt.sol").read_text() == "11\n"
 
 
 class TestRun:
@@ -463,6 +473,91 @@ class TestMetricsInput:
         for term in ("trace", "metric matrices"):
             assert re.search(term + r" \d+", stderr), stderr
         assert sorted(p.name for p in tmp_path.iterdir()) == ["t.txt.gz"]
+
+
+BASE_INSTANCE = knapsack.generate("UCI", 10, 100, 0.5, 4)
+
+# item fields that are not integers, are out of range or are huge
+FIELD_TOKENS = st.sampled_from(["", "0", "-1", "1.5", "x", "1e3", "+3", "1_0",
+                                str(2**52), str(2**53 - 1), str(2**63),
+                                "-" + "9" * 20, "9" * 20])
+
+
+@st.composite
+def mutated_instances(draw):
+    """(file name, file bytes): the base instance's text with one
+    mutation, then perhaps gzip, perhaps truncated."""
+    weights = BASE_INSTANCE.weights.tolist()
+    items = [[str(w), str(p)] for w, p in zip(weights,
+                                              BASE_INSTANCE.profits.tolist())]
+    head = [str(len(items)), str(BASE_INSTANCE.capacity), "UCI"]
+    total = sum(weights)
+    kind = draw(st.sampled_from(["none", "count", "drop line", "extra line",
+                                 "field", "capacity", "sum to 2**53",
+                                 "type"]), label="mutation")
+    at = draw(st.integers(0, len(items) - 1), label="item")
+    if kind == "count":
+        head[0] = draw(st.sampled_from(["0", "-1", "9", "11", "2.0", "x",
+                                        "1" + "0" * 30]))
+    elif kind == "drop line":
+        del items[at]
+    elif kind == "extra line":
+        items.insert(at, draw(st.sampled_from([items[at], ["7"], []])))
+    elif kind == "field":
+        items[at][draw(st.integers(0, 1))] = draw(FIELD_TOKENS)
+    elif kind == "capacity":
+        head[1] = draw(st.sampled_from([
+            str(total), str(total + 1), str(total - 1), "0", "-1",
+            str(2**63 - 1), str(2**63), str(10**30), "x", "1.5"]))
+    elif kind == "sum to 2**53":
+        # one weight takes the total to 2**53 (refused) or just below it
+        items[at][0] = str(2**53 - total + weights[at]
+                           - draw(st.integers(0, 1)))
+    elif kind == "type":
+        head[2] = draw(st.sampled_from(["XYZ", "", "WCI"]))
+    lines = [" ".join(head)] + [" ".join(item) for item in items]
+    data = "".join(line + "\n" for line in lines).encode()
+    if not draw(st.booleans(), label="gzip"):
+        return "i.txt", data
+    data = gzip.compress(data, mtime=0)
+    if draw(st.booleans(), label="truncate"):
+        data = data[:draw(st.integers(0, len(data) - 1))]
+    return "i.txt.gz", data
+
+
+class TestSolveInput:
+    @given(mutated_instances())
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_instance_exits_0_or_names_the_fault(self, case):
+        name, data = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, name)
+            with open(path, "wb") as fh:
+                fh.write(data)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = main(["solve", "--instance", path])
+            sol = path + ".sol"
+            if code == 0:
+                inst = load_instance(path)
+                with open(sol) as fh:
+                    bits = fh.read()
+            else:
+                assert not os.path.exists(sol)
+        stderr = err.getvalue()
+        if code == 0:
+            assert stderr == ""
+            assert re.fullmatch(f"[01]{{{inst.n}}}\n", bits), bits
+            chosen = np.array([b == "1" for b in bits[:-1]], dtype=bool)
+            profit = int(out.getvalue())
+            assert int(inst.weights[chosen].sum()) <= inst.capacity
+            assert int(inst.profits[chosen].sum()) == profit
+            assert profit == brute_force_optimal(inst)
+        else:
+            assert code == 2 and out.getvalue() == ""
+            assert stderr.startswith("error: ") and stderr.count("\n") == 1
+            assert "Traceback" not in stderr
 
 
 class TestReport:

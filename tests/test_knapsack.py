@@ -15,7 +15,7 @@ from conftest import (
     repair_oracle,
     traced,
 )
-from vcbpso import errors, knapsack
+from vcbpso import errors
 from vcbpso.errors import ConfigError, ParseError, ResourceError
 from vcbpso.knapsack import (
     FLOAT_EXACT_LIMIT,
@@ -195,17 +195,18 @@ class TestGenerate:
 
 class TestSolvers:
     def test_three_item_optimum(self, three_items):
-        profit, selection = dp_optimal(three_items)
+        profit, selection = dp_optimal(three_items, selection=True)
         assert profit == 7
         assert np.array_equal(selection, [1, 1, 0])
 
     def test_zero_capacity(self):
         inst = KnapsackInstance(np.array([2]), np.array([3]), 0)
-        assert dp_optimal(inst) == (0, np.zeros(1, np.uint8))
+        assert dp_optimal(inst) == (0, None)
+        assert dp_optimal(inst, selection=True) == (0, np.zeros(1, np.uint8))
 
     def test_exact_fit(self):
         inst = KnapsackInstance(np.array([5]), np.array([9]), 5)
-        profit, selection = dp_optimal(inst)
+        profit, selection = dp_optimal(inst, selection=True)
         assert profit == 9 and selection[0] == 1
 
     def test_brute_three_items(self, three_items):
@@ -229,27 +230,41 @@ class TestSolvers:
         inst = KnapsackInstance(np.array([10**9]), np.array([1]), 10**9)
         monkeypatch.setattr(errors, "MEMORY_LIMIT", 1000)
         with pytest.raises(ResourceError):
-            dp_optimal(inst)
+            dp_optimal(inst, selection=True)
 
     @pytest.mark.parametrize("capacity", [2**63 - 1, 2**63 + 5, 10**400])
     def test_dp_memory_guard_beyond_int64(self, capacity):
-        inst = KnapsackInstance(np.array([3, 5]), np.array([1, 2]), capacity)
+        # both items fit, so the value row has 2**52 + 2 cells
+        inst = KnapsackInstance(np.array([2**51, 2**51 + 1]),
+                                np.array([1, 2]), capacity)
         with pytest.raises(ResourceError):
-            dp_optimal(inst)
+            dp_optimal(inst, selection=True)
 
     def test_dp_memory_guard_counts_the_value_rows(self, monkeypatch):
         # the item's band is empty, so there are no choice bits; the int32
         # value row (4 MB) does not fit the limit, and nothing is allocated
-        inst = KnapsackInstance(np.array([1]), np.array([1]), 10**6)
+        inst = KnapsackInstance(np.array([10**6]), np.array([1]), 10**6)
         monkeypatch.setattr(errors, "MEMORY_LIMIT", 10**6)
-        _, _, peak = traced(pytest.raises, ResourceError, dp_optimal, inst)
+        _, _, peak = traced(pytest.raises, ResourceError, dp_optimal, inst,
+                            selection=True)
         assert peak < 10**5
+
+    @pytest.mark.parametrize("capacity", [10, 10**12, 2**63 + 5])
+    def test_value_row_ends_at_the_fitting_weight(self, capacity):
+        # every capacity from the total weight 8 up has the same value, so
+        # a row of 9 cells does for all of these
+        inst = KnapsackInstance(np.array([3, 5]), np.array([1, 2]), capacity)
+        assert dp_need(inst) == dp_need(
+            KnapsackInstance(inst.weights, inst.profits, 8))
+        assert dp_optimal(inst) == (3, None)
+        profit, selection = dp_optimal(inst, selection=True)
+        assert profit == 3 and selection.tolist() == [1, 1]
 
     def test_dp_matches_brute_on_random_instances(self):
         rng = np.random.Generator(np.random.PCG64(2024))
         for _ in range(40):
             inst = random_small_instance(rng)
-            profit, selection = dp_optimal(inst)
+            profit, selection = dp_optimal(inst, selection=True)
             assert profit == brute_force_optimal(inst)
             sel = selection.astype(bool)
             assert inst.weights[sel].sum() <= inst.capacity
@@ -267,7 +282,7 @@ class TestSolvers:
                               np.array([2**30, 2**30 - 1]), 2))
     @example(KnapsackInstance(np.array([1, 1]), np.array([2**30, 2**30]), 2))
     def test_dp_matches_full_table_oracle(self, inst):
-        profit, selection = dp_optimal(inst)
+        profit, selection = dp_optimal(inst, selection=True)
         want_profit, want_selection = dp_full_oracle(inst)
         assert profit == want_profit
         assert selection.dtype == np.uint8
@@ -275,17 +290,17 @@ class TestSolvers:
 
     @pytest.mark.parametrize("inst", [
         load_config("scaling.cfg").instance.load(),
-        KnapsackInstance(np.array([1]), np.array([1]), 10**6),
+        KnapsackInstance(np.array([10**6]), np.array([1]), 10**6),
     ], ids=["scaling.cfg", "n=1,c=10**6"])
     def test_dp_memory_guard_counts_what_is_allocated(self, inst):
         need = guard_need(inst)
-        _, _, peak = traced(dp_optimal, inst)
+        _, _, peak = traced(dp_optimal, inst, selection=True)
         assert abs(peak - need) <= 16 * 1024, (need, peak)
 
 
 class TestProfitOnly:
-    """``dp_optimal(..., selection=False)``: the same value sweep with no
-    choice bits, for callers that read only the profit."""
+    """``dp_optimal`` by default (``selection=False``): the same value
+    sweep with no choice bits, for callers that read only the profit."""
 
     @settings(max_examples=300, deadline=None)
     @given(dp_instances())
@@ -299,33 +314,35 @@ class TestProfitOnly:
     def test_matches_the_oracles(self, inst):
         profit, selection = dp_optimal(inst, selection=False)
         assert selection is None
-        assert profit == dp_full_oracle(inst)[0] == dp_optimal(inst)[0]
+        assert profit == dp_full_oracle(inst)[0]
+        assert profit == dp_optimal(inst, selection=True)[0]
         if inst.n <= 20:
             assert profit == brute_force_optimal(inst)
 
     @pytest.mark.parametrize("capacity", [2**63 - 1, 2**63 + 5, 10**400])
     def test_refuses_capacities_beyond_int64(self, capacity):
-        # the value row has capacity + 1 cells either way
-        inst = KnapsackInstance(np.array([3, 5]), np.array([1, 2]), capacity)
+        # both items fit, so the value row has 2**52 + 2 cells
+        inst = KnapsackInstance(np.array([2**51, 2**51 + 1]),
+                                np.array([1, 2]), capacity)
         assert dp_need(inst, selection=False) > errors.MEMORY_LIMIT
         with pytest.raises(ResourceError):
             dp_optimal(inst, selection=False)
 
     @pytest.mark.parametrize("inst", [
         load_config("scaling.cfg").instance.load(),
-        KnapsackInstance(np.array([1]), np.array([1]), 10**6),
+        KnapsackInstance(np.array([10**6]), np.array([1]), 10**6),
     ], ids=["scaling.cfg", "n=1,c=10**6"])
     def test_guard_counts_what_is_allocated(self, inst):
         need = guard_need(inst, selection=False)
         assert need == dp_need(inst, selection=False)
-        assert need < dp_need(inst)
+        assert need < dp_need(inst, selection=True)
         _, _, peak = traced(dp_optimal, inst, selection=False)
         assert abs(peak - need) <= 16 * 1024, (need, peak)
 
     def test_guard_counts_the_value_rows(self, monkeypatch):
         # the int32 value row (4 MB) does not fit the limit, and nothing
         # is allocated
-        inst = KnapsackInstance(np.array([1]), np.array([1]), 10**6)
+        inst = KnapsackInstance(np.array([10**6]), np.array([1]), 10**6)
         monkeypatch.setattr(errors, "MEMORY_LIMIT", 10**6)
         _, _, peak = traced(pytest.raises, ResourceError, dp_optimal, inst,
                             selection=False)
@@ -334,70 +351,8 @@ class TestProfitOnly:
     def test_equals_the_selection_profit_on_the_protocol_instances(self):
         for name in ("low_dim.cfg", "scaling.cfg", "curves_vt2.cfg"):
             inst = load_config(name).instance.load()
-            assert dp_optimal(inst, selection=False)[0] == dp_optimal(inst)[0]
-
-
-@st.composite
-def choice_bands(draw):
-    """The choices of one DP band, 1 to 3000 cells: runs of "take" and of
-    "skip", long ones (whose changes are the shorter encoding) and
-    stretches of alternating cells (whose packed bits are)."""
-    parts = [np.arange(length) % 2 == int(start) if alternate
-             else np.full(length, start)
-             for length, start, alternate in draw(st.lists(
-                 st.tuples(st.integers(1, 800), st.booleans(),
-                           st.booleans()), min_size=1, max_size=12))]
-    return np.concatenate(parts)[:3000]
-
-
-def band(*runs):
-    """A band from (length, choice) runs."""
-    return np.concatenate([np.full(n, bool(v)) for n, v in runs])
-
-
-class TestChoiceStore:
-    """The compact store of one band's choices in ``dp_optimal``: packed
-    bits, or the cells where the choice changes, whichever is shorter."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(choice_bands())
-    # one cell, skipped (no changes, 0 bytes) and taken (packed); one
-    # change in a long band; alternating cells
-    @example(band((1, 0)))
-    @example(band((1, 1)))
-    @example(band((2000, 0), (1000, 1)))
-    @example(np.arange(3000) % 2 == 1)
-    def test_round_trip(self, chose):
-        k = chose.size
-        packed = (k + 7) // 8
-        changes = int(chose[0]) + int(np.count_nonzero(chose[1:]
-                                                       != chose[:-1]))
-        # stale bytes in the scratch and past the encoding must not matter
-        scratch = np.ones(k, dtype=bool)
-        out = np.full(packed + 16, 0xA5, dtype=np.uint8)
-        length = knapsack._store_choices(chose, scratch, out)
-        assert length == (8 * changes if 8 * changes < packed else packed)
-        assert (out[length:] == 0xA5).all()
-        store = memoryview(out[:length])
-        decoded = [knapsack._choice(store, k, j) for j in range(k)]
-        assert decoded == chose.tolist()
-
-    def test_matches_the_full_table_with_both_encodings(self, monkeypatch):
-        store_choices = knapsack._store_choices
-        encodings = set()
-
-        def recording(chose, scratch, out):
-            length = store_choices(chose, scratch, out)
-            encodings.add(length == (chose.size + 7) // 8)
-            return length
-
-        monkeypatch.setattr(knapsack, "_store_choices", recording)
-        inst = generate("WCI", 40, 1000, 0.5, 1)
-        profit, selection = dp_optimal(inst)
-        assert encodings == {True, False}
-        want_profit, want_selection = dp_full_oracle(inst)
-        assert profit == want_profit
-        assert np.array_equal(selection, want_selection)
+            assert (dp_optimal(inst)[0]
+                    == dp_optimal(inst, selection=True)[0])
 
 
 class TestRepairAndEvaluate:

@@ -207,27 +207,15 @@ class TestDistEff:
         assert np.array_equal(e, dist_eff_bruteforce(t))
         assert e[-1].tolist() == [0, 0]
 
-    def test_different_positions_with_one_sort_key(self):
-        # b is built to share a's sort key, so only the exact fallback of
-        # _first_visits tells them apart
-        w0 = np.array([3, 4, 9], dtype=np.uint64)
-        mixed = metrics._sort_key(np.stack([w0, np.zeros_like(w0)], axis=1))
-        w1 = np.array([5, 5 ^ mixed[0] ^ mixed[1], 6], dtype=np.uint64)
-        key = metrics._sort_key(np.stack([w0, w1], axis=1))
-        assert key[0] == key[1]
-        a, b, c = (unpack_bits(np.array([x, y]), 128) for x, y in zip(w0, w1))
+    def test_positions_that_differ_in_both_words(self):
+        # a and b differ in both of their words, which a key that mixes
+        # the words into one 64-bit value could send to one group
+        a, b, c = (unpack_bits(np.array(pair, dtype=np.uint64), 128)
+                   for pair in ((3, 5), (4, 0xA27B8BC9228D0FA7), (9, 6)))
         t = build_trace([[p] for p in (a, b, a, c, b, a)])
         e = dist_eff_matrix(t)
         assert np.array_equal(e, dist_eff_bruteforce(t))
         assert e[0, 0] > 0 and e[3, 0] == 0
-
-    def test_top_bits_of_neighbouring_words_change_the_key(self):
-        # flipping bit 63 commutes with a product by an odd number, so
-        # without the fold these two positions would share a key
-        top = np.uint64(1 << 63)
-        pos = np.array([[1, 2, 7], [1 ^ top, 2 ^ top, 7]], dtype=np.uint64)
-        key = metrics._sort_key(pos)
-        assert key[0] != key[1]
 
     @given(st.data())
     @settings(max_examples=50, deadline=None)
@@ -262,8 +250,8 @@ class TestDistEff:
     @pytest.mark.parametrize("d", [100, 500])
     def test_temporaries_do_not_grow_with_the_records(self, d):
         # m=20 and 300 distinct positions per particle, at T=1000 and
-        # T=4000: the tiles are fixed, and finding first visits takes 16
-        # bytes per record
+        # T=4000: the tiles are fixed, and finding first visits, 28 bytes
+        # per record (112 kB at T=4000), peaks below the tile phase
         temps = []
         for records in (1001, 4001):
             t = pool_trace(records, 20, d)
