@@ -8,7 +8,7 @@ import sys
 
 from . import harness, knapsack, metrics, results
 from .errors import ConfigError, ResourceError, check_memory
-from .trace import RunTrace, TraceBuilder, load_memory, read_header
+from .trace import RunTrace, TraceBuilder, load_memory, read_header, read_lines
 
 
 def _cmd_gen(args) -> int:
@@ -30,8 +30,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    with open(args.config) as fh:
-        spec = harness.parse_config(fh.read())
+    spec = harness.parse_config("\n".join(read_lines(args.config)))
     aggregates = harness.run_experiment(spec)
     for agg in aggregates:
         print(f"{agg.variant.label}: mean profit {agg.mean_best_profit:.2f} "
@@ -54,7 +53,7 @@ def metrics_memory(records: int, swarm_size: int,
     held = {"trace": TraceBuilder.nbytes(dimensions, 1, swarm_size, records)}
     phases = [{"load workspace": load_memory(swarm_size, dimensions)}]
     if iterations >= 1:
-        matrices = 16 * iterations * swarm_size
+        matrices = 8 * iterations * swarm_size  # dist is the trace's flips
         phases += [
             {"metric matrices": matrices,
              "metric workspace": metrics.dist_eff_workspace(
@@ -75,14 +74,18 @@ def _cmd_metrics(args) -> int:
     trace = RunTrace.load(args.trace)
     lo = args.from_iteration if args.from_iteration is not None else 1
     hi = args.to_iteration if args.to_iteration is not None else trace.iterations
-    metrics.check_range(trace.iterations, lo, hi)
+    if not 1 <= lo <= hi <= trace.iterations:
+        raise ValueError(f"bad iteration range [{lo}, {hi}] for trace of "
+                         f"{trace.iterations}")
     base = args.trace.removesuffix(".gz").removesuffix(".txt")
     d = metrics.dist_matrix(trace)
     e = metrics.dist_eff_matrix(trace)
     results.write_particle_metrics_csv(d, e, base + "_particle_metrics.csv")
-    results.write_aggregate_metrics_csv(*metrics.aggregate_curves(d, e),
+    mean_d, mean_e, cum = metrics.aggregate_curves(d, e)
+    results.write_aggregate_metrics_csv(mean_d, mean_e, cum,
                                         base + "_aggregate_metrics.csv")
-    print(metrics.pujv_of(d, e, lo, hi))
+    # the PUJV of iterations lo..hi, off the cumulative curve
+    print(int(cum[hi - 1] - (cum[lo - 2] if lo > 1 else 0)))
     return 0
 
 

@@ -91,9 +91,9 @@ def check_run_settings(correction_enabled: bool, vmax: float | None,
                        max_iterations: int) -> None:
     """Raise ConfigError unless these settings make a valid run: no vmax
     with the correction, a positive finite vmax without it, finite c1,
-    c2 >= 0, swarm_size >= 1, max_iterations >= 0 and a w ramp that fits
-    the run. :class:`RunConfig` and ``harness.ExperimentSpec`` both check
-    this."""
+    c2 >= 0, a velocity update that cannot overflow float64,
+    swarm_size >= 1, max_iterations >= 0 and a w ramp that fits the run.
+    :class:`RunConfig` and ``harness.ExperimentSpec`` both check this."""
     if correction_enabled:
         if vmax is not None:
             raise ConfigError("correction mode runs without a vmax clamp")
@@ -105,6 +105,11 @@ def check_run_settings(correction_enabled: bool, vmax: float | None,
         if not (c >= 0 and math.isfinite(c)):
             raise ConfigError(f"c1 and c2 must be finite and >= 0, "
                               f"got {name}={c!r}")
+    # |v| <= w*bound + c1 + c2 in each update, and rounding is monotonic
+    bound = CORRECTION_CLAMP if correction_enabled else vmax
+    if not math.isfinite(max(w.start, w.end) * bound + c1 + c2):
+        raise ConfigError(f"c1={c1!r}, c2={c2!r}, w={w} and a velocity bound "
+                          f"of {bound!r} can overflow the velocity update")
     if swarm_size < 1:
         raise ConfigError("swarm size must be >= 1")
     if max_iterations < 0:

@@ -383,7 +383,7 @@ def group_memory(runs: int, iterations: int, swarm_size: int,
         phases.append({"trace file": save_memory(records, swarm_size,
                                                  dimensions)})
     if compute_metrics and iterations >= 1:
-        phases.append({"metric matrices": 16 * iterations * swarm_size,
+        phases.append({"metric matrices": 8 * iterations * swarm_size,
                        "metric workspace": metrics.dist_eff_workspace(
                            iterations, swarm_size, dimensions)})
     return held, phases

@@ -13,6 +13,7 @@ particle's own bits are never mutated.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,8 +88,8 @@ def generate(instance_type: str, n: int, r: int, s: float,
         raise ConfigError(f"cannot generate instance type {instance_type!r}")
     if n < 1:
         raise ConfigError("n must be >= 1")
-    if r < 10:
-        raise ConfigError("R must be >= 10")
+    if not 10 <= r < FLOAT_EXACT_LIMIT:
+        raise ConfigError(f"R must be in [10, 2**53), got {r}")
     if not 0.0 < s < 1.0:
         raise ConfigError("S must be in (0, 1)")
     if seed < 0:
@@ -104,7 +105,8 @@ def generate(instance_type: str, n: int, r: int, s: float,
         if r % 10 != 0:
             raise ConfigError("SCI requires R to be a multiple of 10")
         profits = weights + r // 10
-    capacity = math.floor(s * int(weights.sum()))
+    # a Python sum, as an int64 one wraps once n * R reaches 2**63
+    capacity = math.floor(s * sum(weights.tolist()))
     return KnapsackInstance(weights, profits, capacity, instance_type)
 
 
@@ -298,6 +300,13 @@ def save_instance(instance: KnapsackInstance, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _integer(text: str) -> int:
+    """A plain decimal integer: ``int`` also reads ``+3`` and ``1_0``."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(f"not a plain decimal integer: {text!r}")
+    return int(text)
+
+
 def load_instance(path) -> KnapsackInstance:
     lines = [ln for ln in read_lines(path) if ln.strip()]
     if not lines:
@@ -306,7 +315,7 @@ def load_instance(path) -> KnapsackInstance:
     if len(head) != 3:
         raise ParseError(f"{path}:1: expected 'n capacity instance_type'")
     try:
-        n, capacity = int(head[0]), int(head[1])
+        n, capacity = _integer(head[0]), _integer(head[1])
     except ValueError as exc:
         raise ParseError(f"{path}:1: {exc}") from None
     if len(lines) != n + 1:
@@ -318,7 +327,7 @@ def load_instance(path) -> KnapsackInstance:
         if len(parts) != 2:
             raise ParseError(f"{path}:{i + 2}: expected 'weight profit'")
         try:
-            weights[i], profits[i] = int(parts[0]), int(parts[1])
+            weights[i], profits[i] = _integer(parts[0]), _integer(parts[1])
         except (ValueError, OverflowError) as exc:  # beyond int64
             raise ParseError(f"{path}:{i + 2}: {exc}") from None
     try:

@@ -3,10 +3,11 @@ useless jump volume, convergence statistics; :mod:`vcbpso.results` writes
 them to CSV.
 
 Per iteration and particle, ``dist`` is the Hamming distance to the
-previous position (raw activity) and ``dist_eff`` the Hamming distance to
-the nearest position in the particle's whole history including the initial
-one (genuinely new exploration). Their accumulated gap is the particle
-useless jump volume (PUJV): movement spent revisiting known space.
+previous position (raw activity, the recorded flip counts) and
+``dist_eff`` the Hamming distance to the nearest position in the
+particle's whole history including the initial one (genuinely new
+exploration). Their accumulated gap is the particle useless jump volume
+(PUJV): movement spent revisiting known space.
 """
 
 from __future__ import annotations
@@ -16,34 +17,16 @@ import numpy as np
 from .trace import RunTrace
 
 # A tile of dist_eff_matrix compares _BLOCK history positions with _TILE
-# later ones, 256 KiB of XOR words; dist_matrix's tiles hold as many.
+# later ones, 256 KiB of XOR words.
 _BLOCK = 128
 _TILE = 256
 
 
 def dist_matrix(trace: RunTrace) -> np.ndarray:
     """(iterations, swarm_size) matrix of consecutive Hamming distances;
-    row k-1 holds iteration k. Consecutive records are compared in tiles
-    of about ``_BLOCK * _TILE`` words."""
-    positions = trace.positions
-    records, m, words = positions.shape
-    out = np.empty((records - 1, m), dtype=np.int64)
-    rows = _dist_rows(records - 1, m, words)
-    xor = np.empty((rows, m, words), dtype=np.uint64)
-    count = np.empty((rows, m, words), dtype=np.uint8)
-    for r0 in range(0, records - 1, rows):
-        n = min(rows, records - 1 - r0)
-        x, c = xor[:n], count[:n]
-        np.bitwise_xor(positions[r0 + 1:r0 + 1 + n], positions[r0:r0 + n],
-                       out=x)
-        np.bitwise_count(x, out=c)
-        c.sum(axis=-1, dtype=np.int64, out=out[r0:r0 + n])
-    return out
-
-
-def _dist_rows(iterations: int, m: int, words: int) -> int:
-    """Records per tile of :func:`dist_matrix`, at least 1."""
-    return max(1, min(iterations, _BLOCK * _TILE // (m * words)))
+    row k-1 holds iteration k. These are the flip counts the engine
+    records, a view of ``trace.flip_counts`` without record 0."""
+    return trace.flip_counts[1:]
 
 
 def dist_eff_matrix(trace: RunTrace) -> np.ndarray:
@@ -110,11 +93,10 @@ def dist_eff_matrix(trace: RunTrace) -> np.ndarray:
 
 def dist_eff_workspace(iterations: int, swarm_size: int,
                        dimensions: int) -> int:
-    """Bytes of the temporaries beside the ``dist`` and ``dist_eff``
-    matrices (8 bytes per iteration and particle each) at their peak:
-    those of :func:`dist_matrix` (one tile), of :func:`dist_eff_matrix`
-    or of :func:`aggregate_curves`, whichever is largest, plus numpy's
-    ufunc buffers."""
+    """Bytes of the temporaries beside the ``dist_eff`` matrix (8 bytes
+    per iteration and particle) at their peak: those of
+    :func:`dist_eff_matrix` or of :func:`aggregate_curves`, whichever is
+    larger, plus numpy's ufunc buffers."""
     records = iterations + 1
     words = (dimensions + 63) // 64
     acc = np.min_scalar_type(64 * words).itemsize
@@ -126,12 +108,11 @@ def dist_eff_workspace(iterations: int, swarm_size: int,
     # order and the merge buffer of half as many indices; then its first
     # visits and their positions, at most one per record
     particle = records * max(28, 8 * (words + 1))
-    dist = 9 * _dist_rows(iterations, swarm_size, words) * swarm_size * words
     # three 8-byte operands, of at most np.getbufsize() elements each,
     # and 4 KiB of array headers and small index arrays
     buffers = 24 * min(np.getbufsize(),
                        max(iterations * swarm_size, rows * cols, records))
-    return max(dist, tile + particle, 40 * iterations) + buffers + (4 << 10)
+    return max(tile + particle, 40 * iterations) + buffers + (4 << 10)
 
 
 def _first_visits(column: np.ndarray) -> np.ndarray:
@@ -153,21 +134,6 @@ def _first_visits(column: np.ndarray) -> np.ndarray:
     first = order[new]
     first.sort()
     return first
-
-
-def check_range(iterations: int, m: int, n: int) -> None:
-    """Raise ValueError unless 1 <= m <= n <= iterations."""
-    if not 1 <= m <= n <= iterations:
-        raise ValueError(f"bad iteration range [{m}, {n}] for trace of "
-                         f"{iterations}")
-
-
-def pujv_of(d: np.ndarray, e: np.ndarray, m: int, n: int) -> int:
-    """Total useless jump volume over iterations m..n inclusive, from a
-    trace's ``dist`` and ``dist_eff`` matrices."""
-    check_range(len(d), m, n)
-    # the sums' difference, so that no matrix-sized temporary is made
-    return int(d[m - 1:n].sum() - e[m - 1:n].sum())
 
 
 def aggregate_curves(d: np.ndarray, e: np.ndarray

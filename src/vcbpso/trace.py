@@ -27,7 +27,7 @@ _MAGIC = "vcbpso-trace 1"
 GZIP_LEVEL = 6
 
 # records that RunTrace.save turns into Python objects at once, and that
-# RunTrace.load checks for padding bits at once
+# RunTrace.load checks for padding bits and flip counts at once
 SAVE_CHUNK = 64
 
 
@@ -57,7 +57,9 @@ class RunTrace:
 
     dimensions: int
     gbest_fitness: np.ndarray   # (records,) float64
-    flip_counts: np.ndarray     # (records, swarm_size) int64; row 0 is zeros
+    # (records, swarm_size) int64: the bits each particle flipped since the
+    # record before, none in record 0 (``RunTrace.load`` checks this)
+    flip_counts: np.ndarray
     # (records, swarm_size, words) uint64, packed; None when the run kept
     # no positions (``engine.run_block`` with ``keep_positions`` false)
     positions: np.ndarray | None
@@ -160,14 +162,22 @@ class RunTrace:
             raise ValueError(fault)
         view.release()
         positions = raw.view("<u8").reshape(records, m, words)
-        # the bits past d in each last word are padding and must be zero
+        # the bits past d in each last word are padding and must be zero; a
+        # record's flip counts are its bits that differ from the record
+        # before, none in record 0
         padding = np.uint64((1 << 64) - (1 << (d - 64 * (words - 1))))
         for start in range(0, records, SAVE_CHUNK):
-            last = positions[start:start + SAVE_CHUNK, :, -1]
-            bad = np.flatnonzero((last & padding).any(axis=1))
+            stop = min(start + SAVE_CHUNK, records)
+            padded = (positions[start:stop, :, -1] & padding).any(axis=1)
+            moved = np.zeros((stop - start, m), dtype=np.int64)
+            k = max(start, 1)
+            np.bitwise_count(positions[k:stop] ^ positions[k - 1:stop - 1]
+                             ).sum(axis=-1, out=moved[k - start:])
+            bad = np.flatnonzero(padded | (moved != flips[start:stop]).any(1))
             if bad.size:
-                raise ValueError(f"{path}: record {start + bad[0]}: "
-                                 f"bits set past d={d}")
+                raise ValueError(f"{path}: record {start + bad[0]}: " + (
+                    f"bits set past d={d}" if padded[bad[0]]
+                    else "flip counts differ from the positions"))
         return cls(d, gbest, flips, positions)
 
 
@@ -180,7 +190,7 @@ _BREAKS = "\n\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 def read_lines(path):
-    """The lines of a trace's or instance's text as ``str.splitlines``
+    """The lines of a trace's, instance's or config's text as ``splitlines``
     cuts the whole text, read ``_READ_CHARS`` at a time; a damaged ``.gz``
     stream or text that is not UTF-8 is a ValueError naming the path."""
     try:
@@ -231,12 +241,14 @@ def save_memory(records: int, swarm_size: int, dimensions: int) -> int:
 def load_memory(swarm_size: int, dimensions: int) -> int:
     """An upper bound on the bytes :meth:`RunTrace.load` allocates beside
     the arrays it returns: the decompressor's state and buffers (at most
-    72 KiB by tracemalloc), a read of text with its line list and the
-    line carried over (six reads' worth), and one record line cut into
-    its fields, flip counts and decoded position."""
+    72 KiB by tracemalloc), one record line cut into its fields, flip
+    counts and decoded position, and the larger of a read of text with
+    its line list and the line carried over (six reads' worth) and the
+    checks of ``SAVE_CHUNK`` records (9 bytes a word and a count)."""
     words = (dimensions + 63) // 64
     line = swarm_size * (16 * words + 21) + 48
-    return (80 << 10) + 6 * max(_READ_CHARS, line) + 4 * line + 64 * swarm_size
+    return (80 << 10) + 4 * line + 64 * swarm_size + max(
+        6 * max(_READ_CHARS, line), SAVE_CHUNK * swarm_size * (9 * words + 9))
 
 
 class TraceBuilder:

@@ -59,7 +59,9 @@ def sigm(kind: TransferKind, v):
     _check_finite(arr)
     a = np.abs(arr)
     if kind is TransferKind.VT1:
-        p = (2.0 / np.pi) * np.arctan((np.pi / 2.0) * a)
+        # (pi/2)*a overflows above 1.1e308, where arctan(inf) is exact
+        with np.errstate(over="ignore"):
+            p = (2.0 / np.pi) * np.arctan((np.pi / 2.0) * a)
     elif kind is TransferKind.VT2:
         # a^2 overflows for huge a, so the elements above 1 take the
         # reciprocal form, computed on those elements only (by index: a

@@ -16,7 +16,7 @@ import pytest
 
 from vcbpso.harness import ExperimentSpec, parse_config
 from vcbpso.knapsack import KnapsackInstance, repair
-from vcbpso.metrics import check_range, dist_eff_matrix, dist_matrix, pujv_of
+from vcbpso.metrics import dist_eff_matrix, dist_matrix
 from vcbpso.trace import RunTrace, pack_bits
 from vcbpso.transfer import (
     CORRECTION_CLAMP,
@@ -288,17 +288,18 @@ def pool_trace(records: int, swarm_size: int, dimensions: int,
     """A random trace whose particles each pick every record's position
     from their own ``pool`` random positions, so that the distinct
     positions (and the work of ``dist_eff_matrix``) do not grow with the
-    records; gbest values and flip counts are random too."""
+    records; gbest values are random too, and the flip counts are the
+    bits each pick differs in from the one before."""
     rng = np.random.Generator(np.random.PCG64(seed))
     words = (dimensions + 63) // 64
     positions = rng.integers(0, 2**64, size=(swarm_size, pool, words),
                              dtype=np.uint64)
     positions[..., -1] >>= np.uint64(64 * words - dimensions)
-    picks = rng.integers(0, pool, size=(records, swarm_size))
-    return RunTrace(dimensions, rng.random(records) * 1e4,
-                    rng.integers(0, dimensions + 1,
-                                 size=(records, swarm_size)),
-                    positions[np.arange(swarm_size), picks])
+    picks = positions[np.arange(swarm_size),
+                      rng.integers(0, pool, size=(records, swarm_size))]
+    flips = np.zeros((records, swarm_size), dtype=np.int64)
+    flips[1:] = np.bitwise_count(picks[1:] ^ picks[:-1]).sum(axis=-1)
+    return RunTrace(dimensions, rng.random(records) * 1e4, flips, picks)
 
 
 def traced(fn, *args, **kwargs):
@@ -352,9 +353,13 @@ def dist_eff_iteration(trace: RunTrace, particle: int, k: int) -> int:
 
 
 def pujv(trace: RunTrace, m: int, n: int) -> int:
-    """Total useless jump volume of a trace over iterations m..n inclusive."""
-    check_range(trace.iterations, m, n)
-    return pujv_of(dist_matrix(trace), dist_eff_matrix(trace), m, n)
+    """Total useless jump volume of a trace over iterations m..n inclusive,
+    summed over the rows of its ``dist`` and ``dist_eff`` matrices; the
+    reference for the cumulative curve that ``vcbpso metrics`` reads."""
+    if not 1 <= m <= n <= trace.iterations:
+        raise ValueError(f"bad iteration range [{m}, {n}]")
+    d, e = dist_matrix(trace), dist_eff_matrix(trace)
+    return int(d[m - 1:n].sum() - e[m - 1:n].sum())
 
 
 @pytest.fixture(scope="session")

@@ -7,6 +7,8 @@ import io
 import os
 import re
 import tempfile
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -257,6 +259,29 @@ output.dir = {out}
         assert len(stderr.splitlines()) == 1 and "trace slabs" in stderr
         assert not out.exists()
 
+    def test_an_update_that_can_overflow_fails_before_any_run(self, capsys,
+                                                              config_file):
+        path, out = config_file
+        with open(path, "a") as fh:
+            fh.write("swarm.c1 = 1e308\nswarm.c2 = 1e308\n")
+        code, stdout, stderr = run_cli(capsys, "run", "--config", path)
+        assert (code, stdout) == (2, "")
+        # the first variant is corrected, so its bound is the clamp
+        assert stderr == ("error: variant VCv2_w1: c1=1e+308, c2=1e+308, w=1 "
+                          "and a velocity bound of 1000000000000.0 can "
+                          "overflow the velocity update\n")
+        assert not out.exists()
+
+    def test_a_config_that_is_not_utf8_names_the_path(self, capsys,
+                                                      tmp_path):
+        path = tmp_path / "latin.cfg"
+        path.write_bytes("# r\xe9sultats\n".encode("latin-1"))
+        code, stdout, stderr = run_cli(capsys, "run", "--config", str(path))
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith(f"error: {path}: 'utf-8' codec can't "
+                                 f"decode byte 0xe9")
+        assert len(stderr.splitlines()) == 1
+
     @pytest.mark.parametrize("cpus", [{0}, {0, 1}],
                              ids=["in-process", "worker pool"])
     def test_memory_error_is_an_error_line(self, capsys, config_file,
@@ -340,8 +365,7 @@ def _base_trace_text() -> str:
     bits in the last."""
     rng = np.random.Generator(np.random.PCG64(12))
     trace = build_trace(list(rng.integers(0, 2, size=(4, 2, 70))),
-                        gbest=[1.0, 2.5, 2.5, 3.0],
-                        flips=list(rng.integers(0, 9, size=(4, 2))))
+                        gbest=[1.0, 2.5, 2.5, 3.0])
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "t.txt")
         trace.save(path)
@@ -556,6 +580,116 @@ class TestSolveInput:
             assert profit == brute_force_optimal(inst)
         else:
             assert code == 2 and out.getvalue() == ""
+            assert stderr.startswith("error: ") and stderr.count("\n") == 1
+            assert "Traceback" not in stderr
+
+
+# a run of at most 2 variants x 2 repetitions, d <= 20, m <= 20, T <= 20
+BASE_CONFIG = """instance.type = uci
+instance.n = 12
+instance.r = 100
+instance.s = 0.5
+instance.seed = 3
+swarm.size = 4
+swarm.c1 = 2.0
+swarm.c2 = 2.0
+run.iterations = 10
+run.repetitions = 2
+run.base_seed = 5
+variants = vt2, on, 1.0, none; vt1, off, 1.0-0.4, 5
+output.dir = out
+output.traces = on
+output.metrics = on
+"""
+
+# values that are no numbers, negative, non-finite, huge, or small enough
+# that any accepted config stays as cheap as the base
+CONFIG_TOKENS = st.sampled_from([
+    "", "x", "-1", "0", "1", "2", "20", "2.5", "-0.5", "1e-320", "nan",
+    "inf", "-inf", "1e308", "1" + "0" * 30, "9" * 400, str(2**63), "on",
+    "off", "none", "uci", "sci", "1.0-0.4", "\x00", "\"quoted\"", "a=b"])
+
+
+@st.composite
+def mutated_configs(draw):
+    """The bytes of the base config with up to three mutations, perhaps
+    not UTF-8."""
+    lines = BASE_CONFIG.splitlines()
+    for _ in range(draw(st.integers(0, 3), label="mutations")):
+        at = draw(st.integers(0, len(lines) - 1), label="line")
+        key, _, value = lines[at].partition(" = ")
+        # most mutations change one value
+        kind = draw(st.sampled_from(["drop", "duplicate", "key", "value",
+                                     "value", "value", "variant",
+                                     "no equals"]))
+        if kind == "drop":
+            del lines[at]
+        elif kind == "duplicate":
+            lines.insert(at, f"{key} = {draw(CONFIG_TOKENS)}")
+        elif kind == "key":
+            cut = draw(st.integers(0, len(key)))
+            lines[at] = (key[:cut] + draw(st.sampled_from(["", "x", ".", " "]))
+                         + key[cut + 1:] + " = " + value)
+        elif kind == "value":
+            lines[at] = f"{key} = {draw(CONFIG_TOKENS)}"
+        elif kind == "no equals":
+            lines[at] = lines[at].replace("=", " ")
+        else:
+            tuples = [t.split(",") for t in
+                      "vt2, on, 1.0, none; vt1, off, 1.0-0.4, 5".split(";")]
+            fields = tuples[draw(st.integers(0, 1))]
+            where = draw(st.integers(0, len(fields)))
+            change = draw(st.sampled_from(["drop", "insert", "replace",
+                                           "replace"]))
+            if change == "drop" and where < len(fields):
+                del fields[where]
+            elif change == "replace" and where < len(fields):
+                fields[where] = draw(CONFIG_TOKENS)
+            else:
+                fields.insert(where, draw(CONFIG_TOKENS))
+            sep = draw(st.sampled_from([";", ",", " ", ";;"]))
+            lines = [ln for ln in lines if not ln.startswith("variants")]
+            lines.append("variants = " + sep.join(",".join(t)
+                                                  for t in tuples))
+    data = "".join(line + "\n" for line in lines).encode()
+    if draw(st.integers(0, 4), label="not UTF-8") == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xe9", b"\xc3"])
+                                ) + data[at:]
+    return data
+
+
+class TestRunInput:
+    @given(mutated_configs())
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_config_exits_0_or_names_the_fault(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "c.cfg")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            out, err = io.StringIO(), io.StringIO()
+            cwd = os.getcwd()
+            os.chdir(tmp)       # a relative output.dir lands in tmp
+            try:
+                # one CPU: the runs step in this process
+                with mock.patch.object(os, "sched_getaffinity",
+                                       lambda pid: {0}, create=True), \
+                        warnings.catch_warnings(record=True) as caught, \
+                        contextlib.redirect_stdout(out), \
+                        contextlib.redirect_stderr(err):
+                    warnings.simplefilter("always")
+                    code = main(["run", "--config", path])
+            finally:
+                os.chdir(cwd)
+            written = [d for d, _, names in os.walk(tmp)
+                       if "runs.csv" in names]
+        stderr = err.getvalue()
+        assert not caught, [str(w.message) for w in caught]
+        if code == 0:
+            assert stderr == "" and len(written) == 1
+            assert "% of optimum" in out.getvalue()
+        else:
+            assert code == 2 and out.getvalue() == "" and not written
             assert stderr.startswith("error: ") and stderr.count("\n") == 1
             assert "Traceback" not in stderr
 

@@ -185,6 +185,31 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="c2=inf"):
             make_config(c2=np.inf)
 
+    @pytest.mark.parametrize("kw, message", [
+        (dict(correction_enabled=False, vmax=5.0, c1=1e308, c2=1e308),
+         "c1=1e+308, c2=1e+308, w=1 and a velocity bound of 5.0"),
+        (dict(correction_enabled=False, vmax=1e308, w=WSchedule(1.8, 0.4)),
+         "c1=2.0, c2=2.0, w=1.8-0.4 and a velocity bound of 1e+308"),
+        (dict(w=WSchedule(1.0, 1e297)),
+         f"c1=2.0, c2=2.0, w=1-1e+297 and a velocity bound of "
+         f"{CORRECTION_CLAMP!r}"),
+    ])
+    def test_an_update_that_can_overflow_is_refused(self, kw, message):
+        with pytest.raises(ConfigError) as refusal:
+            make_config(**kw)
+        assert str(refusal.value) == (message + " can overflow the velocity "
+                                                "update")
+
+    @pytest.mark.parametrize("kind", list(TransferKind))
+    def test_the_largest_update_allowed_steps_without_a_warning(self, kind):
+        # w * vmax + c1 + c2 rounds to the largest double: no float64
+        # operation of the step, sigm's included, may overflow
+        config = make_config(kind=kind, correction_enabled=False,
+                             vmax=np.finfo(float).max)
+        with np.errstate(over="raise", invalid="raise"):
+            trace = run(config, count_ones(8))
+        assert trace.iterations == 10
+
     def test_bad_counts_rejected(self):
         with pytest.raises(ConfigError):
             make_config(swarm_size=0)

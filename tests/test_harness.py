@@ -237,6 +237,15 @@ class TestSpecValidation:
             self._spec(tmp_path, variants=[good, variant])
         assert not (tmp_path / "out").exists()
 
+    def test_an_update_that_can_overflow_names_the_variant(self, tmp_path):
+        fast = Variant(TransferKind.VT2, False, WSchedule(1.0, 1.0), 5.0)
+        with pytest.raises(ConfigError) as refusal:
+            self._spec(tmp_path, variants=[fast], c1=1e308, c2=1e308)
+        assert str(refusal.value) == (
+            "variant VT2_w1: c1=1e+308, c2=1e+308, w=1 and a velocity bound "
+            "of 5.0 can overflow the velocity update")
+        assert not (tmp_path / "out").exists()
+
     def test_fields_cannot_be_assigned(self, tmp_path):
         spec = self._spec(tmp_path)
         with pytest.raises(FrozenInstanceError):
@@ -491,7 +500,7 @@ class TestMemoryCheck:
         terms = group_need(4, 1000, 20, 100, True, True)
         assert terms["trace slabs"] == 4 * 1001 * 8 * (1 + 20 * 3)
         assert terms["curves"] == 4 * 8 * (1001 + 3 * 1000)
-        assert terms["metric matrices"] == 2 * 8 * 1000 * 20
+        assert terms["metric matrices"] == 8 * 1000 * 20
         assert "swarm" not in terms
         # no positions kept, nothing but the swarm steps
         terms = group_need(1, 10, 20, 500, False, False)

@@ -192,6 +192,17 @@ class TestGenerate:
         with pytest.raises(ConfigError):
             generate("EXTERNAL", 10, 1000, 0.5, 1)
 
+    @pytest.mark.parametrize("r", [FLOAT_EXACT_LIMIT, 2**63, 10**30])
+    def test_r_at_or_beyond_the_float_exact_limit_is_named(self, r):
+        with pytest.raises(ConfigError) as refusal:
+            generate("UCI", 3, r, 0.5, 1)
+        assert str(refusal.value) == f"R must be in [10, 2**53), got {r}"
+
+    def test_weights_beyond_int64_in_sum_are_named(self):
+        # 2048 weights near 2**53 sum past 2**63, where an int64 sum wraps
+        with pytest.raises(ValueError, match="weights sum to 2\\*\\*53"):
+            generate("UCI", 2048, FLOAT_EXACT_LIMIT - 1, 0.5, 1)
+
 
 class TestSolvers:
     def test_three_item_optimum(self, three_items):
@@ -521,11 +532,45 @@ class TestInstanceIO:
         "2 5 EXTERNAL\n2 3\n3 x\n",
         "1 5 EXTERNAL\n0 3\n",
         "x 5 EXTERNAL\n2 3\n",
+        # spellings that int() reads but that are not plain decimals
+        "1 1_0 EXTERNAL\n3 4\n",
+        "+1 10 EXTERNAL\n3 4\n",
+        "\u0661 10 EXTERNAL\n3 4\n",
+        "1 10 EXTERNAL\n1_0 3\n",
+        "1 10 EXTERNAL\n+3 4\n",
+        "1 10 EXTERNAL\n1 \u0663\n",
     ])
     def test_loader_rejects_malformed(self, tmp_path, text):
         path = tmp_path / "bad.txt"
         path.write_text(text)
         with pytest.raises(ParseError):
+            load_instance(path)
+
+    @pytest.mark.parametrize("text, line, field", [
+        ("1 10 EXTERNAL\n1_0 \u0663\n", 2, "1_0"),
+        ("1 10 EXTERNAL\n1 \u0663\n", 2, "\u0663"),
+        ("1 +10 EXTERNAL\n+3 4\n", 1, "+10"),
+        ("1 10 EXTERNAL\n3 -\n", 2, "-"),
+        ("1 10 EXTERNAL\n3 --4\n", 2, "--4"),
+    ])
+    def test_loader_names_the_line_of_a_spelled_integer(self, tmp_path, text,
+                                                       line, field):
+        path = tmp_path / "bad.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError) as refusal:
+            load_instance(path)
+        assert str(refusal.value) == (f"{path}:{line}: not a plain decimal "
+                                      f"integer: {field!r}")
+
+    def test_loader_reads_negative_and_zero_padded_integers(self, tmp_path):
+        # a negative capacity parses, and is refused as a capacity
+        path = tmp_path / "inst.txt"
+        path.write_text("2 007 EXTERNAL\n03 4\n2 05\n")
+        inst = load_instance(path)
+        assert (inst.capacity, inst.weights.tolist(),
+                inst.profits.tolist()) == (7, [3, 2], [4, 5])
+        path.write_text("1 -7 EXTERNAL\n3 4\n")
+        with pytest.raises(ParseError, match="capacity must be non-negative"):
             load_instance(path)
 
     def test_loader_rejects_totals_not_exact_in_float(self, tmp_path):

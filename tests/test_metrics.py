@@ -123,14 +123,19 @@ class TestDist:
 
     @pytest.mark.parametrize("iterations", [0, 1, 511, 512, 513, 1025])
     def test_tile_edges_match_whole_trace_xor(self, iterations):
-        # m=8, d=512: a tile of dist_matrix holds 512 records
-        assert metrics._dist_rows(10**6, 8, 8) == 512
         rng = np.random.Generator(np.random.PCG64(iterations))
         t = random_trace(rng, iterations + 1, 8, 512)
         x = t.positions[1:] ^ t.positions[:-1]
         d = dist_matrix(t)
         assert d.dtype == np.int64
         assert np.array_equal(d, np.bitwise_count(x).sum(axis=-1))
+
+    def test_is_a_view_of_the_recorded_flip_counts(self):
+        rng = np.random.Generator(np.random.PCG64(2))
+        t = random_trace(rng, 40, 3, 70)
+        d, _, peak = traced(dist_matrix, t)
+        assert np.shares_memory(d, t.flip_counts) and peak < 1024
+        assert np.array_equal(d, t.flip_counts[1:])
 
     def test_out_of_range(self):
         t = single_particle_trace("0000", "1100")
@@ -255,16 +260,11 @@ class TestDistEff:
         temps = []
         for records in (1001, 4001):
             t = pool_trace(records, 20, d)
-            row = []
-            for kernel in (dist_matrix, dist_eff_matrix):
-                matrix, held, peak = traced(kernel, t)
-                assert held >= matrix.nbytes
-                row.append(peak - held)
-                assert row[-1] <= metrics.dist_eff_workspace(records - 1,
-                                                              20, d)
-            temps.append(row)
-        for before, after in zip(*temps):
-            assert abs(after - before) <= 64 * 1024, temps
+            matrix, held, peak = traced(dist_eff_matrix, t)
+            assert held >= matrix.nbytes
+            temps.append(peak - held)
+            assert temps[-1] <= metrics.dist_eff_workspace(records - 1, 20, d)
+        assert abs(temps[1] - temps[0]) <= 64 * 1024, temps
 
     def test_memory_is_bounded_by_the_block(self):
         rng = np.random.Generator(np.random.PCG64(7))

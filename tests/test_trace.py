@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from conftest import pool_trace, position_bits, traced, unpack_bits
 from vcbpso.trace import (
+    SAVE_CHUNK,
     RunTrace,
     TraceBuilder,
     load_memory,
@@ -35,17 +36,28 @@ BAD_RECORDS = {
     "wrong index": [(1, 0, lambda f: "2")],
     "missing field": [(1, 1, lambda f: "")],
     "not hexadecimal": [(1, 3, lambda f: "zz" + f[2:])],
+    "flip count off by one": [(1, 2, lambda f: _add_one(f))],
+    "record 0 flips": [(0, 2, lambda f: _add_one(f))],
 }
 
 
+def _add_one(counts: str) -> str:
+    """Flip counts ``a,b,...`` with 1 added to the first."""
+    first, _, rest = counts.partition(",")
+    return f"{int(first) + 1},{rest}"
+
+
 def build_trace(positions, gbest=None, flips=None):
-    """positions: list of (m, d) 0/1 arrays, one per record."""
+    """positions: list of (m, d) 0/1 arrays, one per record. Without
+    ``flips`` each record's flip counts are the bits it differs in from
+    the record before (zero for record 0), as the engine records them."""
     positions = [np.asarray(p, dtype=np.uint8) for p in positions]
     m, d = positions[0].shape
     builder = TraceBuilder(d, 1, m, len(positions))
     for k, pos in enumerate(positions):
         g = gbest[k] if gbest is not None else 0.0
-        f = flips[k] if flips is not None else np.zeros(m, np.int64)
+        f = (flips[k] if flips is not None
+             else (pos != positions[max(k - 1, 0)]).sum(axis=1))
         builder.record(np.array([g]), np.asarray(f), pos)
     return builder.build()[0]
 
@@ -154,8 +166,7 @@ class TestRunTrace:
         rng = np.random.Generator(np.random.PCG64(5))
         positions = rng.integers(0, 2, size=(4, 3, 100)).astype(np.uint8)
         gbest = [1.0, 2.5, 2.5, 7.0]
-        flips = rng.integers(0, 5, size=(4, 3))
-        trace = build_trace(list(positions), gbest=gbest, flips=list(flips))
+        trace = build_trace(list(positions), gbest=gbest)
         path = tmp_path / name
         trace.save(path)
         back = RunTrace.load(path)
@@ -255,7 +266,37 @@ class TestRunTrace:
     def test_load_names_a_bad_record(self, tmp_path, bad):
         path = tmp_path / "t.txt"
         save_bad_trace(path, BAD_RECORDS[bad])
-        with pytest.raises(ValueError, match=r"t\.txt: record 1: "):
+        first = BAD_RECORDS[bad][0][0]
+        with pytest.raises(ValueError, match=rf"t\.txt: record {first}: "):
+            RunTrace.load(path)
+
+    @pytest.mark.parametrize("bad", ["flip count off by one",
+                                     "record 0 flips"])
+    def test_load_refuses_flip_counts_the_positions_do_not_give(
+            self, tmp_path, bad):
+        path = tmp_path / "t.txt"
+        save_bad_trace(path, BAD_RECORDS[bad])
+        first = BAD_RECORDS[bad][0][0]
+        with pytest.raises(ValueError,
+                           match=rf"t\.txt: record {first}: flip counts "
+                                 rf"differ from the positions$"):
+            RunTrace.load(path)
+
+    def test_load_compares_records_across_a_chunk_edge(self, tmp_path):
+        # record SAVE_CHUNK, the first of the second chunk, differs from
+        # the record before in a bit that its counts leave out; a later
+        # record's counts are wrong too
+        positions = np.zeros((SAVE_CHUNK + 20, 2, 100), np.uint8)
+        positions[SAVE_CHUNK:, 1, 3] = 1
+        trace = build_trace(list(positions))
+        flips = trace.flip_counts.copy()
+        assert flips[SAVE_CHUNK].tolist() == [0, 1]
+        flips[SAVE_CHUNK, 1] = 0
+        flips[SAVE_CHUNK + 10, 0] = 2
+        path = tmp_path / "t.txt.gz"
+        RunTrace(100, trace.gbest_fitness, flips, trace.positions).save(path)
+        with pytest.raises(ValueError,
+                           match=rf"record {SAVE_CHUNK}: flip counts"):
             RunTrace.load(path)
 
     @pytest.mark.parametrize("d", [100, 500])
