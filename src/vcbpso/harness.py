@@ -395,6 +395,9 @@ def run_experiment(spec: ExperimentSpec) -> list[results.AggregateResult]:
     and the output directory, ``errors.check_memory`` counts the
     profit-only DP, every run's curves (collected here) and one
     :func:`group_memory` per worker, as each holds a group at once."""
+    # not a spec check: a spec built only to load its instance may omit it
+    if not spec.output_dir:
+        raise ConfigError("output.dir must not be empty")
     instance = spec.instance.load()
     runs = len(spec.variants) * spec.repetitions
     workers = _worker_count(runs)

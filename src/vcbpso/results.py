@@ -6,7 +6,9 @@ writer and the reader behind ``vcbpso report``. An experiment writes:
 - ``curve_<variant>.csv``: per-iteration mean gbest profit
 - ``metrics_<variant>.csv``: per-iteration mean dist / dist_eff and the
   cumulative useless jump volume, averaged over repetitions
-- ``trace_<variant>_rep<k>.txt.gz``: full traces (optional)
+- ``trace_<variant>_rep<k>.txt.gz``: full traces (optional), each in
+  the gzip format 2 of :mod:`vcbpso.trace` (gbest values and packed
+  positions; the name keeps its ``.txt.gz`` suffix)
 
 ``vcbpso metrics`` writes ``<trace>_particle_metrics.csv`` and
 ``<trace>_aggregate_metrics.csv`` beside a trace. Every CSV goes through

@@ -4,10 +4,12 @@ Record 0 is the initial state (pre-step); record k holds the swarm after
 iteration k. Positions are packed little-endian into 64-bit words so the
 metric computations can run on whole words with population counts.
 
-On disk a trace is line-oriented text (opened by :func:`open_text`, as
-instances are): a two-line header, then one record per line with the
-iteration index, the gbest fitness, comma-separated per-particle flip
-counts and the hex dump of the packed position words.
+On disk a trace (format 2) is one gzip stream at ``GZIP_LEVEL`` with
+mtime 0, whatever the path's suffix. The stream holds the line
+``vcbpso-trace 2``, the line ``m d records``, then the body: the records'
+gbest values as little-endian float64, then their packed position words
+as little-endian uint64. Flip counts are not stored; :meth:`RunTrace.load`
+derives them from the positions.
 """
 
 from __future__ import annotations
@@ -15,27 +17,31 @@ from __future__ import annotations
 import gzip
 import io
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
-_MAGIC = "vcbpso-trace 1"
+_MAGIC = b"vcbpso-trace 2\n"
 
 # zlib's default level; level 9 (gzip.open's default) makes d=100 traces
 # about 4 % smaller at about 5x the compression time
 GZIP_LEVEL = 6
 
-# records that RunTrace.save turns into Python objects at once, and that
-# RunTrace.load checks for padding bits and flip counts at once
+# records that RunTrace.save compresses at once, and that RunTrace.load
+# checks for padding bits and derives flip counts for at once
 SAVE_CHUNK = 64
+
+# the bytes of a damaged or cut gzip stream raise these when read
+_DAMAGED = (gzip.BadGzipFile, EOFError, zlib.error)
 
 
 def open_text(path, mode: str = "r"):
-    """Open ``path`` as text to read ("r") or write ("w"). A ``.gz`` path
-    is gzip text at ``GZIP_LEVEL`` with mtime 0 (``gzip.open`` stamps the
-    clock), so equal text under one file name gives equal bytes (the
-    header holds the name); other paths are plain text."""
+    """Open an instance or config file ``path`` as text to read ("r") or
+    write ("w"). A ``.gz`` path is gzip text at ``GZIP_LEVEL`` with mtime
+    0 (``gzip.open`` stamps the clock), so equal text under one file name
+    gives equal bytes (the header holds the name); other paths are plain
+    text."""
     if not str(path).endswith(".gz"):
         return open(path, mode)
     return io.TextIOWrapper(gzip.GzipFile(path, mode + "b",
@@ -58,7 +64,7 @@ class RunTrace:
     dimensions: int
     gbest_fitness: np.ndarray   # (records,) float64
     # (records, swarm_size) int64: the bits each particle flipped since the
-    # record before, none in record 0 (``RunTrace.load`` checks this)
+    # record before, none in record 0 (``RunTrace.load`` derives them)
     flip_counts: np.ndarray
     # (records, swarm_size, words) uint64, packed; None when the run kept
     # no positions (``engine.run_block`` with ``keep_positions`` false)
@@ -87,168 +93,135 @@ class RunTrace:
         if self.positions is None:
             # checked first, so that no partial file is left behind
             raise ValueError(f"{path}: the trace kept no positions to save")
-        with open_text(path, "w") as fh:
-            fh.write(f"{_MAGIC}\n")
-            fh.write(f"{self.swarm_size} {self.dimensions} {self.n_records}\n")
-            # a chunk of records at a time, so that the Python lists of
-            # gbest values and flip counts do not grow with the trace
-            for start in range(0, self.n_records, SAVE_CHUNK):
-                stop = start + SAVE_CHUNK
-                rows = zip(self.gbest_fitness[start:stop].tolist(),
-                           self.flip_counts[start:stop].tolist(),
-                           self.positions[start:stop])
-                for k, (g, flips, words) in enumerate(rows, start):
-                    fh.write(f"{k} {g!r} {','.join(map(str, flips))} "
-                             f"{words.tobytes().hex()}\n")
+        with gzip.GzipFile(path, "wb", compresslevel=GZIP_LEVEL,
+                           mtime=0) as fh:
+            fh.write(_MAGIC + f"{self.swarm_size} {self.dimensions} "
+                              f"{self.n_records}\n".encode())
+            # a chunk of records at a time, so that the compressed output
+            # held at once does not grow with the trace
+            for array, dtype in ((self.gbest_fitness, "<f8"),
+                                 (self.positions, "<u8")):
+                for start in range(0, self.n_records, SAVE_CHUNK):
+                    fh.write(np.ascontiguousarray(
+                        array[start:start + SAVE_CHUNK], dtype))
 
     @classmethod
     def load(cls, path) -> "RunTrace":
-        """Read a trace file in one pass that holds one buffer of its text
-        at a time. The record arrays grow as records pass their checks,
-        doubling up to the header's count, so a header that claims more
-        than the text holds allocates at most twice what the text does,
-        and a whole file leaves no slack. A faulty record is named only
-        once the whole text is read, so that a wrong line count, or a text
-        too short for the header, is named first."""
-        m, d, records = read_header(path)
-        words = (d + 63) // 64
-        row_bytes = 8 * m * words
-        gbest = np.empty(0)
-        flips = np.empty((0, m), dtype=np.int64)
-        raw = np.empty(0, dtype=np.uint8)
-        view = memoryview(raw)
-        fault = None
-        count = length = 0
-        for k, line in enumerate(islice(read_lines(path), 2, None)):
-            count += 1
-            length += len(line)
-            if fault is not None or k >= records:
-                continue
-            fields = line.split()
-            try:
-                if len(fields) != 4:
-                    raise ValueError(f"{len(fields)} fields, expected 4")
-                idx, g, fl, blob = fields
-                if int(idx) != k:
-                    raise ValueError(f"index {idx}")
-                counts = fl.split(",")
-                if len(counts) != m:
-                    raise ValueError(f"{len(counts)} flip counts, "
-                                     f"expected {m}")
-                if len(blob) != 2 * row_bytes:
-                    raise ValueError(f"position of {len(blob)} hex digits, "
-                                     f"expected {2 * row_bytes}")
-                if k == len(gbest):
-                    # in place, past nothing but the released view; a
-                    # reference count check would fail under a tracer
-                    size = min(records, 2 * k or 1)
-                    view.release()
-                    gbest.resize(size, refcheck=False)
-                    flips.resize((size, m), refcheck=False)
-                    raw.resize(size * row_bytes, refcheck=False)
-                    view = memoryview(raw)
-                gbest[k] = float(g)
-                flips[k] = counts
-                view[k * row_bytes:(k + 1) * row_bytes] = bytes.fromhex(blob)
-            except (ValueError, OverflowError) as exc:
-                fault = f"{path}: record {k}: {exc}"
-        if count != records:
-            raise ValueError(f"{path}: expected {records} record lines")
-        # a record line holds m flip counts and 16·m·words hex digits
-        if length < records * m * (1 + 16 * words):
+        """Read a trace file in one pass. The body is decompressed
+        ``_READ_BYTES`` at a time into one buffer that grows by doubling,
+        up to the header's count, so a header that claims more than the
+        file holds allocates at most twice what it does, and a whole
+        file leaves no slack. A body shorter or longer than the header's
+        count is refused, then a position with a bit set past d; the
+        flip counts are derived from the positions."""
+        with _open_trace(path) as (fh, (m, d, records)):
+            words = (d + 63) // 64
+            need = 8 * records * (1 + m * words)
+            body = np.empty(0, dtype=np.uint8)
+            got = 0
+            while got < need:
+                if got == len(body):
+                    # a tracer's view of the frame holds extra references
+                    body.resize(min(need, max(2 * got, _READ_BYTES)),
+                                refcheck=False)
+                count = fh.readinto(body[got:got + _READ_BYTES])
+                if not count:
+                    break
+                got += count
+            longer = got == need and fh.read(1)
+        if got < need or longer:
             raise ValueError(f"{path}: {records} records of m={m}, d={d} "
-                             f"need more text than the file holds")
-        if fault is not None:
-            raise ValueError(fault)
-        view.release()
-        positions = raw.view("<u8").reshape(records, m, words)
+                             f"need {need} bytes after the header, the file "
+                             f"holds {'more' if longer else got}")
+        positions = body[8 * records:].view("<u8").reshape(records, m, words)
         # the bits past d in each last word are padding and must be zero; a
         # record's flip counts are its bits that differ from the record
         # before, none in record 0
+        flips = np.zeros((records, m), dtype=np.int64)
         padding = np.uint64((1 << 64) - (1 << (d - 64 * (words - 1))))
         for start in range(0, records, SAVE_CHUNK):
             stop = min(start + SAVE_CHUNK, records)
-            padded = (positions[start:stop, :, -1] & padding).any(axis=1)
-            moved = np.zeros((stop - start, m), dtype=np.int64)
+            padded = np.flatnonzero(
+                (positions[start:stop, :, -1] & padding).any(axis=1))
+            if padded.size:
+                raise ValueError(f"{path}: record {start + padded[0]}: "
+                                 f"bits set past d={d}")
             k = max(start, 1)
             np.bitwise_count(positions[k:stop] ^ positions[k - 1:stop - 1]
-                             ).sum(axis=-1, out=moved[k - start:])
-            bad = np.flatnonzero(padded | (moved != flips[start:stop]).any(1))
-            if bad.size:
-                raise ValueError(f"{path}: record {start + bad[0]}: " + (
-                    f"bits set past d={d}" if padded[bad[0]]
-                    else "flip counts differ from the positions"))
-        return cls(d, gbest, flips, positions)
+                             ).sum(axis=-1, out=flips[k:stop])
+        return cls(d, body[:8 * records].view("<f8"), flips, positions)
 
 
-# characters of text read and cut into lines at once
-_READ_CHARS = 1 << 13
+# bytes of a trace's body decompressed at once
+_READ_BYTES = 1 << 13
 
-# the line breaks of str.splitlines; "\r" never reaches it, as reading in
-# text mode turns it into "\n"
-_BREAKS = "\n\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+# the most bytes of a trace's second line that are read
+_HEADER_BYTES = 128
 
 
-def read_lines(path):
-    """The lines of a trace's, instance's or config's text as ``splitlines``
-    cuts the whole text, read ``_READ_CHARS`` at a time; a damaged ``.gz``
-    stream or text that is not UTF-8 is a ValueError naming the path."""
-    try:
-        with open_text(path) as fh:
-            part = ""
-            # a line longer than a read doubles the next one, so that
-            # joining its parts stays linear in its length
-            while chunk := fh.read(max(_READ_CHARS, len(part))):
-                lines = (part + chunk).splitlines()
-                part = "" if chunk[-1] in _BREAKS else lines.pop()
-                yield from lines
-            if part:
-                yield part
-    except (EOFError, zlib.error, UnicodeDecodeError) as exc:
-        raise ValueError(f"{path}: {exc}") from None
+@contextmanager
+def _open_trace(path):
+    """The trace file ``path`` open past its header, and the swarm size,
+    dimensions and record count the header gives, each checked to be
+    >= 1; a damaged or cut stream is a ValueError naming the path."""
+    with gzip.GzipFile(path, "rb") as fh:
+        try:
+            try:
+                magic = fh.readline(len(_MAGIC))
+            except gzip.BadGzipFile:
+                magic = b""
+            if magic != _MAGIC:
+                raise ValueError(f"{path}: not a trace file of format 2, a "
+                                 f"gzip stream that starts with the line "
+                                 f"'{_MAGIC.decode().strip()}'")
+            line = fh.readline(_HEADER_BYTES)
+            fields = line.split()
+            if not (line.endswith(b"\n") and len(fields) == 3
+                    and all(f.isdigit() and int(f) >= 1 for f in fields)):
+                raise ValueError(f"{path}: the second line must give the "
+                                 f"swarm size, dimensions and record count, "
+                                 f"each >= 1")
+            yield fh, tuple(map(int, fields))
+        except _DAMAGED as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def read_header(path) -> tuple[int, int, int]:
-    """The swarm size, dimensions and record count a trace file's first
-    two lines give, each checked to be >= 1."""
-    lines = read_lines(path)
-    if next(lines, None) != _MAGIC:
-        raise ValueError(f"{path}: not a trace file")
+    """The swarm size, dimensions and record count a trace file's header
+    gives, each checked to be >= 1."""
+    with _open_trace(path) as (_, header):
+        return header
+
+
+def read_lines(path) -> list[str]:
+    """The lines of an instance's or config's text; a damaged ``.gz``
+    stream or text that is not UTF-8 is a ValueError naming the path.
+    Both callers hold every line, so the text is read at once."""
     try:
-        m, d, records = (int(x) for x in next(lines).split())
-    except (StopIteration, ValueError):
-        m = d = records = 0
-    lines.close()
-    if min(m, d, records) < 1:
-        raise ValueError(f"{path}: the second line must give the swarm "
-                         f"size, dimensions and record count, each >= 1")
-    return m, d, records
+        with open_text(path) as fh:
+            return fh.read().splitlines()
+    except _DAMAGED + (UnicodeDecodeError,) as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_memory(records: int, swarm_size: int, dimensions: int) -> int:
     """An upper bound on the bytes :meth:`RunTrace.save` allocates: the
-    compressor's state and buffers (340-410 KiB by tracemalloc), one
-    chunk of at most ``SAVE_CHUNK`` records' gbest values and flip counts
-    as Python lists (a count above 256 is an int object of its own) and
-    one record line."""
-    words = (dimensions + 63) // 64
-    per_count = 8 + 32 * (dimensions > 256)
-    return ((416 << 10)
-            + min(records, SAVE_CHUNK) * (96 + per_count * swarm_size)
-            + 48 * swarm_size * words)
+    compressor's state and the file's buffer (at most 300 KiB by
+    tracemalloc), and for one chunk of ``SAVE_CHUNK`` records' c position
+    bytes the blocks zlib gathers its output in (32 KiB, 64 KiB, 256 KiB,
+    1 MiB, ...: at most 4c + 32 KiB) and the c bytes it joins them into."""
+    chunk = 8 * min(records, SAVE_CHUNK) * swarm_size * ((dimensions + 63)
+                                                         // 64)
+    return (304 << 10) + 5 * chunk + (32 << 10)
 
 
 def load_memory(swarm_size: int, dimensions: int) -> int:
     """An upper bound on the bytes :meth:`RunTrace.load` allocates beside
-    the arrays it returns: the decompressor's state and buffers (at most
-    72 KiB by tracemalloc), one record line cut into its fields, flip
-    counts and decoded position, and the larger of a read of text with
-    its line list and the line carried over (six reads' worth) and the
+    the arrays it returns: the larger of the decompressor's state and
+    buffers with one read of the body (63 KiB by tracemalloc) and the
     checks of ``SAVE_CHUNK`` records (9 bytes a word and a count)."""
     words = (dimensions + 63) // 64
-    line = swarm_size * (16 * words + 21) + 48
-    return (80 << 10) + 4 * line + 64 * swarm_size + max(
-        6 * max(_READ_CHARS, line), SAVE_CHUNK * swarm_size * (9 * words + 9))
+    return max(72 << 10, SAVE_CHUNK * swarm_size * (9 * words + 9))
 
 
 class TraceBuilder:

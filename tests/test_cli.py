@@ -18,6 +18,7 @@ from conftest import CONFIGS_DIR, brute_force_optimal, pool_trace, traced
 from test_trace import (
     BAD_RECORDS,
     OVERSIZED_HEADER,
+    VERSION_1,
     build_trace,
     save_bad_trace,
 )
@@ -239,8 +240,48 @@ output.dir = {out}
             fh.write(text.replace(key + " = ", "# ") + line + "\n")
         code, stdout, stderr = run_cli(capsys, "run", "--config", path)
         assert code == 2 and stdout == ""
-        assert stderr == f"error: {key} must be >= 0, got -1\n"
+        assert stderr == f"error: {path}: {key} must be >= 0, got -1\n"
         assert not out.exists()
+
+    def test_a_duplicate_key_names_the_file_and_line(self, capsys,
+                                                     config_file):
+        path, out = config_file
+        with open(path, "a") as fh:
+            fh.write("instance.n = 40\n")
+        code, stdout, stderr = run_cli(capsys, "run", "--config", path)
+        assert (code, stdout) == (2, "")
+        assert stderr == f"error: {path}:13: duplicate key 'instance.n'\n"
+        assert not out.exists()
+
+    def test_a_missing_key_names_the_file(self, capsys, config_file):
+        path, out = config_file
+        with open(path) as fh:
+            text = fh.read()
+        with open(path, "w") as fh:
+            fh.write(text.replace("run.iterations = 20", ""))
+        code, stdout, stderr = run_cli(capsys, "run", "--config", path)
+        assert (code, stdout) == (2, "")
+        assert stderr == (f"error: {path}: missing required key "
+                          f"'run.iterations'\n")
+
+    @pytest.mark.parametrize("value", ["", '""'])
+    def test_an_empty_output_dir_fails_before_the_dp(self, capsys,
+                                                     config_file,
+                                                     monkeypatch, value):
+        def no_dp(*args, **kwargs):
+            raise AssertionError("the DP ran")
+
+        monkeypatch.setattr(knapsack, "dp_optimal", no_dp)
+        path, _ = config_file
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        with open(path, "w") as fh:
+            fh.write("\n".join(f"output.dir = {value}"
+                               if ln.startswith("output.dir") else ln
+                               for ln in lines) + "\n")
+        code, stdout, stderr = run_cli(capsys, "run", "--config", path)
+        assert (code, stdout) == (2, "")
+        assert stderr == "error: output.dir must not be empty\n"
 
     def test_trillion_iterations_refused_before_any_work(self, capsys,
                                                          tmp_path):
@@ -267,7 +308,8 @@ output.dir = {out}
         code, stdout, stderr = run_cli(capsys, "run", "--config", path)
         assert (code, stdout) == (2, "")
         # the first variant is corrected, so its bound is the clamp
-        assert stderr == ("error: variant VCv2_w1: c1=1e+308, c2=1e+308, w=1 "
+        assert stderr == (f"error: {path}: variant VCv2_w1: c1=1e+308, "
+                          "c2=1e+308, w=1 "
                           "and a velocity bound of 1000000000000.0 can "
                           "overflow the velocity update\n")
         assert not out.exists()
@@ -341,7 +383,7 @@ class TestMetrics:
 
     def test_bad_record_fails_before_writing(self, capsys, tmp_path):
         path = tmp_path / "t.txt"
-        save_bad_trace(path, BAD_RECORDS["short and long positions"])
+        save_bad_trace(path, BAD_RECORDS["padding bit"][0])
         code, stdout, stderr = run_cli(capsys, "metrics", "--trace",
                                        str(path))
         assert code == 2 and stdout == ""
@@ -351,7 +393,7 @@ class TestMetrics:
     def test_oversized_header_fails_with_one_error_line(self, capsys,
                                                         tmp_path):
         path = tmp_path / "t.txt"
-        path.write_text(OVERSIZED_HEADER)
+        path.write_bytes(OVERSIZED_HEADER)
         code, stdout, stderr = run_cli(capsys, "metrics", "--trace",
                                        str(path))
         assert code == 2 and stdout == ""
@@ -360,79 +402,48 @@ class TestMetrics:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["t.txt"]
 
 
-def _base_trace_text() -> str:
-    """A 4-record trace of m=2, d=70: two words per position, 58 padding
-    bits in the last."""
-    rng = np.random.Generator(np.random.PCG64(12))
-    trace = build_trace(list(rng.integers(0, 2, size=(4, 2, 70))),
-                        gbest=[1.0, 2.5, 2.5, 3.0])
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "t.txt")
-        trace.save(path)
-        with open(path) as fh:
-            return fh.read()
-
-
-BASE_TRACE = _base_trace_text()
+# a 4-record trace of m=2, d=70: two words per position, 58 padding bits
+# in the last
+BASE_RECORDS = build_trace(
+    list(np.random.Generator(np.random.PCG64(12)).integers(
+        0, 2, size=(4, 2, 70))), gbest=[1.0, 2.5, 2.5, 3.0])
+BASE_BODY = (BASE_RECORDS.gbest_fitness.tobytes()
+             + BASE_RECORDS.positions.tobytes())
 
 # header tokens that are bad counts, huge counts or no numbers at all
 HEADER_TOKENS = st.one_of(st.integers(-2, 8).map(str),
                           st.sampled_from(["1000000", "10" + "0" * 11,
-                                           "1" + "0" * 30, "x", "2.0", ""]))
-FLIP_TOKENS = st.sampled_from(["", "-1", "1.5", "x", "99999999999999999999",
-                               "+3", "1_0", "7"])
+                                           "1" + "0" * 30, "x", "2.0", "",
+                                           "+3", "1_0", "\u0663"]))
 
 
 @st.composite
 def mutated_traces(draw):
-    """(file name, file bytes): the base trace with one mutation, then
-    perhaps CRLF line ends and gzip, perhaps truncated."""
-    lines = BASE_TRACE.splitlines()
-    record = draw(st.integers(2, len(lines) - 1), label="record line")
-    fields = lines[record].split(" ")
-    kind = draw(st.sampled_from(["none", "header", "drop line", "extra line",
-                                 "fields", "flip counts", "hex length",
-                                 "non-hex", "padding"]), label="mutation")
+    """(file name, file bytes): the base trace with one mutation, gzipped
+    or not, perhaps truncated."""
+    header = ["2", "70", "4"]
+    body = BASE_BODY
+    kind = draw(st.sampled_from(["none", "header", "cut", "append",
+                                 "padding", "byte", "version 1"]),
+                label="mutation")
     if kind == "header":
-        header = lines[1].split(" ")
         header[draw(st.integers(0, 2))] = draw(HEADER_TOKENS)
-        lines[1] = " ".join(header)
-    elif kind == "drop line":
-        del lines[draw(st.integers(0, len(lines) - 1))]
-    elif kind == "extra line":
-        lines.insert(draw(st.integers(0, len(lines))),
-                     draw(st.sampled_from([lines[record], "", "junk"])))
-    elif kind == "fields":
-        if draw(st.booleans()):
-            del fields[draw(st.integers(0, 3))]
-        else:
-            fields.insert(draw(st.integers(0, 4)), "0")
-    elif kind == "flip counts":
-        counts = fields[2].split(",")
-        where = draw(st.integers(0, len(counts)))
-        if draw(st.booleans()) and where < len(counts):
-            del counts[where]
-        else:
-            counts.insert(where, draw(FLIP_TOKENS))
-        fields[2] = ",".join(counts)
-    elif kind == "hex length":
-        cut = draw(st.integers(1, 3))
-        fields[3] = (fields[3][:-cut] if draw(st.booleans())
-                     else fields[3] + "0" * cut)
-    elif kind == "non-hex":
-        at = draw(st.integers(0, len(fields[3]) - 1))
-        fields[3] = (fields[3][:at] + draw(st.sampled_from("gxz-\u00e9 "))
-                     + fields[3][at + 1:])
+    elif kind == "cut":
+        body = body[:draw(st.integers(0, len(body) - 1))]
+    elif kind == "append":
+        body += draw(st.binary(min_size=1, max_size=40))
     elif kind == "padding":
-        # a bit past d=70 in the last word of one particle
-        raw = bytearray(bytes.fromhex(fields[3]))
-        bit = 64 * draw(st.integers(0, 1)) + 64 + draw(st.integers(6, 63))
-        raw[bit // 8] |= 1 << (bit % 8)
-        fields[3] = raw.hex()
-    if kind in ("fields", "flip counts", "hex length", "non-hex", "padding"):
-        lines[record] = " ".join(fields)
-    newline = draw(st.sampled_from(["\n", "\r\n"]), label="line end")
-    data = "".join(line + newline for line in lines).encode()
+        # a bit past d=70 in the last word of one of the 8 positions, which
+        # follow the 32 bytes of gbest values
+        bit = draw(st.integers(6, 63))
+        at = 32 + 16 * draw(st.integers(0, 7)) + 8 + bit // 8
+        body = body[:at] + bytes([body[at] | 1 << bit % 8]) + body[at + 1:]
+    elif kind == "byte":
+        at = draw(st.integers(0, len(body) - 1))
+        body = body[:at] + bytes([draw(st.integers(0, 255))]) + body[at + 1:]
+    data = (VERSION_1 if kind == "version 1"
+            else ("vcbpso-trace 2\n" + " ".join(header) + "\n").encode()
+            + body)
     if not draw(st.booleans(), label="gzip"):
         return "t.txt", data
     data = gzip.compress(data, mtime=0)
@@ -692,6 +703,11 @@ class TestRunInput:
             assert code == 2 and out.getvalue() == "" and not written
             assert stderr.startswith("error: ") and stderr.count("\n") == 1
             assert "Traceback" not in stderr
+            # a fault of the file itself names the file
+            try:
+                harness.parse_config(data.decode())
+            except (UnicodeDecodeError, errors.ParseError):
+                assert stderr.startswith(f"error: {path}:")
 
 
 class TestReport:

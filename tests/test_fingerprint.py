@@ -4,7 +4,7 @@ The protocol is ``configs/low_dim.cfg`` cut down: UCI instance with
 d=50, T=100 iterations, 2 repetitions of each of the 8 per-kind best
 variants, metrics and traces on. The sha256 of ``runs.csv``,
 ``aggregate.csv``, every ``curve_<variant>.csv`` and
-``metrics_<variant>.csv``, and of one trace's decompressed text and its
+``metrics_<variant>.csv``, and of one trace's decompressed stream and its
 ``vcbpso metrics`` stdout and two CSVs are pinned below, and so are the
 stdout and the ``.sol`` selection file of ``vcbpso solve`` on the d=500
 instance of ``configs/scaling.cfg``. ``PARTIAL_PINS`` digests every
@@ -60,7 +60,7 @@ PINS = {
     "metrics_VT2_w1-0.4.csv": "4476b7686aa5ec2dc1ad851d9727f092546eb7ec185d25b18ba322336788ab40",
     "metrics_VT3_w1-0.4.csv": "334dd62d9f69c4236c0089a12688cbf78dadfd6890206c97f41b236d6d7e4d7d",
     "metrics_VT4_w1-0.4.csv": "04f3366b6f2da4da93db0499a32ad3dad80a3be73ef238977ca56e47d551bdae",
-    "trace text": "ed50d5ffc156cdbf2352058796589055b88236760435b51d9c01e6b05b08d6d1",
+    "trace text": "05fa138f05747a7df2b821f008f84c038592ac6f466622a8dfa2f320b2c8164f",
     "cli stdout": "af1401386b8b318e8fb86da60b06a7f53a832cd3d816cd91609ed42b9e16e3cb",
     f"{TRACE}_particle_metrics.csv": "fb6532be4d8c43ae24facef572cd105a9e4ca39918bf753f875c753996c17918",
     f"{TRACE}_aggregate_metrics.csv": "d6a0b26369bb692625c5ee24272f535ff823835722f29d218c3267786f7fbdf9",
@@ -76,7 +76,7 @@ PARTIAL_PINS = {
     "aggregate": "ae09e788ff69d3a0d7a0e43cc23cd71e63b38b0565dfc923c8e97149ef0060cc",
     "curve_": "0c9ccec3ea425534a6d9938ed243be5de5ad17717b1a105acefb45fe1b5892f4",
     "metrics_": "9647298229e87455e5d9d968e5f01b4dd030dc791a0a35d010da1726c2e43d13",
-    "trace_": "f9b6ee52afca4cb2aa803fcfdea5051f56452e6b4891ac434b493cd72a64dca8",
+    "trace_": "0ef00cdb1d9c08d326c5d4233cbf9b845ac6f1fb016e5172115f1fa31472789c",
 }
 
 SOLVE_PINS = {

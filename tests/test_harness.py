@@ -325,6 +325,18 @@ class TestShippedConfigs:
             assert corr.variant.correction and not plain.variant.correction
 
 
+def test_readme_example_config_lists_every_key():
+    """The README's example config (``instance.path`` in its comment)
+    names every key ``parse_config`` knows, and no other."""
+    with open(os.path.join(CONFIGS_DIR, os.pardir, "README.md")) as fh:
+        readme = fh.read()
+    block = re.search(r"Config files are line-oriented.*?```\n(.*?)```",
+                      readme, re.S).group(1)
+    keys = set(re.findall(r"^([a-z0-9_.]+) =", block, re.M))
+    keys |= set(re.findall(r"#.*?\b([a-z]+\.[a-z0-9_]+) =", block))
+    assert keys == harness._KNOWN_KEYS
+
+
 class TestPackage:
     def test_every_exported_name_resolves(self):
         for name in vcbpso.__all__:
@@ -381,6 +393,16 @@ class TestRunExperiment:
             assert (out / f"metrics_{label}.csv").exists()
         assert (out / "trace_VCv2_w1_rep0.txt.gz").exists()
         assert len(list(out.glob("trace_*.txt.gz"))) == 6
+
+    def test_an_empty_output_dir_is_refused_before_the_dp(self, tmp_path,
+                                                          monkeypatch):
+        def no_dp(*args, **kwargs):
+            raise AssertionError("the DP ran")
+
+        monkeypatch.setattr(knapsack, "dp_optimal", no_dp)
+        with pytest.raises(ConfigError,
+                           match="^output.dir must not be empty$"):
+            run_experiment(self._spec(tmp_path, output_dir=""))
 
     def test_aggregate_matches_runs(self, tmp_path):
         run_experiment(self._spec(tmp_path))

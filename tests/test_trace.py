@@ -1,5 +1,6 @@
 """Bit packing and trace persistence."""
 
+import gzip
 import sys
 import time
 
@@ -19,32 +20,43 @@ from vcbpso.trace import (
 )
 
 
-# 51 bytes whose header claims 10**6 particles: 16 MB of flip counts and
-# 16 MB of positions that the two short record lines cannot hold
-OVERSIZED_HEADER = ("vcbpso-trace 1\n1000000 100 2\n"
-                    "0 1.0 0 00\n1 1.0 0 00\n")
+# a header that claims 10**6 particles: 16 MB of flip counts and 16 MB
+# of positions that the short body cannot hold
+OVERSIZED_HEADER = gzip.compress(b"vcbpso-trace 2\n1000000 100 2\n"
+                                 + bytes(48), mtime=0)
 
-# (record, field, edit) of the lines to spoil; fields are index, gbest,
-# flip counts and position hex. The first edited record is named.
+# a trace in the text of format 1, which is refused
+VERSION_1 = b"vcbpso-trace 1\n1 1 1\n0 1.0 0 0000000000000000\n"
+
+# edits of the body of the trace that ``save_bad_trace`` saves (3 records
+# of m=2, d=100: 24 bytes of gbest values, then 32 bytes of positions
+# per record, 16 per particle), and the refusal each gets after the path
+_SHORT = ("3 records of m=2, d=100 need 120 bytes after the header, the "
+          "file holds ")
 BAD_RECORDS = {
-    "short position": [(1, 3, lambda f: f[:-2])],
-    "long position": [(1, 3, lambda f: f + "00")],
-    # the total hex length is unchanged, so only a per-line check sees it
-    "short and long positions": [(1, 3, lambda f: f[:-2]),
-                                 (2, 3, lambda f: f + "00")],
-    "m-1 flip counts": [(1, 2, lambda f: f.rsplit(",", 1)[0])],
-    "wrong index": [(1, 0, lambda f: "2")],
-    "missing field": [(1, 1, lambda f: "")],
-    "not hexadecimal": [(1, 3, lambda f: "zz" + f[2:])],
-    "flip count off by one": [(1, 2, lambda f: _add_one(f))],
-    "record 0 flips": [(0, 2, lambda f: _add_one(f))],
+    "short position": (lambda b: b[:-1], _SHORT + "119$"),
+    "long position": (lambda b: b + bytes(1), _SHORT + "more$"),
+    "a record too many": (lambda b: b + b[-32:], _SHORT + "more$"),
+    "cut in the gbest values": (lambda b: b[:20], _SHORT + "20$"),
+    "empty body": (lambda b: b"", _SHORT + "0$"),
+    # bit 100 of particle 1 in record 1
+    "padding bit": (lambda b: _set_bit(b, 24 + 32 + 16 + 12, 4),
+                    "record 1: bits set past d=100$"),
 }
 
 
-def _add_one(counts: str) -> str:
-    """Flip counts ``a,b,...`` with 1 added to the first."""
-    first, _, rest = counts.partition(",")
-    return f"{int(first) + 1},{rest}"
+def _set_bit(body: bytes, at: int, bit: int) -> bytes:
+    """``body`` with bit ``bit`` of byte ``at`` set."""
+    raw = bytearray(body)
+    raw[at] |= 1 << bit
+    return bytes(raw)
+
+
+def read_stream(path) -> tuple[bytes, bytes]:
+    """The two header lines of a saved trace, and its body."""
+    data = gzip.decompress(path.read_bytes())
+    cut = data.index(b"\n", data.index(b"\n") + 1) + 1
+    return data[:cut], data[cut:]
 
 
 def build_trace(positions, gbest=None, flips=None):
@@ -62,16 +74,12 @@ def build_trace(positions, gbest=None, flips=None):
     return builder.build()[0]
 
 
-def save_bad_trace(path, edits):
-    """Save a 3-record, 2-particle, d=100 trace, then apply ``edits``."""
+def save_bad_trace(path, edit):
+    """Save a 3-record, 2-particle, d=100 trace, then ``edit`` its body."""
     rng = np.random.Generator(np.random.PCG64(9))
     build_trace(list(rng.integers(0, 2, size=(3, 2, 100)))).save(path)
-    lines = path.read_text().splitlines()
-    for k, field, edit in edits:
-        fields = lines[k + 2].split()
-        fields[field] = edit(fields[field])
-        lines[k + 2] = " ".join(fields)
-    path.write_text("\n".join(lines) + "\n")
+    header, body = read_stream(path)
+    path.write_bytes(gzip.compress(header + edit(body), mtime=0))
 
 
 class TestPacking:
@@ -169,6 +177,12 @@ class TestRunTrace:
         trace = build_trace(list(positions), gbest=gbest)
         path = tmp_path / name
         trace.save(path)
+        # one gzip stream whatever the suffix: the header lines, the gbest
+        # values, the position words
+        header, body = read_stream(path)
+        assert header == b"vcbpso-trace 2\n3 100 4\n"
+        assert body == (trace.gbest_fitness.astype("<f8").tobytes()
+                        + trace.positions.astype("<u8").tobytes())
         back = RunTrace.load(path)
         assert back.dimensions == 100
         assert np.array_equal(back.gbest_fitness, trace.gbest_fitness)
@@ -208,34 +222,49 @@ class TestRunTrace:
 
     def test_load_rejects_wrong_magic(self, tmp_path):
         path = tmp_path / "t.txt"
-        path.write_text("not a trace\n")
-        with pytest.raises(ValueError):
+        path.write_bytes(gzip.compress(b"not a trace\n"))
+        with pytest.raises(ValueError, match=r"t\.txt: not a trace file"):
+            RunTrace.load(path)
+
+    @pytest.mark.parametrize("name", ["t.txt", "t.txt.gz"])
+    def test_load_refuses_a_version_1_trace(self, tmp_path, name):
+        path = tmp_path / name
+        path.write_bytes(gzip.compress(VERSION_1) if name.endswith(".gz")
+                         else VERSION_1)
+        with pytest.raises(ValueError, match=r"t\.txt(\.gz)?: not a trace "
+                           r"file of format 2, a gzip stream that starts "
+                           r"with the line 'vcbpso-trace 2'$"):
             RunTrace.load(path)
 
     def test_load_rejects_truncated(self, tmp_path):
-        trace = build_trace([[[0]], [[1]]])
         path = tmp_path / "t.txt"
-        trace.save(path)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:-1]) + "\n")
-        with pytest.raises(ValueError):
+        build_trace([[[0]], [[1]]]).save(path)
+        header, body = read_stream(path)
+        path.write_bytes(gzip.compress(header + body[:-8]))
+        with pytest.raises(ValueError, match=r"t\.txt: 2 records of m=1, "
+                           r"d=1 need 32 bytes after the header, the file "
+                           r"holds 24$"):
             RunTrace.load(path)
 
     @pytest.mark.parametrize("header", [None, "2 100", "2 100 3 4",
-                                        "2 x 3", "0 100 3", "2 100 -1"])
+                                        "2 x 3", "0 100 3", "2 100 -1",
+                                        "2 100 +3", "2 100 1_0",
+                                        "2 100 " + "3" * 200])
     def test_load_rejects_a_bad_header(self, tmp_path, header):
         path = tmp_path / "t.txt"
-        path.write_text("vcbpso-trace 1\n"
-                        + ("" if header is None else header + "\n"))
+        path.write_bytes(gzip.compress(
+            b"vcbpso-trace 2\n"
+            + (b"" if header is None else header.encode() + b"\n")))
         with pytest.raises(ValueError, match=r"t\.txt: the second line"):
             RunTrace.load(path)
 
     def test_load_refuses_a_header_the_text_cannot_hold(self, tmp_path):
         path = tmp_path / "t.txt"
-        path.write_text(OVERSIZED_HEADER)
+        path.write_bytes(OVERSIZED_HEADER)
         refusal, _, peak = traced(pytest.raises, ValueError, RunTrace.load,
                                   path)
-        refusal.match(r"t\.txt: 2 records of m=1000000, d=100 need")
+        refusal.match(r"t\.txt: 2 records of m=1000000, d=100 need "
+                      r"32000016 bytes after the header, the file holds 48$")
         assert peak < 2**20
 
     @pytest.mark.parametrize("d, bit", [(10, 10), (10, 63), (100, 100),
@@ -265,44 +294,38 @@ class TestRunTrace:
     @pytest.mark.parametrize("bad", BAD_RECORDS)
     def test_load_names_a_bad_record(self, tmp_path, bad):
         path = tmp_path / "t.txt"
-        save_bad_trace(path, BAD_RECORDS[bad])
-        first = BAD_RECORDS[bad][0][0]
-        with pytest.raises(ValueError, match=rf"t\.txt: record {first}: "):
-            RunTrace.load(path)
-
-    @pytest.mark.parametrize("bad", ["flip count off by one",
-                                     "record 0 flips"])
-    def test_load_refuses_flip_counts_the_positions_do_not_give(
-            self, tmp_path, bad):
-        path = tmp_path / "t.txt"
-        save_bad_trace(path, BAD_RECORDS[bad])
-        first = BAD_RECORDS[bad][0][0]
-        with pytest.raises(ValueError,
-                           match=rf"t\.txt: record {first}: flip counts "
-                                 rf"differ from the positions$"):
+        edit, refusal = BAD_RECORDS[bad]
+        save_bad_trace(path, edit)
+        with pytest.raises(ValueError, match=rf"t\.txt: {refusal}"):
             RunTrace.load(path)
 
     def test_load_compares_records_across_a_chunk_edge(self, tmp_path):
         # record SAVE_CHUNK, the first of the second chunk, differs from
-        # the record before in a bit that its counts leave out; a later
-        # record's counts are wrong too
+        # the record before in one bit, which its derived counts hold
         positions = np.zeros((SAVE_CHUNK + 20, 2, 100), np.uint8)
         positions[SAVE_CHUNK:, 1, 3] = 1
         trace = build_trace(list(positions))
-        flips = trace.flip_counts.copy()
-        assert flips[SAVE_CHUNK].tolist() == [0, 1]
-        flips[SAVE_CHUNK, 1] = 0
-        flips[SAVE_CHUNK + 10, 0] = 2
         path = tmp_path / "t.txt.gz"
-        RunTrace(100, trace.gbest_fitness, flips, trace.positions).save(path)
-        with pytest.raises(ValueError,
-                           match=rf"record {SAVE_CHUNK}: flip counts"):
-            RunTrace.load(path)
+        trace.save(path)
+        flips = RunTrace.load(path).flip_counts
+        np.testing.assert_array_equal(flips, trace.flip_counts)
+        assert flips[SAVE_CHUNK].tolist() == [0, 1]
+        assert flips.sum() == 1
+
+    def test_load_derives_the_flip_counts(self, tmp_path):
+        # record 0 flipped nothing; record k the bits it differs in from
+        # record k - 1
+        trace = pool_trace(3 * SAVE_CHUNK + 5, 7, 130, pool=20)
+        trace.save(tmp_path / "t.txt.gz")
+        back = RunTrace.load(tmp_path / "t.txt.gz")
+        np.testing.assert_array_equal(back.flip_counts, trace.flip_counts)
+        assert not back.flip_counts[0].any()
+        assert back.flip_counts[1:].all(axis=1).any()
 
     @pytest.mark.parametrize("d", [100, 500])
     def test_load_memory_does_not_grow_with_the_records(self, tmp_path, d):
         # m=20 at T=1000 and T=4000: beside the arrays it returns, which
-        # are allocated to their size, load holds one buffer of text
+        # are allocated to their size, load holds one piece of the body
         workspace = []
         for records in (1001, 4001):
             path = tmp_path / "t.txt.gz"
@@ -318,7 +341,7 @@ class TestRunTrace:
 
     def test_load_under_a_tracer_that_reads_locals(self, tmp_path):
         # a debugger's view of the frame holds extra references to the
-        # arrays that load grows in place
+        # buffer that load grows in place
         def tracer(frame, event, arg):
             frame.f_locals
             return tracer
@@ -333,24 +356,6 @@ class TestRunTrace:
         finally:
             sys.settrace(previous)
         np.testing.assert_array_equal(back.positions, trace.positions)
-
-    def test_load_reads_crlf_line_ends(self, tmp_path):
-        rng = np.random.Generator(np.random.PCG64(4))
-        trace = build_trace(list(rng.integers(0, 2, size=(3, 2, 70))))
-        path = tmp_path / "t.txt"
-        trace.save(path)
-        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
-        back = RunTrace.load(path)
-        np.testing.assert_array_equal(back.positions, trace.positions)
-
-    def test_load_cuts_lines_as_splitlines(self, tmp_path):
-        # a form feed ends a line for str.splitlines, so the record is
-        # two lines and the count is wrong, as when the whole text was
-        # read and split at once
-        path = tmp_path / "t.txt"
-        save_bad_trace(path, [(1, 1, lambda f: f + "\f")])
-        with pytest.raises(ValueError, match=r"t\.txt: expected 3 record"):
-            RunTrace.load(path)
 
     def test_load_names_a_truncated_gz(self, tmp_path):
         path = tmp_path / "t.txt.gz"
