@@ -7,8 +7,8 @@ import argparse
 import sys
 
 from . import harness, knapsack, metrics, results
-from .errors import ConfigError, ParseError, ResourceError, check_memory
-from .trace import RunTrace, TraceBuilder, load_memory, read_header, read_lines
+from .errors import ConfigError, ResourceError, check_memory
+from .trace import RunTrace, TraceBuilder, load_memory, read_header
 
 
 def _cmd_gen(args) -> int:
@@ -30,14 +30,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    try:
-        spec = harness.parse_config("\n".join(read_lines(args.config)))
-    except ParseError as exc:
-        # "line 13: ..." becomes "<path>:13: ...", as instances read
-        text = str(exc)
-        sep = ":" if text.startswith("line ") else ": "
-        raise ParseError(f"{args.config}{sep}{text.removeprefix('line ')}"
-                         ) from None
+    spec = harness.parse_config(args.config)
     aggregates = harness.run_experiment(spec)
     for agg in aggregates:
         print(f"{agg.variant.label}: mean profit {agg.mean_best_profit:.2f} "

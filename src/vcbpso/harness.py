@@ -11,12 +11,17 @@ process may run on; each task carries all it reads as arguments. The
 parent writes every CSV in spec order, so the outputs are the same
 bytes as when each run executes alone and in-process (``taskset -c 0``
 gives the in-process path).
+
+A config file is ``key = value`` lines; :data:`KEYS` declares each key
+once, with the spec field it sets and the conversion of its text, and
+each default lives in its dataclass. :func:`parse_config` names the file
+in every refusal.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 
 import numpy as np
 
@@ -28,7 +33,7 @@ from .engine import (STEP_BYTES, RunConfig, WSchedule, check_run_settings,
 from .engine import run  # noqa: F401
 from .errors import ConfigError, ParseError, ResourceError, check_memory
 from .knapsack import KnapsackInstance, KnapsackObjective
-from .trace import RunTrace, TraceBuilder, save_memory
+from .trace import RunTrace, TraceBuilder, read_lines, save_memory
 from .transfer import TransferKind
 
 
@@ -48,7 +53,7 @@ class Variant:
 @dataclass(frozen=True)
 class InstanceSource:
     """A path to an instance file, or all five generation parameters;
-    checked when built."""
+    checked when built. Its fields are the ``instance.*`` keys."""
 
     path: str | None = None
     instance_type: str | None = None
@@ -58,11 +63,8 @@ class InstanceSource:
     seed: int | None = None
 
     def __post_init__(self):
-        keys = ("instance.path", "instance.type", "instance.n", "instance.r",
-                "instance.s", "instance.seed")
-        given = [key for key, value in zip(keys, (
-            self.path, self.instance_type, self.n, self.r, self.s, self.seed))
-            if value is not None]
+        keys = [key for key in KEYS if key.startswith("instance.")]
+        given = [key for key in keys if getattr(self, KEYS[key][0]) is not None]
         if given != ["instance.path"] and given != list(keys[1:]):
             raise ConfigError(f"the instance needs instance.path alone or all "
                               f"of {', '.join(keys[1:])}; got "
@@ -77,7 +79,7 @@ class InstanceSource:
                                  self.s, self.seed)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentSpec:
     """One experiment, checked when built; frozen, so a changed copy comes
     from ``dataclasses.replace`` and is checked again. ``variants`` is
@@ -85,9 +87,9 @@ class ExperimentSpec:
 
     instance: InstanceSource
     variants: tuple[Variant, ...]
-    swarm_size: int
-    c1: float
-    c2: float
+    swarm_size: int = 20
+    c1: float = 2.0
+    c2: float = 2.0
     iterations: int
     repetitions: int
     base_seed: int
@@ -121,115 +123,103 @@ def derive_seed(base_seed: int, variant_index: int, repetition: int) -> int:
 
 # -- config file ---------------------------------------------------------
 
-_KNOWN_KEYS = {
-    "instance.type", "instance.n", "instance.r", "instance.s",
-    "instance.seed", "instance.path",
-    "swarm.size", "swarm.c1", "swarm.c2",
-    "run.iterations", "run.repetitions", "run.base_seed",
-    "variants", "output.dir", "output.traces", "output.metrics",
-}
-
 _BOOL = {"on": True, "true": True, "1": True,
          "off": False, "false": False, "0": False}
 
 
-def _parse_variant(text: str, where: str) -> Variant:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 4:
-        raise ParseError(f"{where}: variant needs 'kind,correction,w,vmax', "
-                         f"got {text!r}")
-    kind_txt, corr_txt, w_txt, vmax_txt = parts
-    try:
-        kind = TransferKind(kind_txt.upper())
-    except ValueError:
-        raise ParseError(f"{where}: unknown transfer kind {kind_txt!r}") from None
-    if corr_txt.lower() not in _BOOL:
-        raise ParseError(f"{where}: bad correction flag {corr_txt!r}")
-    correction = _BOOL[corr_txt.lower()]
-    try:
-        w = WSchedule.parse(w_txt)
-    except ConfigError as exc:
-        raise ParseError(f"{where}: {exc}") from None
-    if vmax_txt.lower() in ("none", "-"):
-        vmax = None
-    else:
+def _boolean(text: str) -> bool:
+    if text.lower() not in _BOOL:
+        raise ValueError(f"expected on/off, got {text!r}")
+    return _BOOL[text.lower()]
+
+
+def _variants(text: str) -> tuple[Variant, ...]:
+    """Semicolon-separated ``kind,correction,w,vmax`` tuples; ``w`` is
+    "a" or an "a-b" ramp, ``vmax`` a number or ``none``."""
+    variants = []
+    for item in filter(None, (t.strip() for t in text.split(";"))):
+        parts = [p.strip() for p in item.split(",")]
+        if len(parts) != 4:
+            raise ValueError(f"variant needs 'kind,correction,w,vmax', "
+                             f"got {item!r}")
+        kind_txt, corr_txt, w_txt, vmax_txt = parts
         try:
-            vmax = float(vmax_txt)
+            kind = TransferKind(kind_txt.upper())
         except ValueError:
-            raise ParseError(f"{where}: bad vmax {vmax_txt!r}") from None
-    return Variant(kind, correction, w, vmax)
+            raise ValueError(f"unknown transfer kind {kind_txt!r}") from None
+        if corr_txt.lower() not in _BOOL:
+            raise ValueError(f"bad correction flag {corr_txt!r}")
+        w = WSchedule.parse(w_txt)
+        vmax = None
+        if vmax_txt.lower() not in ("none", "-"):
+            try:
+                vmax = float(vmax_txt)
+            except ValueError:
+                raise ValueError(f"bad vmax {vmax_txt!r}") from None
+        variants.append(Variant(kind, _BOOL[corr_txt.lower()], w, vmax))
+    if not variants:
+        raise ValueError("must list at least one variant")
+    return tuple(variants)
 
 
-def parse_config(text: str) -> ExperimentSpec:
-    """Parse the line-oriented ``key = value`` experiment format.
+# Every config key: the field it sets, on InstanceSource for ``instance.*``
+# and on ExperimentSpec otherwise, and the conversion of its text. A key
+# is required exactly when its field has no default.
+KEYS = {
+    "instance.path": ("path", str),
+    "instance.type": ("instance_type", str),
+    "instance.n": ("n", int),
+    "instance.r": ("r", int),
+    "instance.s": ("s", float),
+    "instance.seed": ("seed", int),
+    "swarm.size": ("swarm_size", int),
+    "swarm.c1": ("c1", float),
+    "swarm.c2": ("c2", float),
+    "run.iterations": ("iterations", int),
+    "run.repetitions": ("repetitions", int),
+    "run.base_seed": ("base_seed", int),
+    "variants": ("variants", _variants),
+    "output.dir": ("output_dir", str),
+    "output.traces": ("save_traces", _boolean),
+    "output.metrics": ("compute_metrics", _boolean),
+}
 
-    Unknown keys are rejected. Values may be double-quoted. ``variants``
-    holds semicolon-separated ``kind,correction,w,vmax`` tuples; ``w``
-    accepts "a" and "a-b" notation; ``vmax`` is a number or ``none``.
-    """
-    values: dict[str, tuple[str, int]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+
+def parse_config(path) -> ExperimentSpec:
+    """The experiment of the line-oriented ``key = value`` file ``path``
+    (``#`` comments, values perhaps double-quoted), read with
+    :func:`trace.read_lines`. Every refusal is a ParseError that reads
+    ``<path>:<line>: ...`` or ``<path>: ...``."""
+    given = {}
+    for lineno, raw in enumerate(read_lines(path), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ParseError(f"line {lineno}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+            raise ParseError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, value = (part.strip() for part in line.partition("="))
         if len(value) >= 2 and value[0] == value[-1] == '"':
             value = value[1:-1]
-        if key not in _KNOWN_KEYS:
-            raise ParseError(f"line {lineno}: unknown key {key!r}")
-        if key in values:
-            raise ParseError(f"line {lineno}: duplicate key {key!r}")
-        values[key] = (value, lineno)
-
-    def take(key, convert, default=None, required=False):
-        if key not in values:
-            if required:
-                raise ParseError(f"missing required key {key!r}")
-            return default
-        value, lineno = values[key]
+        if key not in KEYS:
+            raise ParseError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in given:
+            raise ParseError(f"{path}:{lineno}: duplicate key {key!r}")
         try:
-            return convert(value)
-        except (ValueError, ConfigError) as exc:
-            raise ParseError(f"line {lineno}: key {key!r}: {exc}") from None
-
-    variants_raw, vline = values.get("variants", ("", 0))
-    variant_texts = [t for t in (s.strip() for s in variants_raw.split(";")) if t]
-    if not variant_texts:
-        raise ParseError("key 'variants' must list at least one variant")
-    variants = [_parse_variant(t, f"line {vline}") for t in variant_texts]
-
-    def boolean(value):
-        if value.lower() not in _BOOL:
-            raise ValueError(f"expected on/off, got {value!r}")
-        return _BOOL[value.lower()]
-
+            given[key] = KEYS[key][1](value)
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: key {key!r}: {exc}") from None
+    kwargs = {InstanceSource: {}, ExperimentSpec: {}}
+    for key, (field, _) in KEYS.items():
+        owner = InstanceSource if key.startswith("instance.") else ExperimentSpec
+        if key in given:
+            kwargs[owner][field] = given[key]
+        elif owner.__dataclass_fields__[field].default is MISSING:
+            raise ParseError(f"{path}: missing required key {key!r}")
     try:
-        return ExperimentSpec(
-            instance=InstanceSource(
-                path=take("instance.path", str),
-                instance_type=take("instance.type", str),
-                n=take("instance.n", int),
-                r=take("instance.r", int),
-                s=take("instance.s", float),
-                seed=take("instance.seed", int),
-            ),
-            variants=variants,
-            swarm_size=take("swarm.size", int, default=20),
-            c1=take("swarm.c1", float, default=2.0),
-            c2=take("swarm.c2", float, default=2.0),
-            iterations=take("run.iterations", int, required=True),
-            repetitions=take("run.repetitions", int, required=True),
-            base_seed=take("run.base_seed", int, required=True),
-            output_dir=take("output.dir", str, required=True),
-            save_traces=take("output.traces", boolean, default=True),
-            compute_metrics=take("output.metrics", boolean, default=True),
-        )
+        return ExperimentSpec(instance=InstanceSource(**kwargs[InstanceSource]),
+                              **kwargs[ExperimentSpec])
     except ConfigError as exc:
-        raise ParseError(str(exc)) from None
+        raise ParseError(f"{path}: {exc}") from None
 
 
 # -- execution -----------------------------------------------------------

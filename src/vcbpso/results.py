@@ -204,17 +204,27 @@ def particle_csv_memory(iterations: int, swarm_size: int,
 
 def print_report(results_dir) -> None:
     """The ``REPORT_COLUMNS`` of ``aggregate.csv`` in ``results_dir`` on
-    stdout, once every row is checked; blank lines are skipped."""
+    stdout, once every row is checked; blank lines are skipped. Text that
+    is not UTF-8 or that the csv module refuses (a cell over its field
+    limit, say) is a ConfigError naming the file."""
     path = os.path.join(results_dir, "aggregate.csv")
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, [])
-        rows = []
-        for cells in filter(None, reader):
-            if len(cells) != len(header):
-                raise ConfigError(f"{path}: line {reader.line_num} has "
-                                  f"{len(cells)} cells, the header {len(header)}")
-            rows.append(dict(zip(header, cells)))
+        lines = filter(None, reader)
+        try:
+            header = next(lines, [])
+            rows = []
+            for cells in lines:
+                if len(cells) != len(header):
+                    raise ConfigError(f"{path}: line {reader.line_num} has "
+                                      f"{len(cells)} cells, the header "
+                                      f"{len(header)}")
+                rows.append(dict(zip(header, cells)))
+        except csv.Error as exc:
+            raise ConfigError(f"{path}: line {reader.line_num}: {exc}"
+                              ) from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
     missing = [c for c in REPORT_COLUMNS if c not in header]
     if missing:
         raise ConfigError(f"{path}: no column {', '.join(missing)}")

@@ -186,8 +186,7 @@ def sigm_vt2_where(v) -> np.ndarray:
 
 def load_config(name: str) -> ExperimentSpec:
     """The spec of ``configs/<name>``, the protocol its table runs."""
-    with open(os.path.join(CONFIGS_DIR, name)) as fh:
-        return parse_config(fh.read())
+    return parse_config(os.path.join(CONFIGS_DIR, name))
 
 
 def dp_full_oracle(instance: KnapsackInstance) -> tuple[int, np.ndarray]:

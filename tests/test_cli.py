@@ -22,7 +22,7 @@ from test_trace import (
     build_trace,
     save_bad_trace,
 )
-from vcbpso import cli, errors, harness, knapsack
+from vcbpso import cli, errors, harness, knapsack, results
 from vcbpso.cli import main
 from vcbpso.errors import check_memory
 from vcbpso.knapsack import load_instance
@@ -251,6 +251,29 @@ output.dir = {out}
         code, stdout, stderr = run_cli(capsys, "run", "--config", path)
         assert (code, stdout) == (2, "")
         assert stderr == f"error: {path}:13: duplicate key 'instance.n'\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("instance.n = 30", "instance.n = many",
+         ":3: key 'instance.n': invalid literal for int() with base 10: "
+         "'many'"),
+        ("vt2, on, 1.0, none", "vt9, on, 1.0, none",
+         ":11: key 'variants': unknown transfer kind 'vt9'"),
+        ("vt2, on, 1.0, none", "vt2, on, 1.0",
+         ":11: key 'variants': variant needs 'kind,correction,w,vmax', "
+         "got 'vt2, on, 1.0'"),
+    ])
+    def test_a_bad_value_names_the_file_line_and_key(self, capsys,
+                                                     config_file, old, new,
+                                                     message):
+        path, out = config_file
+        with open(path) as fh:
+            text = fh.read()
+        with open(path, "w") as fh:
+            fh.write(text.replace(old, new))
+        code, stdout, stderr = run_cli(capsys, "run", "--config", path)
+        assert (code, stdout) == (2, "")
+        assert stderr == f"error: {path}{message}\n"
         assert not out.exists()
 
     def test_a_missing_key_names_the_file(self, capsys, config_file):
@@ -694,6 +717,11 @@ class TestRunInput:
                 os.chdir(cwd)
             written = [d for d, _, names in os.walk(tmp)
                        if "runs.csv" in names]
+            try:
+                harness.parse_config(path)
+                refusal = None
+            except ValueError as exc:
+                refusal = str(exc)
         stderr = err.getvalue()
         assert not caught, [str(w.message) for w in caught]
         if code == 0:
@@ -703,11 +731,10 @@ class TestRunInput:
             assert code == 2 and out.getvalue() == "" and not written
             assert stderr.startswith("error: ") and stderr.count("\n") == 1
             assert "Traceback" not in stderr
-            # a fault of the file itself names the file
-            try:
-                harness.parse_config(data.decode())
-            except (UnicodeDecodeError, errors.ParseError):
-                assert stderr.startswith(f"error: {path}:")
+        # a fault of the file itself is refused naming the file
+        if refusal is not None:
+            assert refusal.startswith(f"{path}:")
+            assert stderr == f"error: {refusal}\n"
 
 
 class TestReport:
@@ -759,3 +786,117 @@ class TestReport:
         code, _, stderr = run_cli(capsys, "report", "--results-dir",
                                   str(tmp_path / "nope"))
         assert code == 2 and "error:" in stderr
+
+    def test_blank_lines_before_the_header_are_skipped(self, capsys,
+                                                       tmp_path):
+        (tmp_path / "aggregate.csv").write_text(
+            "\r\n\r\n" + "\r\n".join(BASE_AGGREGATE) + "\r\n")
+        code, stdout, _ = run_cli(capsys, "report", "--results-dir",
+                                  str(tmp_path))
+        assert code == 0
+        assert stdout.splitlines() == [
+            "variant,ratio,mean_convergence_round,mean_first_discovery_round,"
+            "mean_pujv", "VCv2_w1,0.987,12.5,3.0,40.5", "VT2_w1-0.4,0.96,15.0,4.5,"]
+
+    def test_a_cell_over_the_csv_field_limit_names_the_file(self, capsys,
+                                                            tmp_path):
+        (tmp_path / "aggregate.csv").write_text(
+            "\r\n".join(BASE_AGGREGATE[:2])
+            + "\r\nVT2_w1,10,0.5,3,4," + "9" * (csv.field_size_limit() + 1)
+            + "\r\n")
+        code, stdout, stderr = run_cli(capsys, "report", "--results-dir",
+                                       str(tmp_path))
+        assert (code, stdout) == (2, "")
+        assert stderr == (f"error: {tmp_path / 'aggregate.csv'}: line 3: "
+                          f"field larger than field limit "
+                          f"({csv.field_size_limit()})\n")
+
+    def test_an_aggregate_that_is_not_utf8_names_the_file(self, capsys,
+                                                          tmp_path):
+        (tmp_path / "aggregate.csv").write_bytes(
+            "\r\n".join(BASE_AGGREGATE).encode().replace(b"VT2", b"VT\xe9"))
+        code, stdout, stderr = run_cli(capsys, "report", "--results-dir",
+                                       str(tmp_path))
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith(f"error: {tmp_path / 'aggregate.csv'}: "
+                                 f"'utf-8' codec can't decode byte 0xe9")
+        assert len(stderr.splitlines()) == 1
+
+
+# the aggregate.csv of a two-variant experiment, one line per item
+BASE_AGGREGATE = [
+    "variant,mean_best_profit,ratio,mean_convergence_round,"
+    "mean_first_discovery_round,mean_pujv",
+    "VCv2_w1,1234.5,0.987,12.5,3.0,40.5",
+    "VT2_w1-0.4,1200.0,0.96,15.0,4.5,"]
+
+# cells that are empty, quoted, hold separators or line ends, or are not
+# numbers; the header's names among them
+CSV_TOKENS = st.sampled_from([
+    "", "x", "1e308", "nan", "\"", "\"\"", "\"a,b\"", "a\"b", "\"a\r\nb\"",
+    ",", "\x00", "\r", "\n", "\u00e9", "variant", "ratio", "mean_pujv"])
+
+
+@st.composite
+def mutated_aggregates(draw):
+    """The bytes of the base ``aggregate.csv`` with up to three mutations,
+    perhaps cut short."""
+    rows = [line.split(",") for line in BASE_AGGREGATE]
+    for _ in range(draw(st.integers(0, 3), label="mutations")):
+        row = rows[draw(st.integers(0, len(rows) - 1), label="row")]
+        at = draw(st.integers(0, len(row)), label="cell")
+        kind = draw(st.sampled_from(["cell", "cell", "drop cell",
+                                     "add cell", "blank line", "oversized",
+                                     "drop row"]))
+        if kind == "cell" and at < len(row):
+            row[at] = draw(CSV_TOKENS)
+        elif kind == "drop cell" and at < len(row):
+            del row[at]
+        elif kind == "oversized" and at < len(row):
+            # at or just over the csv module's field limit
+            row[at] = "7" * (csv.field_size_limit()
+                             + draw(st.integers(0, 1)))
+        elif kind == "blank line":
+            rows.insert(draw(st.integers(0, len(rows))), [])
+        elif kind == "drop row" and len(rows) > 1:
+            rows.remove(row)
+        else:
+            row.insert(at, draw(CSV_TOKENS))
+    end = draw(st.sampled_from(["\r\n", "\n"]), label="line end")
+    data = "".join(",".join(row) + end for row in rows).encode()
+    if draw(st.integers(0, 4), label="not UTF-8") == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xe9", b"\xc3"])
+                                ) + data[at:]
+    if draw(st.integers(0, 4), label="cut") == 0:
+        data = data[:draw(st.integers(0, len(data)))]
+    return data
+
+
+class TestReportInput:
+    @given(mutated_aggregates())
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_aggregate_exits_0_or_names_the_fault(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "aggregate.csv")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = main(["report", "--results-dir", tmp])
+            if code == 0:
+                with open(path, newline="") as fh:
+                    header, *body = filter(None, csv.reader(fh))
+                want = [[dict(zip(header, cells))[c]
+                         for c in results.REPORT_COLUMNS] for cells in body]
+        stderr = err.getvalue()
+        if code == 0:
+            assert stderr == ""
+            rows = list(csv.reader(io.StringIO(out.getvalue(), newline="")))
+            assert rows == [results.REPORT_COLUMNS] + want
+            assert want
+        else:
+            assert code == 2 and out.getvalue() == ""
+            assert stderr.startswith(f"error: {path}: ")
+            assert stderr.count("\n") == 1 and "Traceback" not in stderr

@@ -7,7 +7,7 @@ import os
 import pickle
 import re
 import time
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import MISSING, FrozenInstanceError, fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -57,6 +57,13 @@ def good_config(out_dir):
     return GOOD_CONFIG.format(out=out_dir)
 
 
+def parse_text(tmp_path, text):
+    """The spec of config ``text``, written to a file in ``tmp_path``."""
+    path = tmp_path / "exp.cfg"
+    path.write_text(text)
+    return parse_config(path)
+
+
 class TestVariantLabel:
     def test_corrected_label(self):
         v = Variant(TransferKind.VT2, True, WSchedule(1.0, 1.0), None)
@@ -69,7 +76,7 @@ class TestVariantLabel:
 
 class TestParseConfig:
     def test_full_round_trip(self, tmp_path):
-        spec = parse_config(good_config(tmp_path))
+        spec = parse_text(tmp_path, good_config(tmp_path))
         assert spec.instance.instance_type == "uci"
         assert spec.swarm_size == 6
         assert spec.iterations == 25
@@ -81,47 +88,47 @@ class TestParseConfig:
         assert spec.output_dir == str(tmp_path)
 
     def test_w_notations(self, tmp_path):
-        spec = parse_config(good_config(tmp_path))
+        spec = parse_text(tmp_path, good_config(tmp_path))
         assert str(spec.variants[2].w) == "0.6"
         assert str(spec.variants[1].w) == "1-0.4"
 
     def test_unknown_key_names_line(self, tmp_path):
         text = good_config(tmp_path) + "\nbogus.key = 3\n"
         with pytest.raises(ParseError, match=r"bogus\.key"):
-            parse_config(text)
+            parse_text(tmp_path, text)
 
     def test_duplicate_key(self, tmp_path):
         text = good_config(tmp_path) + "\nswarm.size = 7\n"
         with pytest.raises(ParseError, match="duplicate"):
-            parse_config(text)
+            parse_text(tmp_path, text)
 
     def test_missing_required_key(self, tmp_path):
         text = good_config(tmp_path).replace("run.base_seed = 42", "")
         with pytest.raises(ParseError, match="run.base_seed"):
-            parse_config(text)
+            parse_text(tmp_path, text)
 
     def test_zero_repetitions(self, tmp_path):
         text = good_config(tmp_path).replace("run.repetitions = 2",
                                              "run.repetitions = 0")
         with pytest.raises(ParseError, match="repetitions"):
-            parse_config(text)
+            parse_text(tmp_path, text)
 
     def test_ramp_with_one_iteration_rejected(self, tmp_path):
         text = good_config(tmp_path).replace("run.iterations = 25",
                                              "run.iterations = 1")
         with pytest.raises(ParseError, match=r"VT2_w1-0\.4: .*2 iterations"):
-            parse_config(text)
+            parse_text(tmp_path, text)
 
     def test_ramp_with_zero_iterations_accepted(self, tmp_path):
         text = good_config(tmp_path).replace("run.iterations = 25",
                                              "run.iterations = 0")
-        assert parse_config(text).iterations == 0
+        assert parse_text(tmp_path, text).iterations == 0
 
     def test_bad_value_names_key_and_line(self, tmp_path):
         text = good_config(tmp_path).replace("instance.n = 30",
                                              "instance.n = many")
         with pytest.raises(ParseError, match=r"instance\.n"):
-            parse_config(text)
+            parse_text(tmp_path, text)
 
     def test_empty_variants(self, tmp_path):
         text = good_config(tmp_path).replace(
@@ -129,7 +136,7 @@ class TestParseConfig:
             "vt1, off, 0.6, 5",
             "variants = ")
         with pytest.raises(ParseError, match="variants"):
-            parse_config(text)
+            parse_text(tmp_path, text)
 
     @pytest.mark.parametrize("variant", [
         "vt9, on, 1.0, none",
@@ -144,7 +151,7 @@ class TestParseConfig:
         text = good_config(tmp_path).replace(
             "vt2, on, 1.0, none", variant)
         with pytest.raises(ParseError):
-            parse_config(text)
+            parse_text(tmp_path, text)
 
     @pytest.mark.parametrize("old, new, message", [
         ("swarm.c1 = 2.0", "swarm.c1 = nan", "c1=nan"),
@@ -157,12 +164,12 @@ class TestParseConfig:
                                              message):
         text = good_config(tmp_path).replace(old, new)
         with pytest.raises(ParseError, match=message):
-            parse_config(text)
+            parse_text(tmp_path, text)
 
     def test_path_conflicts_with_generation_keys(self, tmp_path):
         text = good_config(tmp_path) + "\ninstance.path = inst.txt\n"
         with pytest.raises(ParseError, match="instance.path"):
-            parse_config(text)
+            parse_text(tmp_path, text)
 
     def test_path_only_source(self, tmp_path):
         text = """
@@ -173,21 +180,21 @@ run.base_seed = 1
 variants = vt1, on, 1.0, none
 output.dir = out
 """
-        spec = parse_config(text)
+        spec = parse_text(tmp_path, text)
         assert spec.instance.path == "some/instance.txt"
         assert spec.swarm_size == 20  # default
 
-    def test_non_keyvalue_line(self):
-        with pytest.raises(ParseError, match="line 1"):
-            parse_config("just some words\n")
+    def test_non_keyvalue_line(self, tmp_path):
+        with pytest.raises(ParseError, match=":1: expected 'key = value'"):
+            parse_text(tmp_path, "just some words\n")
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         text = "# leading comment\n\n" + good_config(tmp_path)
-        parse_config(text)
+        parse_text(tmp_path, text)
 
     def test_output_flags(self, tmp_path):
         text = good_config(tmp_path) + "\noutput.traces = off\noutput.metrics = off\n"
-        spec = parse_config(text)
+        spec = parse_text(tmp_path, text)
         assert spec.save_traces is False
         assert spec.compute_metrics is False
 
@@ -291,7 +298,7 @@ def test_task_arguments_survive_pickling(tmp_path):
     """The worker pool pickles the spec and the objective into each task;
     the copies must evaluate a swarm exactly as the originals, through
     the instance's cached drop order and sums matrix."""
-    spec = parse_config(good_config(tmp_path))
+    spec = parse_text(tmp_path, good_config(tmp_path))
     objective = knapsack.KnapsackObjective(spec.instance.load())
     spec_copy, objective_copy = pickle.loads(pickle.dumps((spec, objective)))
     assert spec_copy == spec
@@ -334,7 +341,42 @@ def test_readme_example_config_lists_every_key():
                       readme, re.S).group(1)
     keys = set(re.findall(r"^([a-z0-9_.]+) =", block, re.M))
     keys |= set(re.findall(r"#.*?\b([a-z]+\.[a-z0-9_]+) =", block))
-    assert keys == harness._KNOWN_KEYS
+    assert keys == set(harness.KEYS)
+
+
+REQUIRED_ONLY = """instance.path = inst.txt
+run.iterations = 5
+run.repetitions = 1
+run.base_seed = 1
+variants = vt1, on, 1.0, none
+output.dir = out
+"""
+
+
+def test_keys_set_each_spec_field_once(tmp_path):
+    """Each ``KEYS`` field exists on its dataclass (InstanceSource for
+    ``instance.*``), each field but ``ExperimentSpec.instance`` has exactly
+    one key, a config of the required keys alone gets the dataclass
+    defaults, and each of those keys is required."""
+    owners = {cls: sorted(field for key, (field, _) in harness.KEYS.items()
+                          if key.startswith("instance.")
+                          == (cls is InstanceSource))
+              for cls in (InstanceSource, ExperimentSpec)}
+    for cls, keyed in owners.items():
+        assert keyed == sorted(f.name for f in fields(cls)
+                               if f.name != "instance")
+    spec = parse_text(tmp_path, REQUIRED_ONLY)
+    defaults = {f.name: f.default for f in fields(ExperimentSpec)
+                if f.default is not MISSING}
+    assert defaults == {"swarm_size": 20, "c1": 2.0, "c2": 2.0,
+                        "save_traces": True, "compute_metrics": True}
+    assert {name: getattr(spec, name) for name in defaults} == defaults
+    assert spec.instance == InstanceSource(path="inst.txt")
+    for line in REQUIRED_ONLY.splitlines()[1:]:
+        key = line.partition(" =")[0]
+        with pytest.raises(ParseError, match=re.escape(
+                f"exp.cfg: missing required key '{key}'")):
+            parse_text(tmp_path, REQUIRED_ONLY.replace(line + "\n", ""))
 
 
 class TestPackage:
@@ -379,7 +421,7 @@ class TestDeriveSeed:
 
 class TestRunExperiment:
     def _spec(self, tmp_path, **kw):
-        return replace(parse_config(good_config(tmp_path / "out")), **kw)
+        return replace(parse_text(tmp_path, good_config(tmp_path / "out")), **kw)
 
     def test_artifacts_written(self, tmp_path):
         spec = self._spec(tmp_path)
@@ -431,7 +473,7 @@ class TestRunExperiment:
     def test_deterministic_bytes(self, tmp_path):
         run_experiment(self._spec(tmp_path))
         first = (tmp_path / "out" / "aggregate.csv").read_bytes()
-        spec2 = parse_config(good_config(tmp_path / "out2"))
+        spec2 = parse_text(tmp_path, good_config(tmp_path / "out2"))
         run_experiment(spec2)
         second = (tmp_path / "out2" / "aggregate.csv").read_bytes()
         assert first == second
@@ -535,7 +577,7 @@ class TestMemoryCheck:
 
         monkeypatch.setattr(errors, "MEMORY_LIMIT", 10**5)
         monkeypatch.setattr(knapsack, "dp_optimal", no_dp)
-        spec = parse_config(good_config(tmp_path / "out"))
+        spec = parse_text(tmp_path, good_config(tmp_path / "out"))
         with pytest.raises(ResourceError) as info:
             run_experiment(spec)
         message = str(info.value)
@@ -560,7 +602,7 @@ class TestMemoryCheck:
             return int(re.search(r"needs (\d+) bytes", message).group(1))
 
         out = tmp_path / "out"
-        spec = parse_config(good_config(out))
+        spec = parse_text(tmp_path, good_config(out))
         monkeypatch.setattr(errors, "MEMORY_LIMIT", 0)
         one, two = need(1), need(2)
         assert one < two
@@ -583,9 +625,9 @@ class TestMemoryCheck:
             return real_dp_optimal(instance, *args, **kw)
 
         monkeypatch.setattr(knapsack, "dp_optimal", recording_dp_optimal)
-        aggregates = run_experiment(parse_config(good_config(tmp_path)))
+        aggregates = run_experiment(parse_text(tmp_path, good_config(tmp_path)))
         assert calls == [((), {"selection": False})]
-        instance = parse_config(good_config(tmp_path)).instance.load()
+        instance = parse_text(tmp_path, good_config(tmp_path)).instance.load()
         assert aggregates[0].optimum == real_dp_optimal(instance)[0]
 
 
@@ -624,7 +666,7 @@ class TestWorkerPool:
                             raising=False)
 
     def _spec(self, tmp_path, **kw):
-        return replace(parse_config(good_config(tmp_path / "out")), **kw)
+        return replace(parse_text(tmp_path, good_config(tmp_path / "out")), **kw)
 
     def test_one_cpu_runs_in_process(self, tmp_path, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
