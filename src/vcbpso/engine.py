@@ -11,9 +11,12 @@ Runs that share swarm size, dimensions, iterations, c1 and c2 can be
 stepped in lockstep as one :class:`Block` of R runs, an (R*m, d) swarm,
 which pays numpy's per-call cost once for all R: where that cost
 dominates the step (d=100, m=20), a block of 4 steps 1.6-1.8x faster
-than its runs one by one (``BENCH_5.json``). Every operation acts on
-each element or row by itself, so each run's trace is bit for bit that
-of the run alone; :func:`run` is the block of one run.
+than its runs one by one (``BENCH_5.json``). A step allocates no array
+of the block's shape: the block owns its draws and ``sigm``'s scratch,
+and the objective reuses its own, so a block faults its pages in once,
+not on every step (``BENCH_12.json``: d=500 in blocks of 4). Every
+operation acts on each element or row by itself, so each run's trace is
+bit for bit that of the run alone; :func:`run` is the block of one run.
 
 Random stream contract (pinned for reproducibility): one PCG64 generator
 per run, seeded with ``RunConfig.seed``, also inside a block, where it
@@ -33,7 +36,8 @@ import numpy as np
 
 from .errors import ConfigError
 from .trace import RunTrace, TraceBuilder
-from .transfer import CORRECTION_CLAMP, TransferKind, correct, sigm
+from .transfer import (CORRECTION_CLAMP, TransferKind, correct, sigm,
+                       sigm_scratch)
 
 
 @dataclass(frozen=True)
@@ -147,7 +151,8 @@ class Objective(Protocol):
     fitness vector plus the positions to record as bests (identical to the
     input unless the objective repairs infeasible selections). Each row is
     evaluated on its own, so a block of several runs' swarms is evaluated
-    in one call.
+    in one call. The stored positions may live in a buffer that the
+    objective's next call overwrites, so a caller copies what it keeps.
     """
 
     dimensions: int
@@ -168,9 +173,12 @@ def _segments(rows: list[slice], keys: list) -> list[tuple[slice, object]]:
 
 # Bytes per particle bit of a block while it steps: 20 of state
 # (positions, pbest, the int8 pull and the flip mask, 1 each; velocities
-# and draws, 8 each) and the step's temporaries, which peak at about 50
-# (VT2's ``sigm``; tracemalloc, d=100 and 500).
-STEP_BYTES = 72
+# and draws, 8 each), 34 of scratch (``sigm``'s |v|, probabilities and
+# work array, 8 each, and mask, 1; the objective's float64 copy and
+# stored positions, 9) and the step's temporaries, sized by the flipped
+# bits and the repaired rows, which peak at about 19 (tracemalloc, d=100
+# and 500, the first 25 iterations).
+STEP_BYTES = 80
 
 
 class Block:
@@ -180,7 +188,8 @@ class Block:
 
     Each run's inertia weight and velocity bound act on its (m, d) slab
     as an (R, 1, 1) column; ``sigm`` and ``correct``, one function per
-    kind, act on each stretch of adjacent runs of one kind.
+    kind, act on each stretch of adjacent runs of one kind, ``sigm`` in
+    the block's scratch rows of that stretch.
     """
 
     def __init__(self, configs):
@@ -205,19 +214,24 @@ class Block:
         self.bound = np.array([CORRECTION_CLAMP if c.vmax is None else c.vmax
                                for c in self.configs]).reshape(-1, 1, 1)
         self.neg_bound = -self.bound
-        self.sigm_segments = _segments(self.rows,
-                                       [c.kind for c in self.configs])
         self.correct_segments = [
             (sl, kind) for sl, (kind, on) in _segments(
                 self.rows, [(c.kind, c.correction_enabled)
                             for c in self.configs]) if on]
-        # the step's scratch arrays: each run's w, refilled every step, and
-        # the draws, which each run's generator fills in its own rows
+        # the step's scratch arrays: each run's w, refilled every step, the
+        # draws, which each run's generator fills in its own rows, and
+        # sigm's |v|, flip probabilities, work array and mask
         self.w = np.empty((self.runs, 1, 1))
         self.draw = np.empty((self.runs * m, d))
         self.pull = np.empty((self.runs * m, d), dtype=np.int8)
         self.flips = np.empty((self.runs * m, d), dtype=bool)
         self.draw_rows = [self.draw[sl] for sl in self.rows]
+        scratch = sigm_scratch((self.runs * m, d))
+        self.prob = scratch[1]
+        self.sigm_segments = [
+            (sl, kind, tuple(array[sl] for array in scratch))
+            for sl, kind in _segments(self.rows,
+                                      [c.kind for c in self.configs])]
 
     def best_rows(self, pbest_fitness: np.ndarray) -> np.ndarray:
         """Row of each run's best pbest, its first particle on a tie."""
@@ -286,9 +300,9 @@ def step_swarm(state: SwarmState, block: Block, objective: Objective,
         draw *= pull
         v += draw
     np.clip(v_runs, block.neg_bound, block.bound, out=v_runs)
-    block.fill(rngs)
-    for sl, kind in block.sigm_segments:
-        np.less(draw[sl], sigm(kind, v[sl]), out=flips[sl])
+    for sl, kind, scratch in block.sigm_segments:
+        sigm(kind, v[sl], scratch)  # into block.prob[sl]
+    np.less(block.fill(rngs), block.prob, out=flips)
     x ^= flips
     for sl, kind in block.correct_segments:
         # flat indices, in the order of v[flips]; take/put cost half of

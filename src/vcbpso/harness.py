@@ -163,21 +163,22 @@ def _variants(text: str) -> tuple[Variant, ...]:
 
 
 # Every config key: the field it sets, on InstanceSource for ``instance.*``
-# and on ExperimentSpec otherwise, and the conversion of its text. A key
-# is required exactly when its field has no default.
+# and on ExperimentSpec otherwise, and the conversion of its text; an
+# integer is plain decimal, as in instance files. A key is required
+# exactly when its field has no default.
 KEYS = {
     "instance.path": ("path", str),
     "instance.type": ("instance_type", str),
-    "instance.n": ("n", int),
-    "instance.r": ("r", int),
+    "instance.n": ("n", knapsack.integer),
+    "instance.r": ("r", knapsack.integer),
     "instance.s": ("s", float),
-    "instance.seed": ("seed", int),
-    "swarm.size": ("swarm_size", int),
+    "instance.seed": ("seed", knapsack.integer),
+    "swarm.size": ("swarm_size", knapsack.integer),
     "swarm.c1": ("c1", float),
     "swarm.c2": ("c2", float),
-    "run.iterations": ("iterations", int),
-    "run.repetitions": ("repetitions", int),
-    "run.base_seed": ("base_seed", int),
+    "run.iterations": ("iterations", knapsack.integer),
+    "run.repetitions": ("repetitions", knapsack.integer),
+    "run.base_seed": ("base_seed", knapsack.integer),
     "variants": ("variants", _variants),
     "output.dir": ("output_dir", str),
     "output.traces": ("save_traces", _boolean),
@@ -287,11 +288,13 @@ def _worker_count(runs: int) -> int:
 
 
 # Particles x dimensions of one run group. Stepping runs as one block pays
-# numpy's per-call cost once for the group: at d=100, m=20 blocks of 4
-# runs stepped 1.6-1.8x faster than the same runs one by one, while at
-# d=500 blocks of 2 read 0.93-1.18x across sessions (BENCH_5.json). This
-# gives 4 runs at d=100, m=20 and 1 at d=500.
-GROUP_ELEMENTS = 8000
+# numpy's per-call cost once for the group, and its step allocates no
+# array of the block's shape: at d=100, m=20 blocks of 4 runs stepped
+# 1.6-1.8x faster than the same runs one by one (BENCH_5.json), and a
+# d=500 protocol pass in two blocks of 4 ran 13-16 % faster than its
+# runs one at a time (BENCH_12.json). This gives 4 runs at d=500, m=20,
+# 2 at d=1000 and up to 20 at d=100.
+GROUP_ELEMENTS = 40000
 
 
 def group_size(runs: int, workers: int, swarm_size: int,
@@ -384,10 +387,15 @@ def run_experiment(spec: ExperimentSpec) -> list[results.AggregateResult]:
     per-variant aggregates. Deterministic given the spec. Before the DP
     and the output directory, ``errors.check_memory`` counts the
     profit-only DP, every run's curves (collected here) and one
-    :func:`group_memory` per worker, as each holds a group at once."""
+    :func:`group_memory` per worker, as each holds a group at once; a
+    generated instance is counted before it is built."""
     # not a spec check: a spec built only to load its instance may omit it
     if not spec.output_dir:
         raise ConfigError("output.dir must not be empty")
+    n = spec.instance.n
+    if n is not None:   # a generated instance, counted before it is built
+        check_memory(f"the instance of instance.n = {n}",
+                     {"instance": knapsack.GENERATE_BYTES * n})
     instance = spec.instance.load()
     runs = len(spec.variants) * spec.repetitions
     workers = _worker_count(runs)

@@ -26,6 +26,10 @@ INSTANCE_TYPES = ("UCI", "WCI", "SCI", "EXTERNAL")
 # Fitness sums are float64 products, exact for integer totals below this.
 FLOAT_EXACT_LIMIT = 2**53
 
+# Bytes an item that :func:`generate` allocates at its peak, 56 of which
+# stay in the instance (tracemalloc, WCI, n = 10**5 and 10**6).
+GENERATE_BYTES = 80
+
 
 @dataclass(frozen=True, eq=False)  # by identity: arrays have no plain ==
 class KnapsackInstance:
@@ -222,15 +226,16 @@ def _plan(instance: KnapsackInstance, selection: bool):
     return (fit, w, p, lo, hi, cap, longest, off, value), terms
 
 
-def repair(instance: KnapsackInstance, selection, *,
-           excess=None) -> np.ndarray:
+def repair(instance: KnapsackInstance, selection, *, excess=None,
+           work=None) -> np.ndarray:
     """Feasible copy of ``selection``, one (n,) selection or a (k, n) batch.
 
     In each row, drops selected items in increasing profit/weight order
     (ties: lower index first) until the total weight fits the capacity.
     Identity on feasible rows. A caller that has already summed the
     weights passes ``excess``, each row's total weight minus the
-    capacity, and saves that product.
+    capacity, and saves that product. A C-contiguous int64 ``work``
+    array of at least the selection's size takes the weight sums.
     """
     sel = np.asarray(selection).astype(bool)
     if sel.ndim not in (1, 2) or sel.shape[-1] != instance.n:
@@ -246,16 +251,30 @@ def repair(instance: KnapsackInstance, selection, *,
     excess = np.reshape(excess, len(rows))
     over = np.flatnonzero(excess > 0)
     if over.size:
-        # work in drop order, then put whole rows back in item order
-        # (take is about twice as fast as the same fancy index here)
-        taken = rows.take(over, axis=0).take(instance._drop_order, axis=1)
-        w = taken * instance._drop_weights
-        cum = np.cumsum(w, axis=1)
+        # work in drop order, items along axis 0 and the rows to repair
+        # along axis 1, so that the running sums add whole lines of rows;
+        # then put whole rows back in item order (take is about twice as
+        # fast as the same fancy index here)
+        taken = rows.take(over, axis=0).T.take(instance._drop_order, axis=0)
+        # the weight of the items taken up to and including each item,
+        # summed in place (in the first elements of ``work``, if given)
+        out = None
+        if work is not None:
+            out = work.reshape(-1)[:taken.size].reshape(taken.shape)
+        cum = np.multiply(taken, instance._drop_weights[:, np.newaxis],
+                          out=out)
+        np.cumsum(cum, axis=0, out=cum)
         # the items before and at the first index whose cumsum reaches the
-        # excess are those whose cumsum before them is still short of it
-        keep = taken & (cum - w >= excess[over, np.newaxis])
-        rows[over] = keep.take(instance._drop_rank, axis=1)
-    return sel.astype(np.uint8)
+        # excess are those whose cumsum before them is still short of it:
+        # shift the comparison one item on, the first item's sum before it
+        # is 0
+        keep = np.greater_equal(cum, excess[over])
+        del cum
+        keep[1:] = keep[:-1]
+        keep[0] = False
+        keep &= taken
+        rows[over] = keep.take(instance._drop_rank, axis=0).T
+    return sel.view(np.uint8)  # sel is a copy, so the view is the caller's
 
 
 class KnapsackObjective:
@@ -263,26 +282,34 @@ class KnapsackObjective:
 
     ``evaluate_swarm`` returns, per particle, the (repaired) profit and the
     repaired selection to be recorded as pbest/gbest; the caller's position
-    bits are left untouched.
+    bits are left untouched. The selections and the float64 copy of the
+    positions live in scratch arrays that each call of the same shape
+    reuses, so the selections hold until the next call.
     """
 
     def __init__(self, instance: KnapsackInstance):
         self.instance = instance
         self.dimensions = instance.n
+        self._scratch = None  # (float64 positions, stored selections)
 
     def evaluate_swarm(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         inst = self.instance
         pos = np.asarray(positions, dtype=np.uint8)
-        stored = pos.copy()
+        if self._scratch is None or self._scratch[1].shape != pos.shape:
+            self._scratch = np.empty(pos.shape), np.empty_like(pos)
+        as_float, stored = self._scratch
+        np.copyto(as_float, pos)
+        np.copyto(stored, pos)
         # weight and profit sums of every row in one BLAS product; exact,
         # since the instance keeps both totals below FLOAT_EXACT_LIMIT.
         # Compared as int64, as the capacity may exceed the float range.
-        weight, fitness = (inst._sums_matrix @ pos.astype(np.float64).T
-                           ).astype(np.int64)
+        weight, fitness = (inst._sums_matrix @ as_float.T).astype(np.int64)
         over = np.flatnonzero(weight > inst.capacity)
         if over.size:
+            # the float copy is spent: repair sums weights in its bytes
             fixed = repair(inst, pos[over],
-                           excess=weight[over] - inst.capacity)
+                           excess=weight[over] - inst.capacity,
+                           work=as_float.view(np.int64))
             stored[over] = fixed
             fitness[over] = fixed @ inst.profits
         return fitness, stored
@@ -300,8 +327,9 @@ def save_instance(instance: KnapsackInstance, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _integer(text: str) -> int:
-    """A plain decimal integer: ``int`` also reads ``+3`` and ``1_0``."""
+def integer(text: str) -> int:
+    """A plain decimal integer, as instance and config files spell them:
+    ``int`` also reads ``+3``, ``1_0`` and non-ASCII digits."""
     if not re.fullmatch(r"-?[0-9]+", text):
         raise ValueError(f"not a plain decimal integer: {text!r}")
     return int(text)
@@ -315,7 +343,7 @@ def load_instance(path) -> KnapsackInstance:
     if len(head) != 3:
         raise ParseError(f"{path}:1: expected 'n capacity instance_type'")
     try:
-        n, capacity = _integer(head[0]), _integer(head[1])
+        n, capacity = integer(head[0]), integer(head[1])
     except ValueError as exc:
         raise ParseError(f"{path}:1: {exc}") from None
     if len(lines) != n + 1:
@@ -327,7 +355,7 @@ def load_instance(path) -> KnapsackInstance:
         if len(parts) != 2:
             raise ParseError(f"{path}:{i + 2}: expected 'weight profit'")
         try:
-            weights[i], profits[i] = _integer(parts[0]), _integer(parts[1])
+            weights[i], profits[i] = integer(parts[0]), integer(parts[1])
         except (ValueError, OverflowError) as exc:  # beyond int64
             raise ParseError(f"{path}:{i + 2}: {exc}") from None
     try:

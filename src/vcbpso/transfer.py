@@ -44,41 +44,66 @@ class TransferKind(enum.Enum):
     VT4 = "VT4"
 
 
-def _check_finite(a: np.ndarray) -> None:
-    if not np.isfinite(a).all():
+def _check_finite(a: np.ndarray, mask: np.ndarray | None = None) -> None:
+    if not np.isfinite(a, out=mask).all():
         raise ValueError("velocity must be finite")
 
 
-def sigm(kind: TransferKind, v):
+def sigm_scratch(shape) -> tuple[np.ndarray, ...]:
+    """Fresh arrays for :func:`sigm` on velocities of ``shape``: |v|, the
+    flip probabilities, a float64 work array and a bool mask."""
+    return (np.empty(shape), np.empty(shape), np.empty(shape),
+            np.empty(shape, dtype=bool))
+
+
+def sigm(kind: TransferKind, v, scratch=None):
     """Bit-flip probability for velocity ``v``.
 
     Even in ``v``, zero at zero, strictly increasing in ``|v|`` and
-    bounded in [0, 1).
+    bounded in [0, 1). Every intermediate is written into ``scratch``,
+    arrays of ``v``'s shape as :func:`sigm_scratch` makes them, fresh
+    ones by default; an array result is ``scratch``'s second array.
     """
     arr = np.asarray(v, dtype=np.float64)
-    _check_finite(arr)
-    a = np.abs(arr)
+    a, p, work, mask = sigm_scratch(arr.shape) if scratch is None else scratch
+    np.abs(arr, out=a)
+    _check_finite(a, mask)
     if kind is TransferKind.VT1:
         # (pi/2)*a overflows above 1.1e308, where arctan(inf) is exact
         with np.errstate(over="ignore"):
-            p = (2.0 / np.pi) * np.arctan((np.pi / 2.0) * a)
+            np.multiply(np.pi / 2.0, a, out=p)
+        np.arctan(p, out=p)
+        np.multiply(2.0 / np.pi, p, out=p)
     elif kind is TransferKind.VT2:
         # a^2 overflows for huge a, so the elements above 1 take the
         # reciprocal form, computed on those elements only (by index: a
-        # boolean mask or ufunc where= is slower at swarm sizes).
-        lo = np.minimum(a, 1.0)
-        sq = lo * lo
-        p = np.divide(sq, 1.0 + sq, out=np.empty(arr.shape))
-        big = np.flatnonzero(a > 1.0)
-        p.put(big, 1.0 / (1.0 + a.take(big) ** -2.0))
+        # boolean mask or ufunc where= is slower at swarm sizes); the
+        # index array is the one allocation, 8 bytes an element above 1
+        np.minimum(a, 1.0, out=p)
+        np.multiply(p, p, out=p)
+        np.add(p, 1.0, out=work)
+        np.divide(p, work, out=p)
+        big = np.flatnonzero(np.greater(a, 1.0, out=mask))
+        hi = work.reshape(-1)[:big.size]
+        a.take(big, out=hi, mode="clip")  # "raise" would buffer ``out``
+        np.power(hi, -2.0, out=hi)
+        np.add(hi, 1.0, out=hi)
+        np.divide(1.0, hi, out=hi)
+        p.put(big, hi)
     elif kind is TransferKind.VT3:
-        p = np.tanh(a)
+        np.tanh(a, out=p)
     elif kind is TransferKind.VT4:
-        # expm1 avoids the 1 - e^{-a} cancellation for tiny a
-        p = -np.expm1(-a) / (1.0 + np.exp(-a))
+        # -expm1(-a) / (1 + exp(-a)); expm1 avoids the 1 - e^{-a}
+        # cancellation for tiny a
+        np.negative(a, out=p)
+        np.exp(p, out=work)
+        np.add(work, 1.0, out=work)
+        np.expm1(p, out=p)
+        np.negative(p, out=p)
+        np.divide(p, work, out=p)
     else:  # pragma: no cover
         raise TypeError(f"unknown transfer kind: {kind!r}")
-    p = np.minimum(p, _P_MAX)
+    np.minimum(p, _P_MAX, out=p)
     return float(p) if np.isscalar(v) or arr.ndim == 0 else p
 
 

@@ -255,8 +255,7 @@ output.dir = {out}
 
     @pytest.mark.parametrize("old, new, message", [
         ("instance.n = 30", "instance.n = many",
-         ":3: key 'instance.n': invalid literal for int() with base 10: "
-         "'many'"),
+         ":3: key 'instance.n': not a plain decimal integer: 'many'"),
         ("vt2, on, 1.0, none", "vt9, on, 1.0, none",
          ":11: key 'variants': unknown transfer kind 'vt9'"),
         ("vt2, on, 1.0, none", "vt2, on, 1.0",
@@ -346,6 +345,19 @@ output.dir = {out}
         assert stderr.startswith(f"error: {path}: 'utf-8' codec can't "
                                  f"decode byte 0xe9")
         assert len(stderr.splitlines()) == 1
+
+    def test_a_huge_instance_n_is_an_error_line(self, capsys, config_file):
+        path, out = config_file
+        with open(path) as fh:
+            text = fh.read()
+        with open(path, "w") as fh:
+            fh.write(text.replace("instance.n = 30", f"instance.n = {10**30}"))
+        code, stdout, stderr = run_cli(capsys, "run", "--config", path)
+        assert code == 2 and stdout == ""
+        assert stderr.startswith(f"error: the instance of instance.n = "
+                                 f"{10**30} needs ")
+        assert len(stderr.splitlines()) == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("cpus", [{0}, {0, 1}],
                              ids=["in-process", "worker pool"])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import FunctionObjective, position_bits, repair_oracle
+from conftest import FunctionObjective, position_bits, repair_oracle, traced
 from vcbpso.engine import (
     Block,
     RunConfig,
@@ -357,6 +357,34 @@ class TestStepSwarm:
         assert repairs > 0
         if not corrected:
             assert np.abs(state.velocities).max() == vmax  # the clip ran
+
+    def test_a_step_allocates_no_swarm_sized_array(self):
+        """A block of 4 runs at d=500, corrected and uncorrected VT2 and
+        VT4, steps in the scratch arrays that its Block and the objective
+        own: each of steps 2-6 allocates, at its peak, less than one
+        float64 (R*m, d) array. What is left is sized by the flipped bits
+        (``correct``), the elements above 1 (VT2's ``sigm``) and the
+        infeasible rows (``repair``)."""
+        m, d = 20, 500
+        obj = KnapsackObjective(generate("UCI", d, 1000, 0.5, 20260823))
+        configs = [
+            make_config(kind=kind, correction_enabled=corrected,
+                        w=WSchedule.parse(w), vmax=None if corrected else 5.0,
+                        swarm_size=m, dimensions=d, max_iterations=1000,
+                        seed=99 + r)
+            for r, (kind, corrected, w) in enumerate([
+                (TransferKind.VT2, True, "1.0-0.99"),
+                (TransferKind.VT2, False, "0.9-0.4"),
+                (TransferKind.VT4, True, "1.1-0.99"),
+                (TransferKind.VT4, False, "0.9-0.4")])]
+        block = Block(configs)
+        rngs = [np.random.Generator(np.random.PCG64(c.seed)) for c in configs]
+        state = init_swarm(block, obj, rngs)
+        step_swarm(state, block, obj, rngs)
+        one_array = 8 * len(configs) * m * d
+        for _ in range(5):
+            _, _, peak = traced(step_swarm, state, block, obj, rngs)
+            assert peak < one_array, (peak, one_array)
 
 
 class TestRun:

@@ -31,6 +31,7 @@ from dataclasses import replace
 import pytest
 
 from conftest import load_config
+from vcbpso import harness
 from vcbpso.cli import main
 from vcbpso.harness import run_experiment
 from vcbpso.knapsack import save_instance
@@ -67,10 +68,10 @@ PINS = {
 }
 
 # 24 runs of low_dim.cfg at d=40, T=60, 3 repetitions, traces and metrics
-# on: at m=20, d=40 the harness's run groups hold 10 runs on 1 or 2 CPUs,
-# so the last group holds 4 VT4 runs, one corrected and three not. Every
-# output kind is digested, the files of one kind in name order (traces
-# decompressed).
+# on: with the group budget pinned at 8000 particle bits, at m=20, d=40
+# the harness's run groups hold 10 runs on 1 or 2 CPUs, so the last group
+# holds 4 VT4 runs, one corrected and three not. Every output kind is
+# digested, the files of one kind in name order (traces decompressed).
 PARTIAL_PINS = {
     "runs": "5d4ea93c74109a91e287bc30b56fb9a31cff886b0ef9e96410c41324a34e9b38",
     "aggregate": "ae09e788ff69d3a0d7a0e43cc23cd71e63b38b0565dfc923c8e97149ef0060cc",
@@ -163,7 +164,9 @@ def test_pinned_solve(tmp_path):
     assert solve_fingerprint(str(tmp_path)) == SOLVE_PINS
 
 
-def test_pinned_partial_group(tmp_path):
+def test_pinned_partial_group(tmp_path, monkeypatch):
+    # the budget that leaves the last group partial (see PARTIAL_PINS)
+    monkeypatch.setattr(harness, "GROUP_ELEMENTS", 8000)
     assert partial_fingerprint(str(tmp_path)) == PARTIAL_PINS
 
 

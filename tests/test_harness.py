@@ -184,6 +184,21 @@ output.dir = out
         assert spec.instance.path == "some/instance.txt"
         assert spec.swarm_size == 20  # default
 
+    @pytest.mark.parametrize("spelling", ["1_0", "+3", "\u0663"])
+    def test_integers_are_plain_decimal(self, tmp_path, spelling):
+        # int() reads each spelling; instance files refuse them, and so
+        # does every integer key
+        keys = [key for key, (_, convert) in harness.KEYS.items()
+                if convert is knapsack.integer]
+        assert len(keys) == 7
+        for key in keys:
+            text = re.sub(rf"^{re.escape(key)} = .*$", f"{key} = {spelling}",
+                          good_config(tmp_path), flags=re.M)
+            with pytest.raises(ParseError) as info:
+                parse_text(tmp_path, text)
+            assert str(info.value).endswith(
+                f": key {key!r}: not a plain decimal integer: {spelling!r}")
+
     def test_non_keyvalue_line(self, tmp_path):
         with pytest.raises(ParseError, match=":1: expected 'key = value'"):
             parse_text(tmp_path, "just some words\n")
@@ -569,7 +584,7 @@ class TestMemoryCheck:
         # no positions kept, nothing but the swarm steps
         terms = group_need(1, 10, 20, 500, False, False)
         assert terms == {"trace slabs": 1 * 11 * 8 * (1 + 20),
-                         "curves": 8 * 11, "swarm": 72 * 20 * 500}
+                         "curves": 8 * 11, "swarm": 80 * 20 * 500}
 
     def test_refusal_names_the_terms(self, tmp_path, monkeypatch):
         def no_dp(*args, **kw):
@@ -604,6 +619,9 @@ class TestMemoryCheck:
         out = tmp_path / "out"
         spec = parse_text(tmp_path, good_config(out))
         monkeypatch.setattr(errors, "MEMORY_LIMIT", 0)
+        # the generated instance's own check comes first; at a limit of 0
+        # it passes only when it counts nothing
+        monkeypatch.setattr(knapsack, "GENERATE_BYTES", 0)
         one, two = need(1), need(2)
         assert one < two
         monkeypatch.setattr(errors, "MEMORY_LIMIT", (one + two) // 2)
@@ -615,6 +633,22 @@ class TestMemoryCheck:
         monkeypatch.setattr(harness, "_worker_count", lambda runs: 1)
         run_experiment(spec)
         assert (out / "runs.csv").exists()
+
+    def test_a_huge_instance_n_is_refused_before_generating(
+            self, tmp_path, monkeypatch):
+        def no_generate(*args, **kw):
+            raise AssertionError("the instance was generated")
+
+        monkeypatch.setattr(knapsack, "generate", no_generate)
+        out = tmp_path / "out"
+        spec = parse_text(tmp_path, good_config(out).replace(
+            "instance.n = 30", f"instance.n = {10**30}"))
+        with pytest.raises(ResourceError) as info:
+            run_experiment(spec)
+        assert str(info.value) == (
+            f"the instance of instance.n = {10**30} needs {80 * 10**30} "
+            f"bytes (instance {80 * 10**30}), limit is {errors.MEMORY_LIMIT}")
+        assert not out.exists()
 
     def test_run_asks_the_dp_for_no_selection(self, tmp_path, monkeypatch):
         calls = []
@@ -632,13 +666,17 @@ class TestMemoryCheck:
 
 
 class TestGroupSize:
-    def test_d500_runs_alone(self):
-        assert group_size(160, 2, 20, 500) == 1
-        assert group_size(160, 1, 20, 500) == 1
+    def test_d500_groups_of_four(self):
+        # the 8 runs of a d=500 protocol pass make two blocks of four
+        assert group_size(8, 2, 20, 500) == 4
+        assert group_size(160, 2, 20, 500) == 4
+        assert group_size(160, 1, 20, 500) == 4
+        assert group_size(160, 2, 20, 1000) == 2
 
-    def test_d100_groups_of_four(self):
+    def test_d100_groups_of_twenty(self):
+        assert group_size(160, 2, 20, 100) == 20
+        # 8 runs on 2 CPUs: the runs per worker cap the group at 4
         assert group_size(8, 2, 20, 100) == 4
-        assert group_size(160, 2, 20, 100) == 4
 
     def test_at_most_the_runs_per_worker(self):
         assert group_size(3, 1, 1, 1) == 3
