@@ -17,6 +17,7 @@ and the objective reuses its own, so a block faults its pages in once,
 not on every step (``BENCH_12.json``: d=500 in blocks of 4). Every
 operation acts on each element or row by itself, so each run's trace is
 bit for bit that of the run alone; :func:`run` is the block of one run.
+A step counts nothing: a trace derives its flip counts from its positions.
 
 Random stream contract (pinned for reproducibility): one PCG64 generator
 per run, seeded with ``RunConfig.seed``, also inside a block, where it
@@ -35,6 +36,7 @@ from typing import Protocol
 import numpy as np
 
 from .errors import ConfigError
+from .knapsack import real
 from .trace import RunTrace, TraceBuilder
 from .transfer import (CORRECTION_CLAMP, TransferKind, correct, sigm,
                        sigm_scratch)
@@ -56,12 +58,13 @@ class WSchedule:
 
     @classmethod
     def parse(cls, text: str) -> "WSchedule":
-        """Accepts "a" (constant) or "a-b" (ramp) notation; a number may
-        carry an exponent ("1e-3", "1.2-1e-2")."""
+        """Accepts "a" (constant) or "a-b" (ramp) notation, each a plain
+        decimal number (``knapsack.real``) that may carry an exponent
+        ("1e-3", "1.2-1e-2")."""
         # a "-" right after e/E is an exponent's sign, not the ramp's dash
         parts = re.split(r"(?<![eE])-", text.strip())
         try:
-            values = [float(part) for part in parts]
+            values = [real(part.strip()) for part in parts]
         except ValueError:
             values = []
         if len(values) in (1, 2):
@@ -275,11 +278,8 @@ def init_swarm(block: Block, objective: Objective, rngs) -> SwarmState:
 
 
 def step_swarm(state: SwarmState, block: Block, objective: Objective,
-               rngs) -> tuple[SwarmState, np.ndarray]:
-    """Advance every swarm of the block one iteration in place.
-
-    Returns the state and the per-particle flip counts of the iteration.
-    """
+               rngs) -> SwarmState:
+    """Advance every swarm of the block one iteration in place."""
     x = state.positions
     v = state.velocities
     draw, pull, flips = block.draw, block.pull, block.flips
@@ -323,7 +323,7 @@ def step_swarm(state: SwarmState, block: Block, objective: Objective,
         state.gbest_fitness[better] = state.pbest_fitness[top[better]]
         state.gbest_position[better] = state.pbest_positions[top[better]]
     state.iteration += 1
-    return state, flips.sum(axis=1)
+    return state
 
 
 def run_block(configs, objective: Objective,
@@ -332,9 +332,9 @@ def run_block(configs, objective: Objective,
     a per-iteration trace of each run, in the order of ``configs``.
 
     Each run's trace equals that of ``run(config, objective)`` bit for
-    bit. With ``keep_positions`` false the traces record no positions
-    (``RunTrace.positions`` is None), for callers that read only the
-    gbest curve and the flip counts.
+    bit. With ``keep_positions`` false the traces record no positions and
+    so no flip counts (both None), for callers that read only the gbest
+    curve.
     """
     block = Block(configs)
     if objective.dimensions != block.dimensions:
@@ -347,12 +347,10 @@ def run_block(configs, objective: Objective,
     state = init_swarm(block, objective, rngs)
     builder = TraceBuilder(block.dimensions, block.runs, block.swarm_size,
                            block.max_iterations + 1, keep_positions)
-    builder.record(state.gbest_fitness,
-                   np.zeros(len(state.positions), dtype=np.int64),
-                   state.positions)
+    builder.record(state.gbest_fitness, state.positions)
     for _ in range(block.max_iterations):
-        state, flips = step_swarm(state, block, objective, rngs)
-        builder.record(state.gbest_fitness, flips, state.positions)
+        state = step_swarm(state, block, objective, rngs)
+        builder.record(state.gbest_fitness, state.positions)
     return builder.build()
 
 

@@ -33,7 +33,7 @@ from .engine import (STEP_BYTES, RunConfig, WSchedule, check_run_settings,
 from .engine import run  # noqa: F401
 from .errors import ConfigError, ParseError, ResourceError, check_memory
 from .knapsack import KnapsackInstance, KnapsackObjective
-from .trace import RunTrace, TraceBuilder, read_lines, save_memory
+from .trace import SAVE_BYTES, RunTrace, TraceBuilder, read_lines
 from .transfer import TransferKind
 
 
@@ -153,7 +153,7 @@ def _variants(text: str) -> tuple[Variant, ...]:
         vmax = None
         if vmax_txt.lower() not in ("none", "-"):
             try:
-                vmax = float(vmax_txt)
+                vmax = knapsack.real(vmax_txt)
             except ValueError:
                 raise ValueError(f"bad vmax {vmax_txt!r}") from None
         variants.append(Variant(kind, _BOOL[corr_txt.lower()], w, vmax))
@@ -163,19 +163,19 @@ def _variants(text: str) -> tuple[Variant, ...]:
 
 
 # Every config key: the field it sets, on InstanceSource for ``instance.*``
-# and on ExperimentSpec otherwise, and the conversion of its text; an
-# integer is plain decimal, as in instance files. A key is required
+# and on ExperimentSpec otherwise, and the conversion of its text; a
+# number is plain decimal, as in instance files. A key is required
 # exactly when its field has no default.
 KEYS = {
     "instance.path": ("path", str),
     "instance.type": ("instance_type", str),
     "instance.n": ("n", knapsack.integer),
     "instance.r": ("r", knapsack.integer),
-    "instance.s": ("s", float),
+    "instance.s": ("s", knapsack.real),
     "instance.seed": ("seed", knapsack.integer),
     "swarm.size": ("swarm_size", knapsack.integer),
-    "swarm.c1": ("c1", float),
-    "swarm.c2": ("c2", float),
+    "swarm.c1": ("c1", knapsack.real),
+    "swarm.c2": ("c2", knapsack.real),
     "run.iterations": ("iterations", knapsack.integer),
     "run.repetitions": ("repetitions", knapsack.integer),
     "run.base_seed": ("base_seed", knapsack.integer),
@@ -373,8 +373,7 @@ def group_memory(runs: int, iterations: int, swarm_size: int,
             "curves": 8 * runs * (records + 3 * iterations * compute_metrics)}
     phases = [{"swarm": STEP_BYTES * runs * swarm_size * dimensions}]
     if save_traces:
-        phases.append({"trace file": save_memory(records, swarm_size,
-                                                 dimensions)})
+        phases.append({"trace file": SAVE_BYTES})
     if compute_metrics and iterations >= 1:
         phases.append({"metric matrices": 8 * iterations * swarm_size,
                        "metric workspace": metrics.dist_eff_workspace(
@@ -386,9 +385,10 @@ def run_experiment(spec: ExperimentSpec) -> list[results.AggregateResult]:
     """Execute all variants x repetitions, write CSV artifacts, return
     per-variant aggregates. Deterministic given the spec. Before the DP
     and the output directory, ``errors.check_memory`` counts the
-    profit-only DP, every run's curves (collected here) and one
-    :func:`group_memory` per worker, as each holds a group at once; a
-    generated instance is counted before it is built."""
+    instance (here and in each forked worker), the profit-only DP, every
+    run's curves (collected here) and one :func:`group_memory` per
+    worker, as each holds a group at once; a generated instance is
+    counted before it is built too."""
     # not a spec check: a spec built only to load its instance may omit it
     if not spec.output_dir:
         raise ConfigError("output.dir must not be empty")
@@ -407,10 +407,13 @@ def run_experiment(spec: ExperimentSpec) -> list[results.AggregateResult]:
     curves = held["curves"] // size * runs
     held, *phases = ({name: workers * count for name, count in terms.items()}
                      for terms in (held, *phases))
+    # one worker runs in this process; a pool's workers unpickle a copy
+    copies = 1 + workers if workers > 1 else 1
     check_memory(f"the experiment with {workers} worker"
                  f"{'s' if workers > 1 else ''}",
-                 held | {"curves": curves,
-                         "DP": knapsack.dp_need(instance, selection=False)},
+                 {"instance": knapsack.INSTANCE_BYTES * instance.n * copies}
+                 | held | {"curves": curves,
+                           "DP": knapsack.dp_need(instance, selection=False)},
                  phases)
     optimum, _ = knapsack.dp_optimal(instance, selection=False)
     if optimum <= 0:

@@ -26,9 +26,11 @@ INSTANCE_TYPES = ("UCI", "WCI", "SCI", "EXTERNAL")
 # Fitness sums are float64 products, exact for integer totals below this.
 FLOAT_EXACT_LIMIT = 2**53
 
-# Bytes an item that :func:`generate` allocates at its peak, 56 of which
-# stay in the instance (tracemalloc, WCI, n = 10**5 and 10**6).
+# Bytes an item that :func:`generate` allocates at its peak, and that a
+# KnapsackInstance keeps: five int64 arrays and the (2, n) float64 sums
+# (tracemalloc, WCI, n = 10**5 and 10**6).
 GENERATE_BYTES = 80
+INSTANCE_BYTES = 56
 
 
 @dataclass(frozen=True, eq=False)  # by identity: arrays have no plain ==
@@ -333,6 +335,16 @@ def integer(text: str) -> int:
     if not re.fullmatch(r"-?[0-9]+", text):
         raise ValueError(f"not a plain decimal integer: {text!r}")
     return int(text)
+
+
+def real(text: str) -> float:
+    """A plain decimal number, perhaps with a fraction and an exponent
+    ("2", "-0.5", "1e-3"), as config files spell them: ``float`` also
+    reads ``+2``, ``1_0.5``, ``inf`` and non-ASCII digits."""
+    if not re.fullmatch(r"-?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?",
+                        text):
+        raise ValueError(f"not a plain decimal number: {text!r}")
+    return float(text)
 
 
 def load_instance(path) -> KnapsackInstance:

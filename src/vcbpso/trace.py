@@ -8,8 +8,8 @@ On disk a trace (format 2) is one gzip stream at ``GZIP_LEVEL`` with
 mtime 0, whatever the path's suffix. The stream holds the line
 ``vcbpso-trace 2``, the line ``m d records``, then the body: the records'
 gbest values as little-endian float64, then their packed position words
-as little-endian uint64. Flip counts are not stored; :meth:`RunTrace.load`
-derives them from the positions.
+as little-endian uint64. Flip counts are not stored: :func:`count_flips`
+derives them from the positions, for a built trace as for a loaded one.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import gzip
 import io
 import zlib
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,9 +28,14 @@ _MAGIC = b"vcbpso-trace 2\n"
 # about 4 % smaller at about 5x the compression time
 GZIP_LEVEL = 6
 
-# records that RunTrace.save compresses at once, and that RunTrace.load
-# checks for padding bits and derives flip counts for at once
-SAVE_CHUNK = 64
+# records whose padding bits RunTrace.load checks at once, and whose flip
+# counts count_flips derives at once
+RECORD_CHUNK = 64
+
+# the most bytes RunTrace.save hands zlib at once: zlib gathers one call's
+# output in blocks of 32 KiB, 64 KiB, 256 KiB, ... before it joins them,
+# and with what deflate held back, 32 KiB of input can fill two blocks
+_WRITE_BYTES = 16 << 10
 
 # the bytes of a damaged or cut gzip stream raise these when read
 _DAMAGED = (gzip.BadGzipFile, EOFError, zlib.error)
@@ -57,25 +62,36 @@ def pack_bits(bits) -> np.ndarray:
     return out.view("<u8")
 
 
+def count_flips(positions: np.ndarray) -> np.ndarray:
+    """(records, swarm_size) int64: the bits each particle of the packed
+    ``positions`` (records, swarm_size, words) flipped since the record
+    before, none in record 0; ``RECORD_CHUNK`` records at a time."""
+    flips = np.zeros(positions.shape[:2], dtype=np.int64)
+    for k in range(1, len(positions), RECORD_CHUNK):
+        pairs = positions[k - 1:k + RECORD_CHUNK]  # the chunk, one before
+        np.bitwise_count(pairs[1:] ^ pairs[:-1]).sum(
+            axis=-1, out=flips[k:k + RECORD_CHUNK])
+    return flips
+
+
 @dataclass
 class RunTrace:
     """Immutable result of one swarm run."""
 
     dimensions: int
     gbest_fitness: np.ndarray   # (records,) float64
-    # (records, swarm_size) int64: the bits each particle flipped since the
-    # record before, none in record 0 (``RunTrace.load`` derives them)
-    flip_counts: np.ndarray
     # (records, swarm_size, words) uint64, packed; None when the run kept
     # no positions (``engine.run_block`` with ``keep_positions`` false)
     positions: np.ndarray | None
+    # (records, swarm_size) int64, :func:`count_flips`; None without positions
+    flip_counts: np.ndarray | None = field(init=False)
 
     def __post_init__(self):
-        lengths = {len(self.gbest_fitness), len(self.flip_counts)}
-        if self.positions is not None:
-            lengths.add(len(self.positions))
-        if len(lengths) != 1:
+        if (self.positions is not None
+                and len(self.positions) != len(self.gbest_fitness)):
             raise ValueError("record arrays must have equal length")
+        self.flip_counts = (None if self.positions is None
+                            else count_flips(self.positions))
 
     @property
     def n_records(self) -> int:
@@ -87,9 +103,13 @@ class RunTrace:
 
     @property
     def swarm_size(self) -> int:
-        return self.flip_counts.shape[1]
+        return self.positions.shape[1]
 
     def save(self, path) -> None:
+        """Write the trace, ``_WRITE_BYTES`` of its arrays at a time, so
+        that what zlib holds at once does not grow with the trace; the
+        arrays of a built or loaded trace are contiguous and little-endian
+        already, so nothing is copied."""
         if self.positions is None:
             # checked first, so that no partial file is left behind
             raise ValueError(f"{path}: the trace kept no positions to save")
@@ -97,13 +117,11 @@ class RunTrace:
                            mtime=0) as fh:
             fh.write(_MAGIC + f"{self.swarm_size} {self.dimensions} "
                               f"{self.n_records}\n".encode())
-            # a chunk of records at a time, so that the compressed output
-            # held at once does not grow with the trace
             for array, dtype in ((self.gbest_fitness, "<f8"),
                                  (self.positions, "<u8")):
-                for start in range(0, self.n_records, SAVE_CHUNK):
-                    fh.write(np.ascontiguousarray(
-                        array[start:start + SAVE_CHUNK], dtype))
+                data = memoryview(np.ascontiguousarray(array, dtype)).cast("B")
+                for start in range(0, len(data), _WRITE_BYTES):
+                    fh.write(data[start:start + _WRITE_BYTES])
 
     @classmethod
     def load(cls, path) -> "RunTrace":
@@ -112,8 +130,7 @@ class RunTrace:
         up to the header's count, so a header that claims more than the
         file holds allocates at most twice what it does, and a whole
         file leaves no slack. A body shorter or longer than the header's
-        count is refused, then a position with a bit set past d; the
-        flip counts are derived from the positions."""
+        count is refused, then a position with a bit set past d."""
         with _open_trace(path) as (fh, (m, d, records)):
             words = (d + 63) // 64
             need = 8 * records * (1 + m * words)
@@ -134,22 +151,16 @@ class RunTrace:
                              f"need {need} bytes after the header, the file "
                              f"holds {'more' if longer else got}")
         positions = body[8 * records:].view("<u8").reshape(records, m, words)
-        # the bits past d in each last word are padding and must be zero; a
-        # record's flip counts are its bits that differ from the record
-        # before, none in record 0
-        flips = np.zeros((records, m), dtype=np.int64)
+        # the bits past d in each last word are padding and must be zero
         padding = np.uint64((1 << 64) - (1 << (d - 64 * (words - 1))))
-        for start in range(0, records, SAVE_CHUNK):
-            stop = min(start + SAVE_CHUNK, records)
+        for start in range(0, records, RECORD_CHUNK):
             padded = np.flatnonzero(
-                (positions[start:stop, :, -1] & padding).any(axis=1))
+                (positions[start:start + RECORD_CHUNK, :, -1] & padding
+                 ).any(axis=1))
             if padded.size:
                 raise ValueError(f"{path}: record {start + padded[0]}: "
                                  f"bits set past d={d}")
-            k = max(start, 1)
-            np.bitwise_count(positions[k:stop] ^ positions[k - 1:stop - 1]
-                             ).sum(axis=-1, out=flips[k:stop])
-        return cls(d, body[:8 * records].view("<f8"), flips, positions)
+        return cls(d, body[:8 * records].view("<f8"), positions)
 
 
 # bytes of a trace's body decompressed at once
@@ -204,24 +215,21 @@ def read_lines(path) -> list[str]:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def save_memory(records: int, swarm_size: int, dimensions: int) -> int:
-    """An upper bound on the bytes :meth:`RunTrace.save` allocates: the
-    compressor's state and the file's buffer (at most 300 KiB by
-    tracemalloc), and for one chunk of ``SAVE_CHUNK`` records' c position
-    bytes the blocks zlib gathers its output in (32 KiB, 64 KiB, 256 KiB,
-    1 MiB, ...: at most 4c + 32 KiB) and the c bytes it joins them into."""
-    chunk = 8 * min(records, SAVE_CHUNK) * swarm_size * ((dimensions + 63)
-                                                         // 64)
-    return (304 << 10) + 5 * chunk + (32 << 10)
+# An upper bound on the bytes RunTrace.save allocates, whatever the trace:
+# the compressor's state and the file's buffer (at most 300 KiB by
+# tracemalloc), and the output of one write of _WRITE_BYTES, which zlib
+# gathers in one 32 KiB block and joins into the bytes it returns (the
+# peak is 318 KiB at m=20, d=100 and m=50, d=1000 alike).
+SAVE_BYTES = (304 << 10) + (32 << 10) + _WRITE_BYTES
 
 
 def load_memory(swarm_size: int, dimensions: int) -> int:
     """An upper bound on the bytes :meth:`RunTrace.load` allocates beside
     the arrays it returns: the larger of the decompressor's state and
     buffers with one read of the body (63 KiB by tracemalloc) and the
-    checks of ``SAVE_CHUNK`` records (9 bytes a word and a count)."""
+    checks of ``RECORD_CHUNK`` records (9 bytes a word and a count)."""
     words = (dimensions + 63) // 64
-    return max(72 << 10, SAVE_CHUNK * swarm_size * (9 * words + 9))
+    return max(72 << 10, RECORD_CHUNK * swarm_size * (9 * words + 9))
 
 
 class TraceBuilder:
@@ -234,7 +242,6 @@ class TraceBuilder:
         self._count = 0
         # one contiguous slab per run, so that its trace is a view
         self._gbest = np.empty((runs, records))
-        self._flips = np.empty((runs, records, swarm_size), dtype=np.int64)
         self._positions = (
             np.empty((runs, records, swarm_size, (dimensions + 63) // 64),
                      dtype="<u8") if keep_positions else None)
@@ -242,17 +249,17 @@ class TraceBuilder:
     @staticmethod
     def nbytes(dimensions: int, runs: int, swarm_size: int, records: int,
                keep_positions: bool = True) -> int:
-        """The bytes of the slabs a builder of these arguments allocates."""
-        words = (dimensions + 63) // 64 if keep_positions else 0
-        return runs * records * 8 * (1 + swarm_size * (1 + words))
+        """The bytes of the slabs a builder of these arguments allocates,
+        and of the flip counts its traces derive from their positions."""
+        particle = keep_positions * 8 * (1 + (dimensions + 63) // 64)
+        return runs * records * (8 + swarm_size * particle)
 
-    def record(self, gbest_fitness: np.ndarray, flip_counts: np.ndarray,
+    def record(self, gbest_fitness: np.ndarray,
                position_bits: np.ndarray) -> None:
-        """gbest_fitness (runs,); flip_counts (runs*m,); position_bits
-        (runs*m, d), run r in rows r*m:(r+1)*m."""
+        """gbest_fitness (runs,); position_bits (runs*m, d), run r in rows
+        r*m:(r+1)*m."""
         k = self._count
         self._gbest[:, k] = gbest_fitness
-        self._flips[:, k] = flip_counts.reshape(self._flips[:, k].shape)
         if self._positions is not None:
             slot = self._positions[:, k]
             slot[...] = pack_bits(position_bits).reshape(slot.shape)
@@ -262,7 +269,7 @@ class TraceBuilder:
         if self._count != self._gbest.shape[1]:
             raise ValueError(f"{self._count} of {self._gbest.shape[1]} "
                              f"records written")
-        return [RunTrace(self.dimensions, self._gbest[r], self._flips[r],
+        return [RunTrace(self.dimensions, self._gbest[r],
                          None if self._positions is None
                          else self._positions[r])
                 for r in range(len(self._gbest))]

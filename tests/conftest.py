@@ -287,8 +287,7 @@ def pool_trace(records: int, swarm_size: int, dimensions: int,
     """A random trace whose particles each pick every record's position
     from their own ``pool`` random positions, so that the distinct
     positions (and the work of ``dist_eff_matrix``) do not grow with the
-    records; gbest values are random too, and the flip counts are the
-    bits each pick differs in from the one before."""
+    records; gbest values are random too."""
     rng = np.random.Generator(np.random.PCG64(seed))
     words = (dimensions + 63) // 64
     positions = rng.integers(0, 2**64, size=(swarm_size, pool, words),
@@ -296,9 +295,7 @@ def pool_trace(records: int, swarm_size: int, dimensions: int,
     positions[..., -1] >>= np.uint64(64 * words - dimensions)
     picks = positions[np.arange(swarm_size),
                       rng.integers(0, pool, size=(records, swarm_size))]
-    flips = np.zeros((records, swarm_size), dtype=np.int64)
-    flips[1:] = np.bitwise_count(picks[1:] ^ picks[:-1]).sum(axis=-1)
-    return RunTrace(dimensions, rng.random(records) * 1e4, flips, picks)
+    return RunTrace(dimensions, rng.random(records) * 1e4, picks)
 
 
 def traced(fn, *args, **kwargs):

@@ -162,10 +162,8 @@ class TestMathCriteria:
             d = int(rng.integers(8, 65))
             bits = rng.integers(0, 2, size=(201, 5, d)).astype(np.uint8)
             builder = TraceBuilder(d, 1, 5, len(bits))
-            for k, pos in enumerate(bits):
-                # the bits each particle flipped since the record before
-                flips = (pos != bits[max(k - 1, 0)]).sum(axis=1)
-                builder.record(np.zeros(1), flips, pos)
+            for pos in bits:
+                builder.record(np.zeros(1), pos)
             trace = builder.build()[0]
             eff = metrics.dist_eff_matrix(trace)
             signed = bits.astype(np.int16)

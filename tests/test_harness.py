@@ -154,11 +154,17 @@ class TestParseConfig:
             parse_text(tmp_path, text)
 
     @pytest.mark.parametrize("old, new, message", [
-        ("swarm.c1 = 2.0", "swarm.c1 = nan", "c1=nan"),
-        ("swarm.c2 = 2.0", "swarm.c2 = inf", "c2=inf"),
-        ("vt1, off, 0.6, 5", "vt1, off, 0.6, inf", r"VT1_w0\.6: .*vmax=inf"),
-        ("vt1, off, 0.6, 5", "vt1, off, inf, 5", "w=inf"),
-        ("vt1, off, 0.6, 5", "vt1, off, 1.0-nan, 5", "w=nan"),
+        # "nan" and "inf" are no plain decimal numbers; 1e999 reads as inf
+        ("swarm.c1 = 2.0", "swarm.c1 = nan",
+         "key 'swarm.c1': not a plain decimal number: 'nan'"),
+        ("swarm.c2 = 2.0", "swarm.c2 = inf",
+         "key 'swarm.c2': not a plain decimal number: 'inf'"),
+        ("swarm.c2 = 2.0", "swarm.c2 = 1e999", "c2=inf"),
+        ("vt1, off, 0.6, 5", "vt1, off, 0.6, 1e999",
+         r"VT1_w0\.6: .*vmax=inf"),
+        ("vt1, off, 0.6, 5", "vt1, off, 1e999, 5", "w=inf"),
+        ("vt1, off, 0.6, 5", "vt1, off, 1.0-nan, 5",
+         "key 'variants': bad w schedule: '1.0-nan'"),
     ])
     def test_nonfinite_settings_name_the_key(self, tmp_path, old, new,
                                              message):
@@ -198,6 +204,39 @@ output.dir = out
                 parse_text(tmp_path, text)
             assert str(info.value).endswith(
                 f": key {key!r}: not a plain decimal integer: {spelling!r}")
+
+    @pytest.mark.parametrize("spelling", ["1_0.5", "+2", "\u0663", "inf"])
+    def test_reals_are_plain_decimal(self, tmp_path, spelling):
+        # float() reads each spelling; every real-valued key refuses them,
+        # and so do a variant's w and vmax
+        keys = [key for key, (_, convert) in harness.KEYS.items()
+                if convert is knapsack.real]
+        assert keys == ["instance.s", "swarm.c1", "swarm.c2"]
+        for key in keys:
+            text = re.sub(rf"^{re.escape(key)} = .*$", f"{key} = {spelling}",
+                          good_config(tmp_path), flags=re.M)
+            with pytest.raises(ParseError) as info:
+                parse_text(tmp_path, text)
+            assert str(info.value).endswith(
+                f": key {key!r}: not a plain decimal number: {spelling!r}")
+        for new, refusal in ((f"vt1, off, {spelling}, 5", "bad w schedule: "),
+                             (f"vt1, off, 0.6, {spelling}", "bad vmax ")):
+            text = good_config(tmp_path).replace("vt1, off, 0.6, 5", new)
+            with pytest.raises(ParseError) as info:
+                parse_text(tmp_path, text)
+            assert str(info.value).endswith(
+                f": key 'variants': {refusal}{spelling!r}")
+
+    def test_reals_may_carry_an_exponent(self, tmp_path):
+        text = (good_config(tmp_path)
+                .replace("swarm.c1 = 2.0", "swarm.c1 = 1e-3")
+                .replace("swarm.c2 = 2.0", "swarm.c2 = 2")
+                .replace("instance.s = 0.5", "instance.s = .5")
+                .replace("vt1, off, 0.6, 5", "vt1, off, 1.2-1E-2, 5e0"))
+        spec = parse_text(tmp_path, text)
+        assert (spec.c1, spec.c2, spec.instance.s) == (1e-3, 2.0, 0.5)
+        assert spec.variants[2].w == WSchedule(1.2, 0.01)
+        assert spec.variants[2].vmax == 5.0
 
     def test_non_keyvalue_line(self, tmp_path):
         with pytest.raises(ParseError, match=":1: expected 'key = value'"):
@@ -583,7 +622,7 @@ class TestMemoryCheck:
         assert "swarm" not in terms
         # no positions kept, nothing but the swarm steps
         terms = group_need(1, 10, 20, 500, False, False)
-        assert terms == {"trace slabs": 1 * 11 * 8 * (1 + 20),
+        assert terms == {"trace slabs": 1 * 11 * 8,
                          "curves": 8 * 11, "swarm": 80 * 20 * 500}
 
     def test_refusal_names_the_terms(self, tmp_path, monkeypatch):
@@ -606,7 +645,7 @@ class TestMemoryCheck:
         def no_dp(*args, **kw):
             raise AssertionError("the DP ran before the check")
 
-        def need(workers):
+        def refusal(workers):
             monkeypatch.setattr(harness, "_worker_count",
                                 lambda runs: workers)
             with pytest.raises(ResourceError) as info:
@@ -614,7 +653,10 @@ class TestMemoryCheck:
             message = str(info.value)
             assert message.startswith(
                 f"the experiment with {workers} worker"), message
-            return int(re.search(r"needs (\d+) bytes", message).group(1))
+            return message
+
+        def need(workers):
+            return int(re.search(r"needs (\d+) bytes", refusal(workers))[1])
 
         out = tmp_path / "out"
         spec = parse_text(tmp_path, good_config(out))
@@ -624,6 +666,9 @@ class TestMemoryCheck:
         monkeypatch.setattr(knapsack, "GENERATE_BYTES", 0)
         one, two = need(1), need(2)
         assert one < two
+        # the instance of 30 items, here and in each of two workers
+        assert [int(re.search(r"\(instance (\d+),", refusal(workers))[1])
+                for workers in (1, 2)] == [56 * 30, 3 * 56 * 30]
         monkeypatch.setattr(errors, "MEMORY_LIMIT", (one + two) // 2)
         monkeypatch.setattr(knapsack, "dp_optimal", no_dp)
         assert need(2) == two

@@ -10,13 +10,13 @@ from hypothesis import given, strategies as st
 
 from conftest import pool_trace, position_bits, traced, unpack_bits
 from vcbpso.trace import (
-    SAVE_CHUNK,
+    RECORD_CHUNK,
+    SAVE_BYTES,
     RunTrace,
     TraceBuilder,
     load_memory,
     pack_bits,
     read_header,
-    save_memory,
 )
 
 
@@ -59,18 +59,14 @@ def read_stream(path) -> tuple[bytes, bytes]:
     return data[:cut], data[cut:]
 
 
-def build_trace(positions, gbest=None, flips=None):
-    """positions: list of (m, d) 0/1 arrays, one per record. Without
-    ``flips`` each record's flip counts are the bits it differs in from
-    the record before (zero for record 0), as the engine records them."""
+def build_trace(positions, gbest=None):
+    """positions: list of (m, d) 0/1 arrays, one per record."""
     positions = [np.asarray(p, dtype=np.uint8) for p in positions]
     m, d = positions[0].shape
     builder = TraceBuilder(d, 1, m, len(positions))
     for k, pos in enumerate(positions):
-        g = gbest[k] if gbest is not None else 0.0
-        f = (flips[k] if flips is not None
-             else (pos != positions[max(k - 1, 0)]).sum(axis=1))
-        builder.record(np.array([g]), np.asarray(f), pos)
+        builder.record(np.array([gbest[k] if gbest is not None else 0.0]),
+                       pos)
     return builder.build()[0]
 
 
@@ -135,39 +131,59 @@ class TestRunTrace:
     @pytest.mark.parametrize("name", ["t.txt", "t.txt.gz"])
     def test_save_without_positions_writes_nothing(self, tmp_path, name):
         builder = TraceBuilder(4, 1, 2, 1, keep_positions=False)
-        builder.record(np.zeros(1), np.zeros(2, np.int64),
-                       np.zeros((2, 4), np.uint8))
+        builder.record(np.zeros(1), np.zeros((2, 4), np.uint8))
         trace = builder.build()[0]
+        assert trace.positions is None and trace.flip_counts is None
         with pytest.raises(ValueError, match="no positions"):
             trace.save(tmp_path / name)
         assert not (tmp_path / name).exists()
 
     def test_mismatched_records_rejected(self):
         with pytest.raises(ValueError):
-            RunTrace(2, np.zeros(2), np.zeros((3, 1), np.int64),
-                     np.zeros((2, 1, 1), np.uint64))
+            RunTrace(2, np.zeros(2), np.zeros((3, 1, 1), np.uint64))
 
     def test_builder_refuses_missing_records(self):
         builder = TraceBuilder(4, 2, 3, 3)
         for _ in range(2):
-            builder.record(np.zeros(2), np.zeros(6, np.int64),
-                           np.zeros((6, 4), np.uint8))
+            builder.record(np.zeros(2), np.zeros((6, 4), np.uint8))
         with pytest.raises(ValueError, match="2 of 3 records"):
             builder.build()
 
     def test_builder_splits_a_block_by_run(self):
         rng = np.random.Generator(np.random.PCG64(3))
         bits = rng.integers(0, 2, size=(4, 6, 70)).astype(np.uint8)
-        flips = rng.integers(0, 70, size=(4, 6))
         builder = TraceBuilder(70, 2, 3, 4)
         for k in range(4):
-            builder.record(np.array([k, -k]), flips[k], bits[k])
+            builder.record(np.array([k, -k]), bits[k])
         first, second = builder.build()
         assert np.array_equal(first.gbest_fitness, [0, 1, 2, 3])
         assert np.array_equal(second.gbest_fitness, [0, -1, -2, -3])
-        assert np.array_equal(second.flip_counts, flips[:, 3:])
+        assert np.array_equal(second.flip_counts[1:],
+                              (bits[1:, 3:] != bits[:-1, 3:]).sum(axis=2))
         assert np.array_equal(first.positions, pack_bits(bits[:, :3]))
         assert np.array_equal(second.positions, pack_bits(bits[:, 3:]))
+
+    @pytest.mark.parametrize("keep_positions", [True, False])
+    def test_nbytes_is_what_the_builder_allocates(self, keep_positions):
+        # 2 runs of m=5, d=100 over 70 records: the slabs, and the flip
+        # counts that the traces derive from their positions
+        d, runs, m, records = 100, 2, 5, 70
+        bits = np.ones((runs * m, d), np.uint8)
+
+        def build():
+            builder = TraceBuilder(d, runs, m, records, keep_positions)
+            for k in range(records):
+                builder.record(np.full(runs, k), bits)
+            return builder.build()
+
+        traces, held, _ = traced(build)
+        need = TraceBuilder.nbytes(d, runs, m, records, keep_positions)
+        assert need <= held <= need + 4096, (need, held)
+        arrays = [t.gbest_fitness.nbytes for t in traces]
+        if keep_positions:
+            arrays += [t.positions.nbytes + t.flip_counts.nbytes
+                       for t in traces]
+        assert sum(arrays) == need
 
     @pytest.mark.parametrize("name", ["t.txt", "t.txt.gz"])
     def test_save_load_round_trip(self, tmp_path, name):
@@ -207,18 +223,20 @@ class TestRunTrace:
         assert saved[0] == saved[1]
 
     def test_save_memory_does_not_grow_with_the_records(self, tmp_path):
-        # d=100, m=20 at T=1000 and T=4000
+        # m=20, d=100 and m=50, d=1000, at T=1000 and T=4000, of random
+        # (incompressible) positions
         rng = np.random.Generator(np.random.PCG64(3))
         peaks = []
-        for records in (1001, 4001):
-            trace = RunTrace(
-                100, rng.random(records) * 1e4,
-                rng.integers(0, 101, size=(records, 20)),
-                rng.integers(0, 2**64, size=(records, 20, 2),
-                             dtype=np.uint64))
-            peaks.append(traced(trace.save, tmp_path / "t.txt.gz")[2])
-            assert peaks[-1] <= save_memory(records, 20, 100)
-        assert peaks[1] - peaks[0] <= 64 * 1024, peaks
+        for m, d in ((20, 100), (50, 1000)):
+            words = (d + 63) // 64
+            for records in (1001, 4001):
+                positions = rng.integers(0, 2**64, size=(records, m, words),
+                                         dtype=np.uint64)
+                positions[..., -1] >>= np.uint64(64 * words - d)
+                trace = RunTrace(d, rng.random(records) * 1e4, positions)
+                peaks.append(traced(trace.save, tmp_path / "t.txt.gz")[2])
+                assert peaks[-1] <= SAVE_BYTES
+        assert max(peaks) - min(peaks) <= 64 * 1024, peaks
 
     def test_load_rejects_wrong_magic(self, tmp_path):
         path = tmp_path / "t.txt"
@@ -276,8 +294,7 @@ class TestRunTrace:
         positions = trace.positions.copy()
         positions[2, 1, -1] |= np.uint64(1 << (bit % 64))
         path = tmp_path / "t.txt"
-        RunTrace(d, trace.gbest_fitness, trace.flip_counts,
-                 positions).save(path)
+        RunTrace(d, trace.gbest_fitness, positions).save(path)
         with pytest.raises(ValueError,
                            match=rf"t\.txt: record 2: bits set past d={d}"):
             RunTrace.load(path)
@@ -300,24 +317,28 @@ class TestRunTrace:
             RunTrace.load(path)
 
     def test_load_compares_records_across_a_chunk_edge(self, tmp_path):
-        # record SAVE_CHUNK, the first of the second chunk, differs from
-        # the record before in one bit, which its derived counts hold
-        positions = np.zeros((SAVE_CHUNK + 20, 2, 100), np.uint8)
-        positions[SAVE_CHUNK:, 1, 3] = 1
+        # record RECORD_CHUNK + 1, the first of the second chunk (record 0
+        # has no record before), differs from the record before in one
+        # bit, which its derived counts hold
+        positions = np.zeros((RECORD_CHUNK + 20, 2, 100), np.uint8)
+        positions[RECORD_CHUNK + 1:, 1, 3] = 1
         trace = build_trace(list(positions))
         path = tmp_path / "t.txt.gz"
         trace.save(path)
         flips = RunTrace.load(path).flip_counts
         np.testing.assert_array_equal(flips, trace.flip_counts)
-        assert flips[SAVE_CHUNK].tolist() == [0, 1]
+        assert flips[RECORD_CHUNK + 1].tolist() == [0, 1]
         assert flips.sum() == 1
 
     def test_load_derives_the_flip_counts(self, tmp_path):
         # record 0 flipped nothing; record k the bits it differs in from
         # record k - 1
-        trace = pool_trace(3 * SAVE_CHUNK + 5, 7, 130, pool=20)
+        trace = pool_trace(3 * RECORD_CHUNK + 5, 7, 130, pool=20)
         trace.save(tmp_path / "t.txt.gz")
         back = RunTrace.load(tmp_path / "t.txt.gz")
+        bits = unpack_bits(trace.positions, 130)
+        np.testing.assert_array_equal(back.flip_counts[1:],
+                                      (bits[1:] != bits[:-1]).sum(axis=-1))
         np.testing.assert_array_equal(back.flip_counts, trace.flip_counts)
         assert not back.flip_counts[0].any()
         assert back.flip_counts[1:].all(axis=1).any()
