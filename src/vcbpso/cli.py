@@ -51,32 +51,32 @@ def metrics_memory(records: int, swarm_size: int,
     workspace, the particle CSV, and the curves with their CSV."""
     iterations = records - 1
     held = {"trace": TraceBuilder.nbytes(dimensions, 1, swarm_size, records)}
-    phases = [{"load workspace": load_memory(swarm_size, dimensions)}]
+    phases = [{"load workspace": load_memory(swarm_size)}]
     if iterations >= 1:
-        matrices = 8 * iterations * swarm_size  # dist is the trace's flips
+        metric = metrics.metric_memory(iterations, swarm_size, dimensions)
+        matrices = {"metric matrices": metric["metric matrices"]}
         phases += [
-            {"metric matrices": matrices,
-             "metric workspace": metrics.dist_eff_workspace(
-                 iterations, swarm_size, dimensions)},
-            {"metric matrices": matrices,
-             "particle CSV": results.particle_csv_memory(
-                 iterations, swarm_size, dimensions)},
+            metric,
+            matrices | {"particle CSV": results.particle_csv_memory(
+                iterations, swarm_size, dimensions)},
             # computing the curves counts in the metric workspace
-            {"metric matrices": matrices, "curves": 24 * iterations,
-             "aggregate CSV": results.aggregate_csv_memory(iterations)}]
+            matrices | {"curves": 24 * iterations,
+                        "aggregate CSV": results.aggregate_csv_memory(
+                            iterations)}]
     return held, phases
 
 
 def _cmd_metrics(args) -> int:
     m, dimensions, records = read_header(args.trace)
+    iterations = records - 1
+    lo = args.from_iteration if args.from_iteration is not None else 1
+    hi = args.to_iteration if args.to_iteration is not None else iterations
+    if not 1 <= lo <= hi <= iterations:
+        raise ValueError(f"{args.trace}: bad iteration range [{lo}, {hi}] "
+                         f"for a trace of {iterations} iterations")
     check_memory(f"{args.trace}: vcbpso metrics",
                  *metrics_memory(records, m, dimensions))
     trace = RunTrace.load(args.trace)
-    lo = args.from_iteration if args.from_iteration is not None else 1
-    hi = args.to_iteration if args.to_iteration is not None else trace.iterations
-    if not 1 <= lo <= hi <= trace.iterations:
-        raise ValueError(f"bad iteration range [{lo}, {hi}] for trace of "
-                         f"{trace.iterations}")
     base = args.trace.removesuffix(".gz").removesuffix(".txt")
     d = metrics.dist_matrix(trace)
     e = metrics.dist_eff_matrix(trace)
@@ -104,10 +104,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate a knapsack instance file")
     gen.add_argument("--type", required=True, choices=["uci", "wci", "sci"])
-    gen.add_argument("--n", required=True, type=int)
-    gen.add_argument("--r", required=True, type=int)
-    gen.add_argument("--s", required=True, type=float)
-    gen.add_argument("--seed", required=True, type=int)
+    # numbers are plain decimal, as in config and instance files
+    gen.add_argument("--n", required=True, type=knapsack.integer)
+    gen.add_argument("--r", required=True, type=knapsack.integer)
+    gen.add_argument("--s", required=True, type=knapsack.real)
+    gen.add_argument("--seed", required=True, type=knapsack.integer)
     gen.add_argument("--out", required=True)
     gen.set_defaults(fn=_cmd_gen)
 
@@ -122,8 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     met = sub.add_parser("metrics", help="emit metric CSVs for a trace")
     met.add_argument("--trace", required=True)
-    met.add_argument("--from", dest="from_iteration", type=int)
-    met.add_argument("--to", dest="to_iteration", type=int)
+    met.add_argument("--from", dest="from_iteration", type=knapsack.integer)
+    met.add_argument("--to", dest="to_iteration", type=knapsack.integer)
     met.set_defaults(fn=_cmd_metrics)
 
     rep = sub.add_parser("report", help="per-variant table from aggregate.csv")

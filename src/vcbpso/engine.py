@@ -17,7 +17,7 @@ and the objective reuses its own, so a block faults its pages in once,
 not on every step (``BENCH_12.json``: d=500 in blocks of 4). Every
 operation acts on each element or row by itself, so each run's trace is
 bit for bit that of the run alone; :func:`run` is the block of one run.
-A step counts nothing: a trace derives its flip counts from its positions.
+A step counts nothing; ``metrics.dist_matrix`` counts flips from positions.
 
 Random stream contract (pinned for reproducibility): one PCG64 generator
 per run, seeded with ``RunConfig.seed``, also inside a block, where it
@@ -176,12 +176,12 @@ def _segments(rows: list[slice], keys: list) -> list[tuple[slice, object]]:
 
 # Bytes per particle bit of a block while it steps: 20 of state
 # (positions, pbest, the int8 pull and the flip mask, 1 each; velocities
-# and draws, 8 each), 34 of scratch (``sigm``'s |v|, probabilities and
-# work array, 8 each, and mask, 1; the objective's float64 copy and
-# stored positions, 9) and the step's temporaries, sized by the flipped
-# bits and the repaired rows, which peak at about 19 (tracemalloc, d=100
-# and 500, the first 25 iterations).
-STEP_BYTES = 80
+# and draws, 8 each), 25 of scratch (``sigm``'s |v|, probabilities and
+# work array, 8 each, and mask, 1) and the step's temporaries, sized by
+# the flipped bits and the repaired rows, which peak at about 19
+# (tracemalloc, d=100 and 500, the first 25 iterations). The objective's
+# own scratch outlives the steps and is counted apart.
+STEP_BYTES = 71
 
 
 class Block:
@@ -332,9 +332,8 @@ def run_block(configs, objective: Objective,
     a per-iteration trace of each run, in the order of ``configs``.
 
     Each run's trace equals that of ``run(config, objective)`` bit for
-    bit. With ``keep_positions`` false the traces record no positions and
-    so no flip counts (both None), for callers that read only the gbest
-    curve.
+    bit. With ``keep_positions`` false the traces record no positions
+    (None), for callers that read only the gbest curve.
     """
     block = Block(configs)
     if objective.dimensions != block.dimensions:

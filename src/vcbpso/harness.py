@@ -362,22 +362,23 @@ def group_memory(runs: int, iterations: int, swarm_size: int,
                  dimensions: int, save_traces: bool,
                  compute_metrics: bool) -> tuple[dict, list[dict]]:
     """The bytes :func:`_execute_group` holds for a group of ``runs``
-    runs, for ``errors.check_memory``: the trace slabs and the runs'
-    curves throughout, and as phases the stepping swarm, a trace file
-    being written and one run's metric matrices with their workspace."""
+    runs, for ``errors.check_memory``: the trace slabs, the runs' curves
+    and the objective's scratch throughout, and as phases the stepping
+    swarm, a trace file being written and one run's metric phase."""
     records = iterations + 1
+    bits = runs * swarm_size * dimensions
     held = {"trace slabs": TraceBuilder.nbytes(
                 dimensions, runs, swarm_size, records,
                 save_traces or compute_metrics),
             # gbest, and mean dist, mean dist_eff and cumulative PUJV
-            "curves": 8 * runs * (records + 3 * iterations * compute_metrics)}
-    phases = [{"swarm": STEP_BYTES * runs * swarm_size * dimensions}]
+            "curves": 8 * runs * (records + 3 * iterations * compute_metrics),
+            "objective scratch": knapsack.EVALUATE_BYTES * bits}
+    phases = [{"swarm": STEP_BYTES * bits}]
     if save_traces:
         phases.append({"trace file": SAVE_BYTES})
     if compute_metrics and iterations >= 1:
-        phases.append({"metric matrices": 8 * iterations * swarm_size,
-                       "metric workspace": metrics.dist_eff_workspace(
-                           iterations, swarm_size, dimensions)})
+        phases.append(metrics.metric_memory(iterations, swarm_size,
+                                            dimensions))
     return held, phases
 
 

@@ -32,6 +32,11 @@ FLOAT_EXACT_LIMIT = 2**53
 GENERATE_BYTES = 80
 INSTANCE_BYTES = 56
 
+# Bytes per particle bit of a KnapsackObjective's scratch, the float64
+# copy of the positions and the stored selections; held from its first
+# evaluate_swarm on, for as long as the objective lives.
+EVALUATE_BYTES = 9
+
 
 @dataclass(frozen=True, eq=False)  # by identity: arrays have no plain ==
 class KnapsackInstance:

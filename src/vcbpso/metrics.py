@@ -3,7 +3,7 @@ useless jump volume, convergence statistics; :mod:`vcbpso.results` writes
 them to CSV.
 
 Per iteration and particle, ``dist`` is the Hamming distance to the
-previous position (raw activity, the recorded flip counts) and
+previous position (raw activity: the bits the particle flipped) and
 ``dist_eff`` the Hamming distance to the nearest position in the
 particle's whole history including the initial one (genuinely new
 exploration). Their accumulated gap is the particle useless jump volume
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .trace import RunTrace
+from .trace import RECORD_CHUNK, RunTrace
 
 # A tile of dist_eff_matrix compares _BLOCK history positions with _TILE
 # later ones, 256 KiB of XOR words.
@@ -23,10 +23,16 @@ _TILE = 256
 
 
 def dist_matrix(trace: RunTrace) -> np.ndarray:
-    """(iterations, swarm_size) matrix of consecutive Hamming distances;
-    row k-1 holds iteration k. These are the flip counts the engine
-    records, a view of ``trace.flip_counts`` without record 0."""
-    return trace.flip_counts[1:]
+    """(iterations, swarm_size) int64 matrix of consecutive Hamming
+    distances, the bits each particle flipped; row k-1 holds iteration k.
+    ``RECORD_CHUNK`` records at a time, so its temporaries stay small."""
+    positions = trace.positions
+    out = np.empty((len(positions) - 1, positions.shape[1]), dtype=np.int64)
+    for k in range(0, len(out), RECORD_CHUNK):
+        pairs = positions[k:k + RECORD_CHUNK + 1]  # the chunk, one before
+        np.bitwise_count(pairs[1:] ^ pairs[:-1]).sum(
+            axis=-1, out=out[k:k + RECORD_CHUNK])
+    return out
 
 
 def dist_eff_matrix(trace: RunTrace) -> np.ndarray:
@@ -113,6 +119,19 @@ def dist_eff_workspace(iterations: int, swarm_size: int,
     buffers = 24 * min(np.getbufsize(),
                        max(iterations * swarm_size, rows * cols, records))
     return max(tile + particle, 40 * iterations) + buffers + (4 << 10)
+
+
+def metric_memory(iterations: int, swarm_size: int,
+                  dimensions: int) -> dict[str, int]:
+    """The bytes of a trace's metric phase, for ``errors.check_memory``:
+    the ``dist`` and ``dist_eff`` matrices, 8 bytes an iteration and
+    particle each, and the workspace of :func:`dist_eff_matrix` or of one
+    chunk of :func:`dist_matrix` (9 bytes a word, and 4 KiB), the larger."""
+    chunk = 9 * min(RECORD_CHUNK, iterations) * swarm_size * (
+        (dimensions + 63) // 64) + (4 << 10)
+    return {"metric matrices": 16 * iterations * swarm_size,
+            "metric workspace": max(chunk, dist_eff_workspace(
+                iterations, swarm_size, dimensions))}
 
 
 def _first_visits(column: np.ndarray) -> np.ndarray:

@@ -8,8 +8,8 @@ On disk a trace (format 2) is one gzip stream at ``GZIP_LEVEL`` with
 mtime 0, whatever the path's suffix. The stream holds the line
 ``vcbpso-trace 2``, the line ``m d records``, then the body: the records'
 gbest values as little-endian float64, then their packed position words
-as little-endian uint64. Flip counts are not stored: :func:`count_flips`
-derives them from the positions, for a built trace as for a loaded one.
+as little-endian uint64. A trace holds the arrays its file holds; the
+bits each particle flipped are a metric, ``metrics.dist_matrix``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import gzip
 import io
 import zlib
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,8 +28,8 @@ _MAGIC = b"vcbpso-trace 2\n"
 # about 4 % smaller at about 5x the compression time
 GZIP_LEVEL = 6
 
-# records whose padding bits RunTrace.load checks at once, and whose flip
-# counts count_flips derives at once
+# records whose padding bits RunTrace.load checks at once, and whose flips
+# metrics.dist_matrix counts at once
 RECORD_CHUNK = 64
 
 # the most bytes RunTrace.save hands zlib at once: zlib gathers one call's
@@ -62,18 +62,6 @@ def pack_bits(bits) -> np.ndarray:
     return out.view("<u8")
 
 
-def count_flips(positions: np.ndarray) -> np.ndarray:
-    """(records, swarm_size) int64: the bits each particle of the packed
-    ``positions`` (records, swarm_size, words) flipped since the record
-    before, none in record 0; ``RECORD_CHUNK`` records at a time."""
-    flips = np.zeros(positions.shape[:2], dtype=np.int64)
-    for k in range(1, len(positions), RECORD_CHUNK):
-        pairs = positions[k - 1:k + RECORD_CHUNK]  # the chunk, one before
-        np.bitwise_count(pairs[1:] ^ pairs[:-1]).sum(
-            axis=-1, out=flips[k:k + RECORD_CHUNK])
-    return flips
-
-
 @dataclass
 class RunTrace:
     """Immutable result of one swarm run."""
@@ -83,15 +71,11 @@ class RunTrace:
     # (records, swarm_size, words) uint64, packed; None when the run kept
     # no positions (``engine.run_block`` with ``keep_positions`` false)
     positions: np.ndarray | None
-    # (records, swarm_size) int64, :func:`count_flips`; None without positions
-    flip_counts: np.ndarray | None = field(init=False)
 
     def __post_init__(self):
         if (self.positions is not None
                 and len(self.positions) != len(self.gbest_fitness)):
             raise ValueError("record arrays must have equal length")
-        self.flip_counts = (None if self.positions is None
-                            else count_flips(self.positions))
 
     @property
     def n_records(self) -> int:
@@ -223,13 +207,13 @@ def read_lines(path) -> list[str]:
 SAVE_BYTES = (304 << 10) + (32 << 10) + _WRITE_BYTES
 
 
-def load_memory(swarm_size: int, dimensions: int) -> int:
+def load_memory(swarm_size: int) -> int:
     """An upper bound on the bytes :meth:`RunTrace.load` allocates beside
     the arrays it returns: the larger of the decompressor's state and
-    buffers with one read of the body (63 KiB by tracemalloc) and the
-    checks of ``RECORD_CHUNK`` records (9 bytes a word and a count)."""
-    words = (dimensions + 63) // 64
-    return max(72 << 10, RECORD_CHUNK * swarm_size * (9 * words + 9))
+    buffers with one read of the body (at most 94 KiB by tracemalloc) and
+    the padding checks of ``RECORD_CHUNK`` records (8 bytes a particle,
+    and numpy's 8 KiB cast buffer)."""
+    return max(104 << 10, 8 * RECORD_CHUNK * swarm_size + (16 << 10))
 
 
 class TraceBuilder:
@@ -249,9 +233,8 @@ class TraceBuilder:
     @staticmethod
     def nbytes(dimensions: int, runs: int, swarm_size: int, records: int,
                keep_positions: bool = True) -> int:
-        """The bytes of the slabs a builder of these arguments allocates,
-        and of the flip counts its traces derive from their positions."""
-        particle = keep_positions * 8 * (1 + (dimensions + 63) // 64)
+        """The bytes of the slabs a builder of these arguments allocates."""
+        particle = keep_positions * 8 * ((dimensions + 63) // 64)
         return runs * records * (8 + swarm_size * particle)
 
     def record(self, gbest_fitness: np.ndarray,

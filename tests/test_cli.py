@@ -97,6 +97,23 @@ class TestGen:
         assert stderr == "error: seed must be >= 0, got -1\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--n", "1_0"), ("--n", "+10"), ("--r", "\u06630"), ("--r", "1e2"),
+        ("--s", "0_5"), ("--s", "+0.5"), ("--s", "nan"), ("--seed", "+7"),
+        ("--seed", "\u0667")])
+    def test_numbers_are_plain_decimal(self, capsys, tmp_path, flag, value):
+        # the spellings config keys and instance files refuse
+        args = {"--n": "10", "--r": "30", "--s": "0.5", "--seed": "7"}
+        args[flag] = value
+        out = tmp_path / "x"
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--type", "uci", *(a for pair in args.items()
+                                            for a in pair),
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"argument {flag}: invalid" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSolve:
     def test_prints_optimum(self, capsys, three_item_file):
@@ -415,6 +432,38 @@ class TestMetrics:
         assert code == 2 and stdout == "" and "[5, 5000]" in stderr
         for suffix in ("_particle_metrics.csv", "_aggregate_metrics.csv"):
             assert not (out / f"trace_VCv2_w1_rep0{suffix}").exists()
+
+    @pytest.mark.parametrize("flags", [
+        ("--from", "0"), ("--from", "3", "--to", "2"), ("--to", "21"),
+        ("--from", "21")])
+    def test_bad_range_refused_before_the_trace_is_read(
+            self, capsys, tmp_path, monkeypatch, flags):
+        def no_load(path):
+            raise AssertionError("the trace was read before the check")
+
+        path = tmp_path / "t.txt.gz"
+        pool_trace(21, 4, 100).save(path)
+        monkeypatch.setattr(RunTrace, "load", no_load)
+        code, stdout, stderr = run_cli(capsys, "metrics", "--trace",
+                                       str(path), *flags)
+        assert code == 2 and stdout == ""
+        assert re.fullmatch(rf"error: {re.escape(str(path))}: bad iteration "
+                            rf"range \[\d+, \d+\] for a trace of 20 "
+                            rf"iterations\n", stderr), stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.txt.gz"]
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--from", "1_0"), ("--from", "+1"), ("--to", "\u0663"),
+        ("--to", "2.0")])
+    def test_range_flags_are_plain_decimal(self, capsys, tmp_path, flag,
+                                           value):
+        path = tmp_path / "t.txt.gz"
+        pool_trace(21, 4, 100).save(path)
+        with pytest.raises(SystemExit) as exc:
+            main(["metrics", "--trace", str(path), flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}: invalid" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.txt.gz"]
 
     def test_bad_record_fails_before_writing(self, capsys, tmp_path):
         path = tmp_path / "t.txt"

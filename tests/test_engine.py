@@ -19,6 +19,7 @@ from vcbpso.engine import (
 )
 from vcbpso.errors import ConfigError
 from vcbpso.knapsack import KnapsackObjective, generate
+from vcbpso.metrics import dist_matrix
 from vcbpso.trace import RECORD_CHUNK, RunTrace
 from vcbpso.transfer import CORRECTION_CLAMP, TransferKind, correct, sigm
 
@@ -402,7 +403,7 @@ class TestRun:
         b = run(cfg, count_ones(8))
         assert np.array_equal(a.positions, b.positions)
         assert np.array_equal(a.gbest_fitness, b.gbest_fitness)
-        assert np.array_equal(a.flip_counts, b.flip_counts)
+        assert np.array_equal(dist_matrix(a), dist_matrix(b))
 
     def test_different_seeds_differ(self):
         a = run(make_config(max_iterations=30, seed=1), count_ones(8))
@@ -453,18 +454,19 @@ class TestRun:
 
     def test_flip_counts_match_position_deltas(self, tmp_path):
         # a block of 2 runs whose records cross a RECORD_CHUNK edge; the
-        # flip counts of the built trace and of the loaded one are the
-        # bits each particle's unpacked position changed
+        # dist of the built trace and of the loaded one are the bits each
+        # particle's unpacked position changed, one row per iteration
         configs = [make_config(dimensions=70, max_iterations=RECORD_CHUNK + 5,
                                seed=9 + r) for r in range(2)]
         for r, built in enumerate(run_block(configs, count_ones(70))):
             built.save(tmp_path / f"t{r}.gz")
             loaded = RunTrace.load(tmp_path / f"t{r}.gz")
-            assert not built.flip_counts[0].any()
+            flips = dist_matrix(built)
+            assert flips.shape == (built.iterations, built.swarm_size)
             for k in range(1, built.n_records):
                 delta = position_bits(built, k) ^ position_bits(built, k - 1)
-                assert np.array_equal(delta.sum(axis=1), built.flip_counts[k])
-            assert np.array_equal(loaded.flip_counts, built.flip_counts)
+                assert np.array_equal(delta.sum(axis=1), flips[k - 1])
+            assert np.array_equal(dist_matrix(loaded), flips)
 
 
 # Runs of every kind, corrected and not, with constant and ramped w and
@@ -493,7 +495,7 @@ class TestRunBlock:
     def test_block_replays_separate_runs(self, order, extra, by_kind, m, d,
                                          iterations, seed, s):
         """A block of mixed runs gives every run the trace of its own
-        ``run`` call, bit for bit: gbest curve, flip counts and packed
+        ``run`` call, bit for bit: gbest curve, dist and packed
         positions. Repeated variants and the harness's sort by kind put
         runs with equal settings next to each other."""
         picks = list(order) + extra
@@ -512,10 +514,10 @@ class TestRunBlock:
         for config, got, lean in zip(configs, block, bare):
             want = run(config, obj)
             assert np.array_equal(got.gbest_fitness, want.gbest_fitness)
-            assert np.array_equal(got.flip_counts, want.flip_counts)
+            assert np.array_equal(dist_matrix(got), dist_matrix(want))
             assert np.array_equal(got.positions, want.positions)
             assert np.array_equal(lean.gbest_fitness, want.gbest_fitness)
-            assert lean.positions is None and lean.flip_counts is None
+            assert lean.positions is None
 
     def test_gbest_ties_keep_the_first_particle(self):
         """Fitness counts ones in steps of 4, so several particles of a

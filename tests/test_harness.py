@@ -589,6 +589,9 @@ def group_need(*args) -> dict[str, int]:
 class TestMemoryCheck:
     """The bytes of a run group and of the DP, checked before either."""
 
+    # 25 iterations peak in the swarm phase; at 200 and 400 the metric
+    # phase peaks on top of the objective's scratch
+    @pytest.mark.parametrize("iterations", [25, 200, 400])
     @pytest.mark.parametrize("config, runs, save_traces, compute_metrics", [
         ("low_dim.cfg", 4, False, False),
         ("low_dim.cfg", 4, True, True),
@@ -598,8 +601,9 @@ class TestMemoryCheck:
         ("scaling.cfg", 1, True, True),
     ])
     def test_group_memory_bounds_the_traced_peak(
-            self, tmp_path, config, runs, save_traces, compute_metrics):
-        spec = replace(load_config(config), iterations=25,
+            self, tmp_path, config, runs, save_traces, compute_metrics,
+            iterations):
+        spec = replace(load_config(config), iterations=iterations,
                        save_traces=save_traces,
                        compute_metrics=compute_metrics,
                        output_dir=str(tmp_path))
@@ -616,14 +620,17 @@ class TestMemoryCheck:
     def test_terms(self):
         # d=100, m=20, T=1000: two 64-bit words per position
         terms = group_need(4, 1000, 20, 100, True, True)
-        assert terms["trace slabs"] == 4 * 1001 * 8 * (1 + 20 * 3)
+        assert terms["trace slabs"] == 4 * 1001 * 8 * (1 + 20 * 2)
         assert terms["curves"] == 4 * 8 * (1001 + 3 * 1000)
-        assert terms["metric matrices"] == 8 * 1000 * 20
+        assert terms["objective scratch"] == 9 * 4 * 20 * 100
+        # dist and dist_eff
+        assert terms["metric matrices"] == 2 * 8 * 1000 * 20
         assert "swarm" not in terms
         # no positions kept, nothing but the swarm steps
         terms = group_need(1, 10, 20, 500, False, False)
-        assert terms == {"trace slabs": 1 * 11 * 8,
-                         "curves": 8 * 11, "swarm": 80 * 20 * 500}
+        assert terms == {"trace slabs": 1 * 11 * 8, "curves": 8 * 11,
+                         "objective scratch": 9 * 20 * 500,
+                         "swarm": 71 * 20 * 500}
 
     def test_refusal_names_the_terms(self, tmp_path, monkeypatch):
         def no_dp(*args, **kw):

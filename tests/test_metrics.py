@@ -1,7 +1,9 @@
 """Exploration metrics: raw and effective Hamming movement, useless jump
 volume, convergence statistics."""
 
+import ast
 import csv
+import os
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from conftest import (
     traced,
     unpack_bits,
 )
+from test_results import MODULES, SRC_DIR
 from test_trace import build_trace
 from vcbpso import metrics, results
 from vcbpso.metrics import (
@@ -25,6 +28,7 @@ from vcbpso.metrics import (
     dist_matrix,
     first_discovery_round,
 )
+from vcbpso.trace import RECORD_CHUNK, RunTrace
 
 
 def bits(text):
@@ -130,12 +134,35 @@ class TestDist:
         assert d.dtype == np.int64
         assert np.array_equal(d, np.bitwise_count(x).sum(axis=-1))
 
-    def test_is_a_view_of_the_recorded_flip_counts(self):
-        rng = np.random.Generator(np.random.PCG64(2))
-        t = random_trace(rng, 40, 3, 70)
-        d, _, peak = traced(dist_matrix, t)
-        assert np.shares_memory(d, t.flip_counts) and peak < 1024
-        assert np.array_equal(d, t.flip_counts[1:])
+    @pytest.mark.parametrize("records", [2, 26, RECORD_CHUNK + 1, 1001])
+    @pytest.mark.parametrize("d", [70, 500])
+    def test_allocation_fits_the_metric_phase(self, records, d):
+        # dist is one of the phase's two matrices, and deriving it a chunk
+        # of records at a time stays within the phase's workspace
+        t = pool_trace(records, 20, d)
+        matrix, held, peak = traced(dist_matrix, t)
+        phase = metrics.metric_memory(records - 1, 20, d)
+        assert 2 * matrix.nbytes == phase["metric matrices"]
+        assert matrix.nbytes <= held <= matrix.nbytes + 1024
+        assert peak - held <= phase["metric workspace"], (peak - held, phase)
+
+    def test_matches_the_scalar_reference_across_chunk_edges(self, tmp_path):
+        # a built trace and the same trace loaded back: record 0 has no
+        # row, row k - 1 holds the bits record k differs in from record
+        # k - 1, whichever chunk of records each falls in
+        trace = pool_trace(3 * RECORD_CHUNK + 5, 7, 130, pool=20)
+        trace.save(tmp_path / "t.txt.gz")
+        back = RunTrace.load(tmp_path / "t.txt.gz")
+        bits = unpack_bits(trace.positions, 130)
+        for t in (trace, back):
+            d = dist_matrix(t)
+            assert d.shape == (3 * RECORD_CHUNK + 4, 7)
+            np.testing.assert_array_equal(
+                d, (bits[1:] != bits[:-1]).sum(axis=-1))
+            for k in (1, RECORD_CHUNK, RECORD_CHUNK + 1, t.iterations):
+                for i in range(7):
+                    assert d[k - 1, i] == dist_iteration(t, i, k)
+            assert d.all(axis=1).any()
 
     def test_out_of_range(self):
         t = single_particle_trace("0000", "1100")
@@ -144,6 +171,26 @@ class TestDist:
                 dist_iteration(t, 0, k)
             with pytest.raises(ValueError):
                 dist_eff_iteration(t, 0, k)
+
+
+def popcount_lines(name):
+    """The lines of a package module that name ``bitwise_count``."""
+    with open(os.path.join(SRC_DIR, name)) as fh:
+        tree = ast.parse(fh.read())
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "bitwise_count"
+            or isinstance(node, ast.Name) and node.id == "bitwise_count"
+            or isinstance(node, ast.alias) and node.name == "bitwise_count"]
+
+
+def test_the_scan_sees_the_metrics_popcounts():
+    assert len(popcount_lines("metrics.py")) == 3
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "metrics.py"])
+def test_no_other_module_counts_bits(name):
+    # dist and dist_eff are derived in one module; a trace holds positions
+    assert popcount_lines(name) == []
 
 
 class TestDistEff:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import pool_trace, position_bits, traced, unpack_bits
+from vcbpso.metrics import dist_matrix
 from vcbpso.trace import (
     RECORD_CHUNK,
     SAVE_BYTES,
@@ -20,8 +21,8 @@ from vcbpso.trace import (
 )
 
 
-# a header that claims 10**6 particles: 16 MB of flip counts and 16 MB
-# of positions that the short body cannot hold
+# a header that claims 10**6 particles: 16 MB of positions that the
+# short body cannot hold
 OVERSIZED_HEADER = gzip.compress(b"vcbpso-trace 2\n1000000 100 2\n"
                                  + bytes(48), mtime=0)
 
@@ -133,7 +134,7 @@ class TestRunTrace:
         builder = TraceBuilder(4, 1, 2, 1, keep_positions=False)
         builder.record(np.zeros(1), np.zeros((2, 4), np.uint8))
         trace = builder.build()[0]
-        assert trace.positions is None and trace.flip_counts is None
+        assert trace.positions is None
         with pytest.raises(ValueError, match="no positions"):
             trace.save(tmp_path / name)
         assert not (tmp_path / name).exists()
@@ -158,15 +159,15 @@ class TestRunTrace:
         first, second = builder.build()
         assert np.array_equal(first.gbest_fitness, [0, 1, 2, 3])
         assert np.array_equal(second.gbest_fitness, [0, -1, -2, -3])
-        assert np.array_equal(second.flip_counts[1:],
+        assert np.array_equal(dist_matrix(second),
                               (bits[1:, 3:] != bits[:-1, 3:]).sum(axis=2))
         assert np.array_equal(first.positions, pack_bits(bits[:, :3]))
         assert np.array_equal(second.positions, pack_bits(bits[:, 3:]))
 
     @pytest.mark.parametrize("keep_positions", [True, False])
     def test_nbytes_is_what_the_builder_allocates(self, keep_positions):
-        # 2 runs of m=5, d=100 over 70 records: the slabs, and the flip
-        # counts that the traces derive from their positions
+        # 2 runs of m=5, d=100 over 70 records: the slabs, which the
+        # traces hold and nothing more
         d, runs, m, records = 100, 2, 5, 70
         bits = np.ones((runs * m, d), np.uint8)
 
@@ -181,8 +182,7 @@ class TestRunTrace:
         assert need <= held <= need + 4096, (need, held)
         arrays = [t.gbest_fitness.nbytes for t in traces]
         if keep_positions:
-            arrays += [t.positions.nbytes + t.flip_counts.nbytes
-                       for t in traces]
+            arrays += [t.positions.nbytes for t in traces]
         assert sum(arrays) == need
 
     @pytest.mark.parametrize("name", ["t.txt", "t.txt.gz"])
@@ -202,7 +202,7 @@ class TestRunTrace:
         back = RunTrace.load(path)
         assert back.dimensions == 100
         assert np.array_equal(back.gbest_fitness, trace.gbest_fitness)
-        assert np.array_equal(back.flip_counts, trace.flip_counts)
+        assert np.array_equal(dist_matrix(back), dist_matrix(trace))
         assert np.array_equal(back.positions, trace.positions)
 
     def test_gbest_repr_is_exact(self, tmp_path):
@@ -319,29 +319,16 @@ class TestRunTrace:
     def test_load_compares_records_across_a_chunk_edge(self, tmp_path):
         # record RECORD_CHUNK + 1, the first of the second chunk (record 0
         # has no record before), differs from the record before in one
-        # bit, which its derived counts hold
+        # bit, which its row of dist holds
         positions = np.zeros((RECORD_CHUNK + 20, 2, 100), np.uint8)
         positions[RECORD_CHUNK + 1:, 1, 3] = 1
         trace = build_trace(list(positions))
         path = tmp_path / "t.txt.gz"
         trace.save(path)
-        flips = RunTrace.load(path).flip_counts
-        np.testing.assert_array_equal(flips, trace.flip_counts)
-        assert flips[RECORD_CHUNK + 1].tolist() == [0, 1]
+        flips = dist_matrix(RunTrace.load(path))
+        np.testing.assert_array_equal(flips, dist_matrix(trace))
+        assert flips[RECORD_CHUNK].tolist() == [0, 1]
         assert flips.sum() == 1
-
-    def test_load_derives_the_flip_counts(self, tmp_path):
-        # record 0 flipped nothing; record k the bits it differs in from
-        # record k - 1
-        trace = pool_trace(3 * RECORD_CHUNK + 5, 7, 130, pool=20)
-        trace.save(tmp_path / "t.txt.gz")
-        back = RunTrace.load(tmp_path / "t.txt.gz")
-        bits = unpack_bits(trace.positions, 130)
-        np.testing.assert_array_equal(back.flip_counts[1:],
-                                      (bits[1:] != bits[:-1]).sum(axis=-1))
-        np.testing.assert_array_equal(back.flip_counts, trace.flip_counts)
-        assert not back.flip_counts[0].any()
-        assert back.flip_counts[1:].all(axis=1).any()
 
     @pytest.mark.parametrize("d", [100, 500])
     def test_load_memory_does_not_grow_with_the_records(self, tmp_path, d):
@@ -353,11 +340,11 @@ class TestRunTrace:
             pool_trace(records, 20, d).save(path)
             trace, held, peak = traced(RunTrace.load, path)
             arrays = TraceBuilder.nbytes(d, 1, 20, records)
-            assert trace.flip_counts.nbytes + trace.positions.nbytes \
-                + trace.gbest_fitness.nbytes == arrays
+            assert trace.positions.nbytes + trace.gbest_fitness.nbytes \
+                == arrays
             assert arrays <= held <= arrays + 4096
             workspace.append(peak - held)
-            assert workspace[-1] <= load_memory(20, d)
+            assert workspace[-1] <= load_memory(20)
         assert abs(workspace[1] - workspace[0]) <= 64 * 1024, workspace
 
     def test_load_under_a_tracer_that_reads_locals(self, tmp_path):
